@@ -4,7 +4,9 @@ Determinism contract: a campaign is a pure function of (config, seed).
 Every grid point splits into fixed-size symbol chunks; chunk c of point p
 draws from the substream SeedSequence(seed, spawn_key=(p, 1 + c)) and chunk
 results are integer error counts, so the merge is exact and order-free and
-the output is byte-identical at any worker-pool width.
+the output is byte-identical at any worker-pool width.  Sweeps and file
+loopback run the same chunk kernel (:meth:`LinkEngine.detect_chunk`) on the
+same worker pool; loopback feeds it payload symbols instead of drawn ones.
 
 Fidelity A runs the symbol-domain model (closed-form equivalent baseband
 through the aggregate 2x2 stream channel).  Fidelity B runs the waveform
@@ -22,20 +24,13 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent import futures
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .channel import (
-    awgn,
-    build_h1_los,
-    build_h2,
-    carrier_decomposition,
-    effective_stream_channel,
-    noise_power_for_ebn0,
-)
+from .channel import awgn, channel_set_from, effective_stream_channel, noise_power_for_ebn0
 from .config import (
     BITS_PER_SYMBOL,
     CampaignConfig,
@@ -50,10 +45,12 @@ from .modulation import (
     QAM16_SYMBOL_ENERGY,
     TWO_PI,
     TmSymbolParams,
+    bytes_to_symbol_indices,
     closed_form_value,
     exact_coefficients,
     harmonic_closed_form,
     qam_to_tm,
+    symbol_indices_to_bytes,
     waveform,
     wrap_phase,
 )
@@ -93,6 +90,32 @@ def _point_rng(seed: int, point_idx: int, chunk_idx: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point_idx, chunk_idx)))
 
 
+def _map_chunks(job, n_chunks: int, threads: int) -> list:
+    """[job(0), ..., job(n_chunks - 1)], on a pool of ``threads`` workers."""
+    if threads > 1:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(job, range(n_chunks)))
+    return [job(c) for c in range(n_chunks)]
+
+
+def _error_counts(rx0, rx1, sym0, sym1) -> tuple[int, int]:
+    """(bit errors, symbol errors) of two detected streams against the sent ones."""
+    bit_errors = int(_POPCOUNT16[rx0 ^ sym0].sum() + _POPCOUNT16[rx1 ^ sym1].sum())
+    symbol_errors = int(np.count_nonzero(rx0 != sym0) + np.count_nonzero(rx1 != sym1))
+    return bit_errors, symbol_errors
+
+
+def _ber_record(ebn0_db: float, bits_sent: int, bit_errors: int, symbol_errors: int) -> BerRecord:
+    return BerRecord(
+        ebn0_db=ebn0_db,
+        bits_sent=bits_sent,
+        bit_errors=bit_errors,
+        symbol_errors=symbol_errors,
+        ber=bit_errors / bits_sent,
+        wilson_interval_halfwidth=float(wilson_interval_halfwidth(bit_errors, bits_sent)),
+    )
+
+
 @dataclass(frozen=True)
 class CampaignResult:
     records: tuple[BerRecord, ...]
@@ -112,14 +135,9 @@ class LinkEngine:
         geometry = config.geometry
         if geometry.k_rx != 1:
             raise ConfigError("geometry.rx_positions_m", "BER campaigns drive the 2x2 link (one receive antenna per polarization)")
-        h1 = build_h1_los(geometry)
-        h2 = build_h2(geometry, config.channel)
-        c = carrier_decomposition(geometry.feed_polarization_angle_deg)
-        self.channels = ChannelSet(
-            h1=h1, h2=h2, c=c, carrier_power_watts=config.carrier_power_watts, k_rx=geometry.k_rx
-        )
+        self.channels = channel_set_from(geometry, config.channel, config.carrier_power_watts)
         self.e = attenuation_from(self.channels)
-        self.g = effective_stream_channel(h2, self.e, config.carrier_power_watts)
+        self.g = effective_stream_channel(self.channels.h2, self.e, config.carrier_power_watts)
         self.symbol_period_s = config.symbol_period_s
         self.pilot = default_pilot_block(config.pilot_length)
         self._pilot_idx = (
@@ -135,11 +153,10 @@ class LinkEngine:
             [closed_form_value(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in self.params16]
         )
 
-        self._needs_waveforms = config.fidelity == "B" or config.mode == "file_loopback"
         self.lut = None
         self.hw_active: HardwareConfig | None = None
         self.table_b0 = self.table_b1 = None
-        if self._needs_waveforms:
+        if config.fidelity == "B":
             self.lut = load_lut_csv(config.lut_csv) if config.lut_csv else default_lut()
             hw = config.hardware
             if not config.coupling:
@@ -212,6 +229,25 @@ class LinkEngine:
     def noise_power(self, ebn0_db: float) -> float:
         return noise_power_for_ebn0(self.g, ebn0_db, QAM16_SYMBOL_ENERGY, BITS_PER_SYMBOL)
 
+    def detect_chunk(
+        self,
+        sym0: np.ndarray,
+        sym1: np.ndarray,
+        rng: np.random.Generator,
+        noise_power: float,
+        ghat: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk kernel: transmit both streams, add noise, equalize, slice.
+
+        Returns the detected symbol indices of each stream.  ``rng`` is the
+        chunk's substream; only the AWGN draw consumes it here.
+        """
+        n = sym0.size
+        tx = self.tx_symbols(sym0, sym1, self.cfg.fidelity)
+        y = self.g @ tx + awgn(2 * n, noise_power, rng).reshape(2, n)
+        s_hat = zf_equalize(ghat, y, self.cfg.zf_condition_limit)
+        return slicer_demap_indices(s_hat[0]), slicer_demap_indices(s_hat[1])
+
     def _chunk_counts(
         self,
         point_idx: int,
@@ -226,14 +262,8 @@ class LinkEngine:
             sym1 = sym0
         else:
             sym1 = rng.integers(0, 16, n_symbols)
-        tx = self.tx_symbols(sym0, sym1, self.cfg.fidelity)
-        y = self.g @ tx + awgn(2 * n_symbols, noise_power, rng).reshape(2, n_symbols)
-        s_hat = zf_equalize(ghat, y, self.cfg.zf_condition_limit)
-        rx0 = slicer_demap_indices(s_hat[0])
-        rx1 = slicer_demap_indices(s_hat[1])
-        bit_errors = int(_POPCOUNT16[rx0 ^ sym0].sum() + _POPCOUNT16[rx1 ^ sym1].sum())
-        symbol_errors = int(np.count_nonzero(rx0 != sym0) + np.count_nonzero(rx1 != sym1))
-        return bit_errors, symbol_errors
+        rx0, rx1 = self.detect_chunk(sym0, sym1, rng, noise_power, ghat)
+        return _error_counts(rx0, rx1, sym0, sym1)
 
     def run_point(
         self, point_idx: int, ebn0_db: float, n_bits: int, threads: int = 1
@@ -241,30 +271,17 @@ class LinkEngine:
         n_symbols = -(-n_bits // (STREAMS * BITS_PER_SYMBOL))
         noise_power = self.noise_power(ebn0_db)
         ghat = self.ghat_for_point(point_idx, noise_power)
-        sizes = [
-            min(CHUNK_SYMBOLS, n_symbols - start) for start in range(0, n_symbols, CHUNK_SYMBOLS)
-        ]
 
-        def job(args):
-            chunk_idx, size = args
+        def job(chunk_idx):
+            size = min(CHUNK_SYMBOLS, n_symbols - chunk_idx * CHUNK_SYMBOLS)
             return self._chunk_counts(point_idx, chunk_idx, size, noise_power, ghat)
 
-        jobs = list(enumerate(sizes))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                counts = list(pool.map(job, jobs))
-        else:
-            counts = [job(j) for j in jobs]
-        bit_errors = sum(c[0] for c in counts)
-        symbol_errors = sum(c[1] for c in counts)
-        bits_sent = STREAMS * BITS_PER_SYMBOL * n_symbols
-        return BerRecord(
-            ebn0_db=ebn0_db,
-            bits_sent=bits_sent,
-            bit_errors=bit_errors,
-            symbol_errors=symbol_errors,
-            ber=bit_errors / bits_sent,
-            wilson_interval_halfwidth=float(wilson_interval_halfwidth(bit_errors, bits_sent)),
+        counts = _map_chunks(job, -(-n_symbols // CHUNK_SYMBOLS), threads)
+        return _ber_record(
+            ebn0_db,
+            STREAMS * BITS_PER_SYMBOL * n_symbols,
+            sum(c[0] for c in counts),
+            sum(c[1] for c in counts),
         )
 
 
@@ -377,8 +394,6 @@ def coupling_penalty_report(config: CampaignConfig, threads: int = 1) -> Penalty
     positive) is meaningful; the quantitative numbers are emitted for
     inspection.
     """
-    from dataclasses import replace
-
     base = replace(config, fidelity="B", coupling=True)
     res = {}
     crossings = {}
@@ -540,8 +555,6 @@ def run_file_loopback(
 ) -> LoopbackResult:
     """Split a file into two byte-interleaved streams, transmit at fidelity
     B, reassemble, and report the payload BER."""
-    from dataclasses import replace
-
     try:
         with open(input_path, "rb") as fh:
             payload = fh.read()
@@ -556,86 +569,38 @@ def run_file_loopback(
             fh.write(b"")
         return LoopbackResult(bytes_in=0, bytes_out=0, record=None)
 
-    cfg = replace(config, fidelity="B", mode="file_loopback")
-    engine = LinkEngine(cfg)
-    noise_power = engine.noise_power(cfg.loopback_ebn0_db)
+    engine = LinkEngine(replace(config, fidelity="B"))
+    noise_power = engine.noise_power(config.loopback_ebn0_db)
     ghat = engine.ghat_for_point(0, noise_power)
 
-    stream_bytes = (
-        np.frombuffer(payload[0::2], dtype=np.uint8),
-        np.frombuffer(payload[1::2], dtype=np.uint8),
-    )
-    bits = [np.unpackbits(b).astype(np.int64) for b in stream_bytes]
-    sym = [b.reshape(-1, 4) for b in bits]
-    idx = [
-        (s[:, 0] << 3) | (s[:, 1] << 2) | (s[:, 2] << 1) | s[:, 3] if s.size else np.empty(0, np.int64)
-        for s in sym
-    ]
-    n0, n1 = len(idx[0]), len(idx[1])
-    n_sym = max(n0, n1)
-    sym0 = np.zeros(n_sym, dtype=np.int64)
-    sym1 = np.zeros(n_sym, dtype=np.int64)
-    sym0[:n0] = idx[0]
-    sym1[:n1] = idx[1]
+    # Stream q carries bytes q, q + 2, ...; stream 1 is zero-padded to the
+    # length of stream 0 (one byte shorter for odd payloads).
+    data = np.frombuffer(payload, dtype=np.uint8)
+    sym0 = bytes_to_symbol_indices(data[0::2])
+    sym1 = np.zeros_like(sym0)
+    n1 = 2 * (len(payload) // 2)
+    sym1[:n1] = bytes_to_symbol_indices(data[1::2])
+    rx0 = np.empty_like(sym0)
+    rx1 = np.empty_like(sym0)
 
-    rx0 = np.empty(n_sym, dtype=np.int64)
-    rx1 = np.empty(n_sym, dtype=np.int64)
-    starts = list(range(0, n_sym, CHUNK_SYMBOLS))
+    def job(chunk_idx):
+        part = slice(chunk_idx * CHUNK_SYMBOLS, (chunk_idx + 1) * CHUNK_SYMBOLS)
+        rng = _point_rng(config.seed, 0, 1 + chunk_idx)
+        rx0[part], rx1[part] = engine.detect_chunk(sym0[part], sym1[part], rng, noise_power, ghat)
 
-    def job(args):
-        chunk_idx, start = args
-        stop = min(start + CHUNK_SYMBOLS, n_sym)
-        rng = _point_rng(cfg.seed, 0, 1 + chunk_idx)
-        tx = engine.tx_symbols(sym0[start:stop], sym1[start:stop], "B")
-        y = engine.g @ tx + awgn(2 * (stop - start), noise_power, rng).reshape(2, -1)
-        s_hat = zf_equalize(ghat, y, cfg.zf_condition_limit)
-        rx0[start:stop] = slicer_demap_indices(s_hat[0])
-        rx1[start:stop] = slicer_demap_indices(s_hat[1])
+    _map_chunks(job, -(-sym0.size // CHUNK_SYMBOLS), threads)
+    bit_errors, symbol_errors = _error_counts(rx0, rx1[:n1], sym0, sym1[:n1])
 
-    jobs = list(enumerate(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(job, jobs))
-    else:
-        for j in jobs:
-            job(j)
-
-    bit_errors = int(
-        _POPCOUNT16[(rx0[:n0] ^ sym0[:n0])].sum() + _POPCOUNT16[(rx1[:n1] ^ sym1[:n1])].sum()
-    )
-    symbol_errors = int(
-        np.count_nonzero(rx0[:n0] != sym0[:n0]) + np.count_nonzero(rx1[:n1] != sym1[:n1])
-    )
-    bits_sent = 4 * (n0 + n1)
-
-    def to_bytes(rx_idx, count):
-        if count == 0:
-            return b""
-        bits_out = np.empty((count, 4), dtype=np.uint8)
-        part = rx_idx[:count]
-        bits_out[:, 0] = (part >> 3) & 1
-        bits_out[:, 1] = (part >> 2) & 1
-        bits_out[:, 2] = (part >> 1) & 1
-        bits_out[:, 3] = part & 1
-        return np.packbits(bits_out.reshape(-1)).tobytes()
-
-    out0 = to_bytes(rx0, n0)
-    out1 = to_bytes(rx1, n1)
-    out = bytearray(len(payload))
-    out[0::2] = out0
-    out[1::2] = out1
+    out = np.empty(len(payload), dtype=np.uint8)
+    out[0::2] = symbol_indices_to_bytes(rx0)
+    out[1::2] = symbol_indices_to_bytes(rx1[:n1])
     with open(output_path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out.tobytes())
 
-    record = BerRecord(
-        ebn0_db=cfg.loopback_ebn0_db,
-        bits_sent=bits_sent,
-        bit_errors=bit_errors,
-        symbol_errors=symbol_errors,
-        ber=bit_errors / bits_sent,
-        wilson_interval_halfwidth=float(wilson_interval_halfwidth(bit_errors, bits_sent)),
+    record = _ber_record(
+        config.loopback_ebn0_db, BITS_PER_SYMBOL * (sym0.size + n1), bit_errors, symbol_errors
     )
-    return LoopbackResult(bytes_in=len(payload), bytes_out=len(out), record=record)
+    return LoopbackResult(bytes_in=len(payload), bytes_out=out.size, record=record)
 
 
 # -- waveform export -----------------------------------------------------------

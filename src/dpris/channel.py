@@ -90,7 +90,7 @@ class Geometry:
 
 @dataclass(frozen=True)
 class ChannelModelSpec:
-    """Receive-side channel flavor and noise bookkeeping.
+    """Receive-side channel flavor.
 
     ``cross_polarization_discrimination_db = None`` means infinite XPD
     (cross blocks exactly zero), the default: the only cross-polarization
@@ -100,7 +100,6 @@ class ChannelModelSpec:
 
     h2_kind: str = "los_geometric"
     cross_polarization_discrimination_db: float | None = None
-    noise_power_watts: float = 1.0
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -111,8 +110,6 @@ class ChannelModelSpec:
             and self.cross_polarization_discrimination_db < 0
         ):
             raise ValueError("cross_polarization_discrimination_db must be >= 0 or None")
-        if self.noise_power_watts < 0:
-            raise ValueError("noise_power_watts must be non-negative")
 
     @property
     def cross_scale(self) -> float:

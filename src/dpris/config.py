@@ -3,15 +3,21 @@
 One JSON file drives everything.  Every key has a default mirroring the
 bench prototype (2.7 GHz, 12 x 12 cells, 0.8 m feed / 1.6 m receive, 45
 degree feed, 2.5 MSps, 16 dB isolation), so an empty config reproduces the
-bench-scale scenario with one command.  Schema violations are reported with
-their full key path and exit the CLI with code 2.
+bench-scale scenario with one command.  Every JSON value is checked against
+the annotation of the dataclass field it sets, in the root and every
+section; violations are reported with their full key path and exit the CLI
+with code 2.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .channel import ChannelModelSpec, Geometry
 from .hardware import HardwareConfig
@@ -134,54 +140,79 @@ def validate_config(cfg: CampaignConfig) -> CampaignConfig:
     return cfg
 
 
-def _build_section(cls, values: dict, path: str):
+# Strings that a JSON config may use for a field's None value.
+_NONE_SPELLINGS = {
+    "hardware.dac_bits": "ideal",
+    "channel.cross_polarization_discrimination_db": "inf",
+}
+_SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_value(val, tp, path: str, nested: bool = False):
+    """Check one JSON value against a field annotation; return the field value.
+
+    A number inside an optional or a tuple annotated ``float`` becomes a
+    float, while a bare ``float`` field keeps a JSON integer as given; both
+    rules keep existing config hashes stable.
+    """
+    if is_dataclass(tp):
+        return tp() if val is None else _merge(tp, val, path)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # "X | None"
+        if val is None or val == _NONE_SPELLINGS.get(path):
+            return None
+        inner = next(a for a in args if a is not type(None))
+        return _check_value(val, inner, path, nested=True)
+    if origin is tuple:
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(path, f"expected a list, got {val!r}")
+        item_types = args[:1] * len(val) if args[-1] is Ellipsis else args
+        if len(item_types) != len(val):
+            raise ConfigError(path, f"expected {len(item_types)} entries, got {len(val)}")
+        return tuple(
+            _check_value(v, t, f"{path}[{i}]", nested=True)
+            for i, (v, t) in enumerate(zip(val, item_types))
+        )
+    accepted = (int, float) if tp is float else tp
+    if isinstance(val, bool) != (tp is bool) or not isinstance(val, accepted):
+        raise ConfigError(path, f"expected {_SCALAR_NAMES[tp]}, got {val!r}")
+    if tp is not float:
+        return val
+    try:
+        as_float = float(val)
+    except OverflowError:  # an integer beyond the float range
+        as_float = math.inf
+    if not math.isfinite(as_float):
+        raise ConfigError(path, f"must be finite, got {val!r}")
+    return as_float if nested else val
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Resolved annotation of every field of dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _merge(cls, raw, path: str):
+    """Instance of dataclass ``cls``: its defaults overridden by the JSON object ``raw``.
+
+    Every key is checked against the field annotations, recursing into
+    nested dataclasses; errors carry the key path.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<root>", f"expected an object, got {type(raw).__name__}")
+    field_types = _field_types(cls)
+    values = {}
+    for key, val in raw.items():
+        key_path = f"{path}.{key}" if path else key
+        if key not in field_types:
+            raise ConfigError(key_path, "unknown key")
+        values[key] = _check_value(val, field_types[key], key_path)
     try:
         return cls(**values)
-    except TypeError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _merge_section(cls, defaults_obj, raw, path: str, coercions: dict | None = None):
-    if raw is None:
-        return defaults_obj
-    if not isinstance(raw, dict):
-        raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
-    values = asdict(defaults_obj)
-    known = set(values)
-    for key, val in raw.items():
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-        if coercions and key in coercions:
-            val = coercions[key](val, f"{path}.{key}")
-        values[key] = val
-    return _build_section(cls, values, path)
-
-
-def _coerce_positions(val, path):
-    if val is None:
-        return None
-    try:
-        return tuple(tuple(float(x) for x in p) for p in val)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(path, "expected a list of [x, y, z] triples") from exc
-
-
-def _coerce_dac_bits(val, path):
-    if val is None or val == "ideal":
-        return None
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(path, f"expected an integer or \"ideal\", got {val!r}")
-    return val
-
-
-def _coerce_xpd(val, path):
-    if val is None or val == "inf":
-        return None
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(path, f"expected a number, null, or \"inf\", got {val!r}")
-    return float(val)
+        raise ConfigError(path or "<root>", str(exc)) from exc
 
 
 def config_from_dict(raw: dict) -> CampaignConfig:
@@ -190,97 +221,7 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     Unknown keys are rejected with their path so typos surface instead of
     silently falling back to defaults.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", f"expected an object, got {type(raw).__name__}")
-    defaults = CampaignConfig()
-    values = {}
-    scalar_keys = {
-        "mode": str,
-        "seed": int,
-        "bits_per_point": int,
-        "fidelity": str,
-        "coupling": bool,
-        "stream_relation": str,
-        "symbol_rate_sps": (int, float),
-        "csi": str,
-        "samples_per_symbol": int,
-        "pilot_length": int,
-        "zf_condition_limit": (int, float),
-        "carrier_power_watts": (int, float),
-        "loopback_ebn0_db": (int, float),
-    }
-    section_keys = {"geometry", "channel", "hardware", "oracle", "waveform_export"}
-    for key in raw:
-        if key not in scalar_keys and key not in section_keys and key not in (
-            "ebn0_grid_db",
-            "lut_csv",
-        ):
-            raise ConfigError(key, "unknown key")
-    for key, types in scalar_keys.items():
-        if key in raw:
-            val = raw[key]
-            if types is bool:
-                if not isinstance(val, bool):
-                    raise ConfigError(key, f"expected a boolean, got {val!r}")
-            elif types is int:
-                if not isinstance(val, int) or isinstance(val, bool):
-                    raise ConfigError(key, f"expected an integer, got {val!r}")
-            elif types is str:
-                if not isinstance(val, str):
-                    raise ConfigError(key, f"expected a string, got {val!r}")
-            else:
-                if not isinstance(val, types) or isinstance(val, bool):
-                    raise ConfigError(key, f"expected a number, got {val!r}")
-            values[key] = val
-    if "ebn0_grid_db" in raw:
-        grid = raw["ebn0_grid_db"]
-        if not isinstance(grid, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in grid
-        ):
-            raise ConfigError("ebn0_grid_db", "expected a list of numbers")
-        values["ebn0_grid_db"] = tuple(float(v) for v in grid)
-    if "lut_csv" in raw:
-        if raw["lut_csv"] is not None and not isinstance(raw["lut_csv"], str):
-            raise ConfigError("lut_csv", "expected a path string or null")
-        values["lut_csv"] = raw["lut_csv"]
-
-    values["geometry"] = _merge_section(
-        Geometry,
-        defaults.geometry,
-        raw.get("geometry"),
-        "geometry",
-        coercions={"rx_positions_m": _coerce_positions},
-    )
-    values["channel"] = _merge_section(
-        ChannelModelSpec,
-        defaults.channel,
-        raw.get("channel"),
-        "channel",
-        coercions={"cross_polarization_discrimination_db": _coerce_xpd},
-    )
-    values["hardware"] = _merge_section(
-        HardwareConfig,
-        defaults.hardware,
-        raw.get("hardware"),
-        "hardware",
-        coercions={"dac_bits": _coerce_dac_bits},
-    )
-    values["oracle"] = _merge_section(
-        OracleCheckConfig, defaults.oracle, raw.get("oracle"), "oracle"
-    )
-    values["waveform_export"] = _merge_section(
-        WaveformExportConfig, defaults.waveform_export, raw.get("waveform_export"), "waveform_export"
-    )
-    try:
-        cfg = CampaignConfig(**{**asdict_shallow(defaults), **values})
-    except ValueError as exc:
-        raise ConfigError("<root>", str(exc)) from exc
-    return validate_config(cfg)
-
-
-def asdict_shallow(cfg: CampaignConfig) -> dict:
-    """Field dict keeping nested dataclasses as objects (asdict recurses)."""
-    return {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
+    return validate_config(_merge(CampaignConfig, raw, ""))
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> CampaignConfig:

@@ -276,6 +276,27 @@ def symbol_indices_to_bits(indices) -> np.ndarray:
     return out.reshape(-1)
 
 
+def bytes_to_symbol_indices(data) -> np.ndarray:
+    """Split a uint8 byte array into 4-bit symbol indices, high nibble first.
+
+    Same order as :func:`bits_to_symbol_indices` on the MSB-first
+    ``np.unpackbits`` of the bytes, without materializing the bits.
+    """
+    data = np.asarray(data, dtype=np.uint8).reshape(-1)
+    out = np.empty(2 * data.size, dtype=np.uint8)
+    out[0::2] = data >> 4
+    out[1::2] = data & 0x0F
+    return out
+
+
+def symbol_indices_to_bytes(indices) -> np.ndarray:
+    """Inverse of :func:`bytes_to_symbol_indices` for indices in 0..15."""
+    indices = np.asarray(indices, dtype=np.uint8).reshape(-1)
+    if indices.size % 2 != 0:
+        raise ValueError(f"symbol count must be even, got {indices.size}")
+    return (indices[0::2] << 4) | indices[1::2]
+
+
 def map_bits_to_qam(bits) -> np.ndarray:
     """Gray-coded 16-QAM mapping, outer-corner amplitude exactly 1.
 

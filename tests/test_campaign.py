@@ -81,6 +81,19 @@ def test_config_type_and_range_errors_carry_paths():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"hardware": {"dac_bits": 3.5}})
     assert "hardware.dac_bits" in str(err.value)
+    # section values are type-checked too; JSON's NaN/Infinity literals are
+    # rejected wherever they appear
+    for text, path in (
+        ('{"geometry": {"cells_x": 2.5}}', "geometry.cells_x"),
+        ('{"geometry": {"cells_x": 1e400}}', "geometry.cells_x"),
+        ('{"oracle": {"harmonic_cases": true}}', "oracle.harmonic_cases"),
+        ('{"channel": {"rng_seed": 1.5}}', "channel.rng_seed"),
+        ('{"symbol_rate_sps": Infinity}', "symbol_rate_sps"),
+        ('{"ebn0_grid_db": [4.0, NaN]}', "ebn0_grid_db[1]"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(json.loads(text))
+        assert err.value.path == path, text
 
 
 def test_dac_bits_accepts_ideal_string():
@@ -328,15 +341,23 @@ def test_file_loopback_odd_length(tmp_path):
 
 
 def test_file_loopback_coupled_low_snr_corrupts(tmp_path):
+    # odd length: stream 1 is one byte short and zero-padded inside the link;
+    # three chunks, so the worker pool has work to split
     rng = np.random.default_rng(2)
-    payload = rng.integers(0, 256, 16384, dtype=np.uint8).tobytes()
+    payload = rng.integers(0, 256, 40001, dtype=np.uint8).tobytes()
     src = tmp_path / "in.bin"
-    dst = tmp_path / "out.bin"
     src.write_bytes(payload)
     cfg = small_config(fidelity="B", coupling=True, loopback_ebn0_db=6.0)
-    result = run_file_loopback(src, dst, cfg)
-    assert result.record.bit_errors > 0
-    assert dst.read_bytes() != payload
+    outputs = []
+    for threads in (1, 2):
+        dst = tmp_path / f"out{threads}.bin"
+        result = run_file_loopback(src, dst, cfg, threads=threads)
+        outputs.append(dst.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == len(payload) and outputs[0] != payload
+    diff = np.bitwise_xor(np.frombuffer(payload, np.uint8), np.frombuffer(outputs[0], np.uint8))
+    assert result.record.bit_errors == int(np.unpackbits(diff).sum()) > 0
+    assert result.record.bits_sent == 8 * len(payload)
 
 
 def test_file_loopback_overwrite_refused(tmp_path):
@@ -379,10 +400,13 @@ def test_export_closed_form_agrees(tmp_path):
 # -- CLI ------------------------------------------------------------------------------
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"fidelity": "Z"}')
     assert main(["ber-sweep", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    bad.write_text('{"oracle": {"harmonic_cases": true}}')
+    assert main(["oracle-check", "--config", str(bad)]) == 2
+    assert "oracle.harmonic_cases" in capsys.readouterr().err
 
 
 def test_cli_ber_sweep_requires_out():

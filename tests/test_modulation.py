@@ -9,6 +9,8 @@ from dpris.modulation import (
     QAM16_SCALE,
     TWO_PI,
     TmSymbolParams,
+    bits_to_symbol_indices,
+    bytes_to_symbol_indices,
     closed_form_value,
     equivalent_baseband,
     exact_coefficients,
@@ -17,6 +19,7 @@ from dpris.modulation import (
     map_bits_to_qam,
     qam_to_tm,
     ramp_harmonic_amplitude,
+    symbol_indices_to_bytes,
     waveform,
     wrap_phase,
 )
@@ -258,6 +261,17 @@ def test_gray_map_rejects_ragged_bits():
         map_bits_to_qam([0, 1, 0])
     with pytest.raises(ValueError):
         map_bits_to_qam([0, 1, 0, 2])
+
+
+def test_byte_nibbles_match_msb_first_bit_packing():
+    data = np.random.default_rng(3).integers(0, 256, 1001, dtype=np.uint8)
+    idx = bytes_to_symbol_indices(data)
+    assert np.array_equal(idx, bits_to_symbol_indices(np.unpackbits(data)))
+    assert np.array_equal(symbol_indices_to_bytes(idx), data)
+    assert bytes_to_symbol_indices(np.array([0xA5], np.uint8)).tolist() == [0xA, 0x5]
+    assert symbol_indices_to_bytes(np.empty(0, np.uint8)).size == 0
+    with pytest.raises(ValueError):
+        symbol_indices_to_bytes([1, 2, 3])
 
 
 # -- equivalent baseband ------------------------------------------------------
