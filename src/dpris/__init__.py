@@ -24,9 +24,7 @@ from .model import (
 from .modulation import (
     CONSTELLATION16,
     HarmonicCoefficient,
-    QamTarget,
     TmSymbolParams,
-    equivalent_baseband,
     harmonic_closed_form,
     harmonic_exact,
     map_bits_to_qam,
@@ -56,9 +54,7 @@ from .channel import (
 from .receiver import (
     BerRecord,
     PilotBlock,
-    ber_count,
     default_pilot_block,
-    demap,
     estimate_channel,
     extract_harmonic,
     theoretical_ber_16qam,
@@ -93,14 +89,12 @@ __all__ = [
     "PhaseVoltageLut",
     "PilotBlock",
     "Polarization",
-    "QamTarget",
     "ReceivedVector",
     "ReflectionVector",
     "TmSymbolParams",
     "apply_coupling",
     "attenuation_from",
     "awgn",
-    "ber_count",
     "build_h1_los",
     "build_h2",
     "build_phi",
@@ -109,10 +103,8 @@ __all__ = [
     "coupling_penalty_report",
     "default_lut",
     "default_pilot_block",
-    "demap",
     "distort_reflection",
     "effective_stream_channel",
-    "equivalent_baseband",
     "estimate_channel",
     "export_waveform",
     "extract_harmonic",

@@ -22,7 +22,6 @@ per-sample noise at M times that power.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent import futures
 from dataclasses import dataclass, replace
@@ -157,17 +156,18 @@ class LinkEngine:
         self.hw_active: HardwareConfig | None = None
         self.table_b0 = self.table_b1 = None
         if config.fidelity == "B":
-            self.lut = load_lut_csv(config.lut_csv) if config.lut_csv else default_lut()
-            hw = config.hardware
-            if not config.coupling:
-                hw = HardwareConfig(
-                    isolation_db=float("inf"),
-                    dac_bits=hw.dac_bits,
-                    amplitude_ripple_db=hw.amplitude_ripple_db,
-                    base_reflection_amplitude=hw.base_reflection_amplitude,
-                )
-            self.hw_active = hw
-            self.table_b0, self.table_b1 = self._pair_harmonic_tables()
+            self.hw_active = (
+                config.hardware
+                if config.coupling
+                else replace(config.hardware, isolation_db=float("inf"))
+            )
+            # A malformed LUT row, or a curve too narrow to realize every
+            # ramp phase, is bad input; an unreadable file stays an OSError.
+            try:
+                self.lut = load_lut_csv(config.lut_csv) if config.lut_csv else default_lut()
+                self.table_b0, self.table_b1 = self._pair_harmonic_tables()
+            except ValueError as exc:
+                raise ConfigError("lut_csv", str(exc)) from exc
 
         self._ghat_static = self._static_ghat()
 
@@ -305,12 +305,19 @@ def run_ber_sweep(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     )
 
 
-def _open_output(path, force: bool):
+def _open_output(path, force: bool, binary: bool = False):
+    """Open an output file; without ``force`` an existing file is never touched.
+
+    Exclusive creation checks and creates in one step, so no file can appear
+    between the check and the open.
+    """
     if path is None:
         raise ValueError("output path required")
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path} (pass --force to allow)")
-    return open(path, "w", newline="")
+    mode = ("w" if force else "x") + ("b" if binary else "")
+    try:
+        return open(path, mode, newline=None if binary else "")
+    except FileExistsError as exc:
+        raise FileExistsError(f"refusing to overwrite {path} (pass --force to allow)") from exc
 
 
 def write_ber_csv(result: CampaignResult, config: CampaignConfig, path, force: bool = False):
@@ -561,12 +568,9 @@ def run_file_loopback(
     except OSError as exc:
         raise OSError(f"cannot read {input_path}: {exc}") from exc
 
-    if os.path.exists(output_path) and not force:
-        raise FileExistsError(f"refusing to overwrite {output_path} (pass --force to allow)")
-
     if len(payload) == 0:
-        with open(output_path, "wb") as fh:
-            fh.write(b"")
+        with _open_output(output_path, force, binary=True):
+            pass
         return LoopbackResult(bytes_in=0, bytes_out=0, record=None)
 
     engine = LinkEngine(replace(config, fidelity="B"))
@@ -594,7 +598,7 @@ def run_file_loopback(
     out = np.empty(len(payload), dtype=np.uint8)
     out[0::2] = symbol_indices_to_bytes(rx0)
     out[1::2] = symbol_indices_to_bytes(rx1[:n1])
-    with open(output_path, "wb") as fh:
+    with _open_output(output_path, force, binary=True) as fh:
         fh.write(out.tobytes())
 
     record = _ber_record(

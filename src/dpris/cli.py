@@ -27,12 +27,14 @@ EXIT_ORACLE = 3
 EXIT_IO = 4
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, output: bool = True, threads: bool = True):
     parser.add_argument("--config", metavar="PATH", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override the campaign seed")
-    parser.add_argument("--out", metavar="PATH", default=None, help="output file path")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
-    parser.add_argument("--force", action="store_true", help="allow overwriting outputs")
+    if output:
+        parser.add_argument("--out", metavar="PATH", default=None, help="output file path")
+        parser.add_argument("--force", action="store_true", help="allow overwriting outputs")
+    if threads:
+        parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,20 +47,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ber-sweep", help="Monte Carlo BER sweep over the Eb/N0 grid")
     _add_common(p)
 
+    # --threads is accepted for a uniform command line; the suites run serially.
     p = sub.add_parser("oracle-check", help="run the analytic self-check suites")
-    _add_common(p)
+    _add_common(p, output=False)
 
     p = sub.add_parser("file-loopback", help="transmit a file through the fidelity-B link")
     p.add_argument("input", metavar="INPUT", help="file to transmit")
     _add_common(p)
 
     p = sub.add_parser("export-waveform", help="export one modulation waveform as CSV")
-    _add_common(p)
+    _add_common(p, threads=False)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "out" in vars(args) and args.out is None:
+        print(f"config error: {args.command} needs --out PATH", file=sys.stderr)
+        return EXIT_CONFIG
     overrides = {"seed": args.seed} if args.seed is not None else {}
     try:
         config = load_config(args.config, overrides)
@@ -81,16 +87,13 @@ def main(argv=None) -> int:
     except SingularChannelError as exc:
         print(f"config error: configured channel cannot be equalized: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, FileExistsError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     raise AssertionError(f"unhandled command {args.command}")
 
 
 def _cmd_ber_sweep(args, config) -> int:
-    if args.out is None:
-        print("config error: ber-sweep needs --out PATH for the CSV", file=sys.stderr)
-        return EXIT_CONFIG
     result = run_ber_sweep(config, threads=max(1, args.threads))
     write_ber_csv(result, config, args.out, force=args.force)
     print(
@@ -118,9 +121,6 @@ def _cmd_oracle_check(args, config) -> int:
 
 
 def _cmd_file_loopback(args, config) -> int:
-    if args.out is None:
-        print("config error: file-loopback needs --out PATH", file=sys.stderr)
-        return EXIT_CONFIG
     result = run_file_loopback(
         args.input, args.out, config, threads=max(1, args.threads), force=args.force
     )
@@ -137,9 +137,6 @@ def _cmd_file_loopback(args, config) -> int:
 
 
 def _cmd_export_waveform(args, config) -> int:
-    if args.out is None:
-        print("config error: export-waveform needs --out PATH", file=sys.stderr)
-        return EXIT_CONFIG
     export = export_waveform(config, args.out, force=args.force)
     print(
         f"export-waveform: delta_phi {export.params.delta_phi:.6f} rad, "

@@ -240,17 +240,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> CampaignConf
     return config_from_dict(raw)
 
 
-def config_to_dict(cfg: CampaignConfig) -> dict:
-    """Fully-resolved plain dict (JSON-ready) for hashing and reports."""
-    out = asdict(cfg)
-    out["ebn0_grid_db"] = list(cfg.ebn0_grid_db)
-    geo = out["geometry"]
-    if geo["rx_positions_m"] is not None:
-        geo["rx_positions_m"] = [list(p) for p in geo["rx_positions_m"]]
-    return out
-
-
 def config_hash(cfg: CampaignConfig) -> str:
-    """Stable short hash of the fully-resolved configuration."""
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    """Stable short hash of the fully-resolved configuration (tuples hash as JSON arrays)."""
+    canon = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -72,10 +72,6 @@ class PhaseVoltageLut:
         p = self.phases[pol]
         return float(p[0]), float(p[-1])
 
-    def covers_full_circle(self, pol: Polarization) -> bool:
-        lo, hi = self.phase_span(pol)
-        return lo <= 0.0 and hi >= TWO_PI - 1e-12
-
     def count_out_of_range(self, volts, pol: Polarization) -> int:
         lo, hi = self.voltage_span(pol)
         v = np.asarray(volts, dtype=float)

@@ -60,14 +60,6 @@ class ReflectionVector:
             raise ValueError(f"reflection amplitude {max_mag} exceeds 1")
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def n_cells(self) -> int:
-        return self.entries.size // 2
-
-    def block(self, pol: Polarization) -> np.ndarray:
-        n = self.n_cells
-        return self.entries[pol * n:(pol + 1) * n]
-
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -121,9 +113,6 @@ class AttenuationDiagonal:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_complex_vector(self.entries, "entries"))
 
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.entries)
-
 
 @dataclass(frozen=True)
 class ReceivedVector:
@@ -137,22 +126,10 @@ class ReceivedVector:
             raise ValueError(f"received vector length must be even, got {arr.size}")
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def k_rx(self) -> int:
-        return self.entries.size // 2
-
 
 def build_phi(x: ReflectionVector) -> np.ndarray:
     """Embed a reflection vector as the diagonal matrix diag(Phi0, Phi1)."""
     return np.diag(x.entries)
-
-
-def reflection_from_phi(phi: np.ndarray) -> ReflectionVector:
-    """Inverse of :func:`build_phi`; exact round trip."""
-    phi = np.asarray(phi)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise ValueError(f"phi must be square, got {phi.shape}")
-    return ReflectionVector(np.diagonal(phi))
 
 
 def attenuation_from(channels: ChannelSet) -> AttenuationDiagonal:

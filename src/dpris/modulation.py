@@ -17,8 +17,6 @@ This module provides:
 * :func:`qam_to_tm`           inverse mapping from a target constellation
                               point to ramp parameters
 * :func:`map_bits_to_qam`     the frozen Gray-coded 16-QAM table
-* :func:`equivalent_baseband` per-cell closed-form symbols as a
-                              :class:`~dpris.model.ReflectionVector`
 
 Conventions fixed by the exact oracle (kept as regression tests): the sinc
 is unnormalized sin(u)/u, the unit step is 0 at argument 0, and the
@@ -31,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import ReflectionVector
 
 TWO_PI = 2.0 * np.pi
 
@@ -118,17 +114,6 @@ class HarmonicCoefficient:
     @property
     def phase(self) -> float:
         return float(wrap_phase(np.angle(self.value)))
-
-
-@dataclass(frozen=True)
-class QamTarget:
-    """A constellation point, normalized so the outer ring has amplitude 1."""
-
-    point: complex
-
-    def __post_init__(self):
-        if abs(self.point) > 1.0 + 1e-12:
-            raise ValueError(f"|point| = {abs(self.point)} exceeds the reachable amplitude 1")
 
 
 def ramp_phase(delta_phi, t_shift_s, symbol_period_s, t):
@@ -227,7 +212,7 @@ def qam_to_tm(target, symbol_period_s: float) -> TmSymbolParams:
     amplitude on (0, 2*pi] to 1e-12; the time shift then follows in closed
     form from the phase relation and is wrapped into [0, Ts).
     """
-    point = target.point if isinstance(target, QamTarget) else complex(target)
+    point = complex(target)
     amp = abs(point)
     if amp == 0.0:
         raise ValueError("zero amplitude is unreachable (harmonic vanishes only as delta_phi -> 0)")
@@ -304,15 +289,3 @@ def map_bits_to_qam(bits) -> np.ndarray:
     bit-pattern listing.  Ring amplitudes are 1/3, sqrt(10)/sqrt(18), 1.
     """
     return CONSTELLATION16[bits_to_symbol_indices(bits)]
-
-
-def equivalent_baseband(params_seq) -> ReflectionVector:
-    """Closed-form equivalent baseband vector for 2N per-cell ramp params.
-
-    Applies :func:`harmonic_closed_form` entrywise; layout must already be
-    the pol-0-block-first wire order.
-    """
-    values = [
-        closed_form_value(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in params_seq
-    ]
-    return ReflectionVector(np.asarray(values, dtype=np.complex128))

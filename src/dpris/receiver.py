@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .modulation import (
-    CONSTELLATION16,
-    QAM16_BITS_PER_SYMBOL,
-    QAM16_SCALE,
-    TWO_PI,
-    symbol_indices_to_bits,
-)
+from .modulation import CONSTELLATION16, QAM16_SCALE, TWO_PI
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -139,15 +133,6 @@ def zf_equalize(g_hat, y, condition_limit: float = 1e8) -> np.ndarray:
     return np.linalg.solve(g, np.asarray(y, dtype=np.complex128))
 
 
-def demap(point: complex, constellation=CONSTELLATION16):
-    """Nearest-point decision; ties resolve to the lowest symbol index.
-
-    Returns (bits, symbol_index) with bits as a length-4 int array.
-    """
-    idx = int(np.argmin(np.abs(np.asarray(constellation) - point)))
-    return symbol_indices_to_bits(np.array([idx])), idx
-
-
 def demap_indices(points, constellation=CONSTELLATION16) -> np.ndarray:
     """Vectorized nearest-point demapping (argmin keeps the lowest-index tie)."""
     pts = np.asarray(points, dtype=np.complex128).reshape(-1)
@@ -187,27 +172,3 @@ def theoretical_ber_16qam(ebn0_db) -> float | np.ndarray:
 
     out = 0.25 * (3.0 * q(a) + 2.0 * q(3.0 * a) - q(5.0 * a))
     return float(out) if out.ndim == 0 else out
-
-
-def ber_count(tx_bits, rx_bits, ebn0_db: float = float("nan")) -> BerRecord:
-    """Tally bit and symbol errors between transmitted and received bits."""
-    tx = np.asarray(tx_bits, dtype=np.int64).reshape(-1)
-    rx = np.asarray(rx_bits, dtype=np.int64).reshape(-1)
-    if tx.shape != rx.shape:
-        raise ValueError(f"bit streams differ in length: {tx.size} vs {rx.size}")
-    if tx.size == 0:
-        raise ValueError("bit streams must be non-empty")
-    bit_errors = int(np.count_nonzero(tx != rx))
-    if tx.size % QAM16_BITS_PER_SYMBOL == 0:
-        diff = (tx != rx).reshape(-1, QAM16_BITS_PER_SYMBOL)
-        symbol_errors = int(np.count_nonzero(diff.any(axis=1)))
-    else:
-        symbol_errors = 0
-    return BerRecord(
-        ebn0_db=ebn0_db,
-        bits_sent=tx.size,
-        bit_errors=bit_errors,
-        symbol_errors=symbol_errors,
-        ber=bit_errors / tx.size,
-        wilson_interval_halfwidth=float(wilson_interval_halfwidth(bit_errors, tx.size)),
-    )

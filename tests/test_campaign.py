@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,31 @@ def test_custom_lut_csv_feeds_fidelity_b(tmp_path):
     assert record.ber < 1e-3  # clean high-SNR link through the custom curves
 
 
+@pytest.mark.parametrize(
+    "rows, code",
+    [
+        # polarization 0 spans only half a turn: the ramp phases cannot be realized
+        (["0,0,0", "0,20,180", "1,0,0", "1,20,360"], 2),
+        (["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"], 2),
+        (None, 4),  # no file at all: an I/O error, not a config error
+    ],
+    ids=["narrow", "bad-row", "missing"],
+)
+def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, rows, code):
+    lut = tmp_path / "curves.csv"
+    if rows is not None:
+        lut.write_text("\n".join(["polarization,voltage_volts,phase_degrees", *rows]) + "\n")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(
+        json.dumps({"fidelity": "B", "lut_csv": str(lut), "ebn0_grid_db": [20.0], "bits_per_point": 20000})
+    )
+    argv = ["ber-sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == code
+    assert not (tmp_path / "o.csv").exists()
+    if code == 2:
+        assert "lut_csv" in capsys.readouterr().err
+
+
 # -- determinism ---------------------------------------------------------------
 
 
@@ -365,8 +391,9 @@ def test_file_loopback_overwrite_refused(tmp_path):
     dst = tmp_path / "out.bin"
     src.write_bytes(b"ab")
     dst.write_bytes(b"keep")
-    with pytest.raises(FileExistsError):
+    with pytest.raises(FileExistsError, match="refusing to overwrite"):
         run_file_loopback(src, dst, small_config())
+    assert dst.read_bytes() == b"keep"
 
 
 # -- waveform export -----------------------------------------------------------------
@@ -411,6 +438,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 def test_cli_ber_sweep_requires_out():
     assert main(["ber-sweep"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--out", "x"],
+        ["oracle-check", "--force"],
+        ["export-waveform", "--out", "w.csv", "--threads", "2"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_ber_sweep_and_oracle(tmp_path, capsys):
@@ -463,3 +504,22 @@ def test_cli_entrypoint_runs_as_module():
     )
     assert proc.returncode == 0
     assert "ber-sweep" in proc.stdout
+
+
+def test_default_campaign_script_writes_curves_and_penalty(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_default_campaign.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path), "--bits", "20000", "--threads", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ber_coupled_identical.csv",
+        "ber_coupled_independent.csv",
+        "ber_fidelity_a.csv",
+    ]
+    assert "theoretical 16-QAM curve reaches 1e-4 at" in proc.stdout
+    assert "independent streams: crossing" in proc.stdout
+    assert "identical streams:   crossing" in proc.stdout
+    assert "ordering independent > identical > 0: True" in proc.stdout

@@ -43,7 +43,6 @@ def test_default_lut_monotone_and_full_span():
     for pol in (P0, P1):
         assert np.all(np.diff(lut.voltages[pol]) > 0)
         assert np.all(np.diff(lut.phases[pol]) > 0)
-        assert lut.covers_full_circle(pol)
         lo, hi = lut.phase_span(pol)
         assert lo == 0.0 and abs(hi - TWO_PI) < 1e-12
 
@@ -101,7 +100,7 @@ def test_phase_outside_narrow_curve_raises():
     volts = np.linspace(0.0, 20.0, 64)
     phases = np.linspace(0.3, 5.9, 64)  # covers less than a full turn
     lut = PhaseVoltageLut(voltages=(volts, volts), phases=(phases, phases))
-    assert not lut.covers_full_circle(P0)
+    assert lut.phase_span(P0) == (0.3, 5.9)  # short of a full turn at both ends
     with pytest.raises(PhaseRangeError):
         phase_to_voltage(0.1, P0, lut)
     # interior phases still invert fine

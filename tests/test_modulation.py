@@ -12,7 +12,6 @@ from dpris.modulation import (
     bits_to_symbol_indices,
     bytes_to_symbol_indices,
     closed_form_value,
-    equivalent_baseband,
     exact_coefficients,
     harmonic_closed_form,
     harmonic_exact,
@@ -92,6 +91,7 @@ def test_closed_form_pure_tone():
     coeff = harmonic_closed_form(make_params(TWO_PI, 0.0))
     assert abs(coeff.amplitude - 1.0) < 1e-12
     assert phases_equal(coeff.phase, 0.0, 1e-12)
+    assert abs(closed_form_value(TWO_PI, 0.0, TS) - 1.0) < 1e-12
 
 
 def test_closed_form_half_turn_ramp():
@@ -100,6 +100,7 @@ def test_closed_form_half_turn_ramp():
     assert abs(coeff.amplitude - 2.0 / np.pi) < 1e-12
     assert phases_equal(coeff.phase, -np.pi / 2, 1e-12)
     assert abs(coeff.value - (-2j / np.pi)) < 1e-12
+    assert abs(closed_form_value(np.pi, 0.0, TS) - (-2j / np.pi)) < 1e-12
 
 
 def test_closed_form_quarter_shift_pins_step_convention():
@@ -273,19 +274,3 @@ def test_byte_nibbles_match_msb_first_bit_packing():
     with pytest.raises(ValueError):
         symbol_indices_to_bytes([1, 2, 3])
 
-
-# -- equivalent baseband ------------------------------------------------------
-
-
-def test_equivalent_baseband_applies_closed_form_pointwise():
-    params = [
-        make_params(TWO_PI, 0.0),
-        make_params(np.pi, 0.0),
-        make_params(TWO_PI, 0.25),
-        make_params(np.pi / 2, 0.5),
-    ]
-    vec = equivalent_baseband(params)
-    expected = [closed_form_value(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in params]
-    assert np.max(np.abs(vec.entries - np.asarray(expected))) < 1e-12
-    assert abs(vec.entries[0] - 1.0) < 1e-12
-    assert abs(vec.entries[1] - (-2j / np.pi)) < 1e-12

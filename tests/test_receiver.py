@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from dpris.modulation import CONSTELLATION16, TWO_PI, TmSymbolParams, harmonic_exact, waveform
+from dpris.campaign import _ber_record, _error_counts
+from dpris.modulation import (
+    CONSTELLATION16,
+    TWO_PI,
+    TmSymbolParams,
+    harmonic_exact,
+    symbol_indices_to_bits,
+    waveform,
+)
 from dpris.receiver import (
     BerRecord,
     PilotBlock,
     SingularChannelError,
-    ber_count,
     default_pilot_block,
-    demap,
     demap_indices,
     estimate_channel,
     extract_harmonic,
@@ -147,18 +153,16 @@ def test_zf_rejects_near_singular():
 
 
 def test_demap_exact_points_round_trip():
-    for idx, point in enumerate(CONSTELLATION16):
-        bits, got = demap(point)
-        assert got == idx
-        assert np.array_equal(
-            bits, np.array([(idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1])
-        )
+    idx = demap_indices(CONSTELLATION16)
+    assert np.array_equal(idx, np.arange(16))
+    bits = symbol_indices_to_bits(idx).reshape(16, 4)
+    assert np.array_equal(bits, [[(i >> k) & 1 for k in (3, 2, 1, 0)] for i in range(16)])
 
 
 def test_demap_origin_tie_breaks_to_lowest_index():
-    bits, idx = demap(0j)
-    assert idx == 5  # lowest-index inner point
-    assert np.array_equal(bits, np.array([0, 1, 0, 1]))
+    idx = demap_indices(0j)
+    assert idx.tolist() == [5]  # lowest-index inner point
+    assert np.array_equal(symbol_indices_to_bits(idx), [0, 1, 0, 1])
 
 
 def test_slicer_matches_nearest_point_demap():
@@ -205,38 +209,37 @@ def test_theory_matches_scalar_awgn_monte_carlo():
 # -- BER accounting ---------------------------------------------------------------
 
 
+def _random_streams():
+    rng = np.random.default_rng(55)
+    return rng.integers(0, 16, 1000), rng.integers(0, 16, 1000)
+
+
 def test_ber_count_identical_streams():
-    bits = np.array([0, 1, 1, 0] * 8)
-    record = ber_count(bits, bits.copy(), ebn0_db=8.0)
-    assert record.bit_errors == 0 and record.ber == 0.0
-    assert record.symbol_errors == 0
-    assert record.bits_sent == bits.size
-    assert record.wilson_interval_halfwidth > 0.0
+    sym0, sym1 = _random_streams()
+    assert _error_counts(sym0.copy(), sym1.copy(), sym0, sym1) == (0, 0)
+    record = _ber_record(8.0, 8000, 0, 0)
+    assert record.ebn0_db == 8.0 and record.bits_sent == 8000
+    assert record.ber == 0.0 and record.wilson_interval_halfwidth > 0.0
 
 
 def test_ber_count_complemented_stream():
-    bits = np.array([0, 1] * 10)
-    record = ber_count(bits, 1 - bits)
-    assert record.ber == 1.0
-    assert record.symbol_errors == 5
+    # every bit and every symbol wrong
+    sym0, sym1 = _random_streams()
+    assert _error_counts(sym0 ^ 15, sym1 ^ 15, sym0, sym1) == (8000, 2000)
+    assert _ber_record(8.0, 8000, 8000, 2000).ber == 1.0
 
 
 def test_ber_count_scripted_corruption():
-    rng = np.random.default_rng(55)
-    bits = rng.integers(0, 2, 4000)
-    flip = rng.choice(4000, size=137, replace=False)
-    rx = bits.copy()
-    rx[flip] ^= 1
-    record = ber_count(bits, rx)
-    assert record.bit_errors == 137
-    assert record.ber == 137 / 4000
-
-
-def test_ber_count_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        ber_count([0, 1], [0, 1, 0])
-    with pytest.raises(ValueError):
-        ber_count([], [])
+    # scripted flips: 1 + 2 + 3 + 1 bits in stream 0, 4 + 2 bits in stream 1
+    sym0, sym1 = _random_streams()
+    rx0, rx1 = sym0.copy(), sym1.copy()
+    for pos, mask in ((3, 0b1000), (17, 0b0101), (400, 0b1011), (999, 0b0001)):
+        rx0[pos] ^= mask
+    for pos, mask in ((3, 0b1111), (250, 0b0110)):
+        rx1[pos] ^= mask
+    assert _error_counts(rx0, rx1, sym0, sym1) == (13, 6)
+    record = _ber_record(8.0, 8000, 13, 6)
+    assert record.ber == 13 / 8000 and record.symbol_errors == 6
 
 
 def test_wilson_halfwidth_behaves():
