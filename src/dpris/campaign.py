@@ -22,6 +22,7 @@ per-sample noise at M times that power.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent import futures
 from dataclasses import dataclass, replace
@@ -48,7 +49,7 @@ from .modulation import (
     closed_form_value,
     exact_coefficients,
     harmonic_closed_form,
-    qam_to_tm,
+    qam_to_tm_table,
     symbol_indices_to_bytes,
     waveform,
     wrap_phase,
@@ -90,9 +91,14 @@ def _point_rng(seed: int, point_idx: int, chunk_idx: int) -> np.random.Generator
 
 
 def _map_chunks(job, n_chunks: int, threads: int) -> list:
-    """[job(0), ..., job(n_chunks - 1)], on a pool of ``threads`` workers."""
-    if threads > 1:
-        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    """[job(0), ..., job(n_chunks - 1)], on a pool of up to ``threads`` workers.
+
+    A single chunk runs in the calling thread: a pool would only add its
+    start-up cost.
+    """
+    workers = min(threads, n_chunks)
+    if workers > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(job, range(n_chunks)))
     return [job(c) for c in range(n_chunks)]
 
@@ -145,9 +151,7 @@ class LinkEngine:
         )
 
         # Per-constellation-point ramp parameters and closed-form symbols.
-        self.params16 = tuple(
-            qam_to_tm(point, self.symbol_period_s) for point in CONSTELLATION16
-        )
+        self.params16 = qam_to_tm_table(CONSTELLATION16, self.symbol_period_s)
         self.table_a = np.array(
             [closed_form_value(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in self.params16]
         )
@@ -305,6 +309,21 @@ def run_ber_sweep(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     )
 
 
+def _overwrite_refused(path) -> FileExistsError:
+    return FileExistsError(f"refusing to overwrite {path} (pass --force to allow)")
+
+
+def refuse_existing_output(path) -> None:
+    """Raise the overwrite refusal at once if ``path`` exists.
+
+    Lets a command fail before it spends a whole run on an output it may not
+    write.  The write itself still opens with exclusive creation, so a file
+    that appears after this check is not overwritten either.
+    """
+    if os.path.lexists(path):
+        raise _overwrite_refused(path)
+
+
 def _open_output(path, force: bool, binary: bool = False):
     """Open an output file; without ``force`` an existing file is never touched.
 
@@ -317,7 +336,7 @@ def _open_output(path, force: bool, binary: bool = False):
     try:
         return open(path, mode, newline=None if binary else "")
     except FileExistsError as exc:
-        raise FileExistsError(f"refusing to overwrite {path} (pass --force to allow)") from exc
+        raise _overwrite_refused(path) from exc
 
 
 def write_ber_csv(result: CampaignResult, config: CampaignConfig, path, force: bool = False):

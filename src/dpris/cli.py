@@ -13,6 +13,7 @@ import numpy as np
 
 from .campaign import (
     export_waveform,
+    refuse_existing_output,
     run_ber_sweep,
     run_file_loopback,
     run_oracle_check,
@@ -73,6 +74,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
+        if "out" in vars(args) and not args.force:
+            refuse_existing_output(args.out)
         if args.command == "ber-sweep":
             return _cmd_ber_sweep(args, config)
         if args.command == "oracle-check":

@@ -274,11 +274,12 @@ def distort_reflection(
         raise ValueError("samples must be at least 2")
 
     def intended_voltages(params_seq, pol):
-        phases = np.empty((len(params_seq), samples))
-        for i, p in enumerate(params_seq):
-            t = np.arange(samples) * (p.symbol_period_s / samples)
-            phases[i] = ramp_phase(p.delta_phi, p.t_shift_s, p.symbol_period_s, t)
-        return phase_to_voltage(phases, pol, lut)
+        # One row per symbol; the arithmetic is elementwise, so each row is
+        # the same IEEE result as a per-symbol ramp_phase call.
+        rows = np.array([(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in params_seq])
+        delta_phi, t_shift, period = rows.reshape(-1, 3).T[:, :, None]  # (n, 1) columns
+        t = np.arange(samples) * (period / samples)
+        return phase_to_voltage(ramp_phase(delta_phi, t_shift, period, t), pol, lut)
 
     v0 = intended_voltages(stream0_params, Polarization.POL0)
     v1 = intended_voltages(stream1_params, Polarization.POL1)

@@ -14,8 +14,9 @@ This module provides:
                               closed-form integration of each linear-phase
                               segment (the oracle the closed form is checked
                               against)
-* :func:`qam_to_tm`           inverse mapping from a target constellation
-                              point to ramp parameters
+* :func:`qam_to_tm_table`     inverse mapping from target constellation
+                              points to ramp parameters (:func:`qam_to_tm`
+                              for one point)
 * :func:`map_bits_to_qam`     the frozen Gray-coded 16-QAM table
 
 Conventions fixed by the exact oracle (kept as regression tests): the sinc
@@ -205,39 +206,59 @@ def harmonic_exact(params: TmSymbolParams, order: int) -> HarmonicCoefficient:
     return HarmonicCoefficient(order=order, value=value)
 
 
-def qam_to_tm(target, symbol_period_s: float) -> TmSymbolParams:
-    """Invert the closed form: find (delta_phi, t_shift) hitting a QAM target.
+def qam_to_tm_table(targets, symbol_period_s: float) -> tuple[TmSymbolParams, ...]:
+    """Invert the closed form: find (delta_phi, t_shift) hitting each QAM target.
 
-    The amplitude is recovered by bisecting the strictly increasing harmonic
-    amplitude on (0, 2*pi] to 1e-12; the time shift then follows in closed
-    form from the phase relation and is wrapped into [0, Ts).
+    Each amplitude is recovered by bisecting the strictly increasing harmonic
+    amplitude on [1e-12, 2*pi], all targets at once as numpy lanes, for at
+    most 200 steps.  The loop stops early once every lane's midpoint equals
+    its lo or its hi (adjacent doubles): from there every further step leaves
+    the final midpoint unchanged, so the result is the full 200-step one.
+    Amplitudes come from Python's ``abs(complex(t))`` on purpose: ``np.abs``
+    differs by one ulp on the 16-QAM middle ring, which moves delta_phi.
+    The time shift then follows per point in closed form from the phase
+    relation and is wrapped into [0, Ts).
     """
-    point = complex(target)
-    amp = abs(point)
-    if amp == 0.0:
-        raise ValueError("zero amplitude is unreachable (harmonic vanishes only as delta_phi -> 0)")
-    if amp > 1.0 + 1e-12:
-        raise ValueError(f"target amplitude {amp} exceeds the reachable maximum 1")
-    if amp >= 1.0:
-        delta_phi = TWO_PI
-    else:
-        lo, hi = 1e-12, TWO_PI
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ramp_harmonic_amplitude(mid) < amp:
-                lo = mid
-            else:
-                hi = mid
-        delta_phi = 0.5 * (lo + hi)
-    theta = np.angle(point)
-    t_shift = (
-        (_zero_shift_phase(delta_phi) - theta) / TWO_PI * symbol_period_s
-    ) % symbol_period_s
-    if t_shift >= symbol_period_s:  # fold the t == Ts rounding corner
-        t_shift = 0.0
-    return TmSymbolParams(
-        delta_phi=float(delta_phi), t_shift_s=float(t_shift), symbol_period_s=symbol_period_s
-    )
+    points = [complex(t) for t in targets]
+    amps = np.array([abs(p) for p in points])
+    for amp in amps:
+        if amp == 0.0:
+            raise ValueError(
+                "zero amplitude is unreachable (harmonic vanishes only as delta_phi -> 0)"
+            )
+        if amp > 1.0 + 1e-12:
+            raise ValueError(f"target amplitude {amp} exceeds the reachable maximum 1")
+    lo = np.full(amps.shape, 1e-12)
+    hi = np.full(amps.shape, TWO_PI)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        below = ramp_harmonic_amplitude(mid) < amps
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    delta_phis = np.where(amps >= 1.0, TWO_PI, 0.5 * (lo + hi))
+    out = []
+    for point, delta_phi in zip(points, delta_phis.tolist()):
+        theta = np.angle(point)
+        t_shift = (
+            (_zero_shift_phase(delta_phi) - theta) / TWO_PI * symbol_period_s
+        ) % symbol_period_s
+        if t_shift >= symbol_period_s:  # fold the t == Ts rounding corner
+            t_shift = 0.0
+        out.append(
+            TmSymbolParams(
+                delta_phi=float(delta_phi),
+                t_shift_s=float(t_shift),
+                symbol_period_s=symbol_period_s,
+            )
+        )
+    return tuple(out)
+
+
+def qam_to_tm(target, symbol_period_s: float) -> TmSymbolParams:
+    """Ramp parameters for one QAM target; see :func:`qam_to_tm_table`."""
+    return qam_to_tm_table([target], symbol_period_s)[0]
 
 
 def bits_to_symbol_indices(bits) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 
 from dpris.campaign import (
     LinkEngine,
+    _map_chunks,
     ebn0_at_ber,
     export_waveform,
     run_ber_sweep,
@@ -27,7 +28,7 @@ from dpris.config import (
     config_hash,
     load_config,
 )
-from dpris.modulation import harmonic_closed_form, HarmonicCoefficient
+from dpris.modulation import CONSTELLATION16, harmonic_closed_form, HarmonicCoefficient, qam_to_tm
 from dpris.receiver import theoretical_ber_16qam
 
 
@@ -151,6 +152,25 @@ def test_pair_table_matches_direct_waveform_route():
         table = engine.tx_symbols(sym0, sym1, "B")
         direct = engine.waveform_tx_symbols(sym0, sym1)
         assert np.max(np.abs(table - direct)) < 1e-12
+
+
+def test_engine_params16_match_pointwise_qam_to_tm():
+    for cfg in (small_config(), small_config(fidelity="B", coupling=True, symbol_rate_sps=1e6)):
+        engine = LinkEngine(cfg)
+        ts = cfg.symbol_period_s
+        assert engine.params16 == tuple(qam_to_tm(p, ts) for p in CONSTELLATION16)
+
+
+def test_map_chunks_keeps_order_and_runs_one_chunk_inline():
+    import threading
+
+    def job(c):
+        return c, threading.current_thread()
+
+    (only,) = _map_chunks(job, 1, threads=4)
+    assert only == (0, threading.current_thread())
+    assert [c for c, _ in _map_chunks(job, 5, threads=8)] == list(range(5))
+    assert _map_chunks(job, 0, threads=2) == []
 
 
 def test_fidelity_a_small_sweep_tracks_theory():
@@ -471,6 +491,25 @@ def test_cli_ber_sweep_and_oracle(tmp_path, capsys):
     assert main(["oracle-check", "--config", str(small)]) == 0
     captured = capsys.readouterr()
     assert "PASS harmonic_closed_form_vs_exact" in captured.out
+
+
+def test_cli_refused_overwrite_fails_before_running(monkeypatch, tmp_path, capsys):
+    import dpris.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started although its output may not be written")
+
+    monkeypatch.setattr(cli, "run_ber_sweep", must_not_run)
+    monkeypatch.setattr(cli, "run_file_loopback", must_not_run)
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"payload")
+    out = tmp_path / "existing.out"
+    out.write_bytes(b"keep")
+    for argv in (["ber-sweep"], ["file-loopback", str(src)]):
+        assert main([*argv, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"refusing to overwrite {out} (pass --force to allow)" in err
+        assert out.read_bytes() == b"keep"
 
 
 def test_cli_loopback_and_export(tmp_path):

@@ -16,10 +16,11 @@ from dpris.hardware import (
     load_lut_csv,
     phase_to_voltage,
     quantize_dac,
+    reflection_amplitude,
     voltage_to_phase,
 )
 from dpris.model import Polarization
-from dpris.modulation import CONSTELLATION16, TWO_PI, qam_to_tm, waveform
+from dpris.modulation import CONSTELLATION16, TWO_PI, qam_to_tm, ramp_phase, waveform
 from dpris.receiver import extract_harmonic
 
 TS = 4e-7
@@ -282,6 +283,46 @@ def test_distortion_continuous_in_isolation():
         hw = HardwareConfig(isolation_db=iso, amplitude_ripple_db=0.0)
         waves[iso] = distort_reflection(params0, params1, lut, hw, 64).wave0
     assert 0 < np.max(np.abs(waves[16.0] - waves[16.001])) < 1e-3
+
+
+def reference_distort_reflection(stream0_params, stream1_params, lut, hw, samples):
+    """The control path with the intended phases built one symbol row at a time."""
+    volts = []
+    for params_seq, pol in ((stream0_params, P0), (stream1_params, P1)):
+        phases = np.empty((len(params_seq), samples))
+        for i, p in enumerate(params_seq):
+            t = np.arange(samples) * (p.symbol_period_s / samples)
+            phases[i] = ramp_phase(p.delta_phi, p.t_shift_s, p.symbol_period_s, t)
+        lo, hi = lut.voltage_span(pol)
+        volts.append(quantize_dac(phase_to_voltage(phases, pol, lut), hw.dac_bits, lo, hi))
+    volts = apply_coupling(volts[0], volts[1], hw.isolation_db)
+    out = []
+    for v, pol in zip(volts, (P0, P1)):
+        clipped = lut.count_out_of_range(v, pol)
+        v = np.clip(v, *lut.voltage_span(pol))
+        wave = reflection_amplitude(v, pol, lut, hw) * np.exp(1j * voltage_to_phase(v, pol, lut))
+        out += [wave, clipped]
+    return out
+
+
+@pytest.mark.parametrize(
+    "hw",
+    [HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0), ideal_hardware()],
+    ids=["coupled-dac6-ripple", "ideal"],
+)
+def test_distortion_bit_identical_to_per_row_loop(hw):
+    lut = default_lut()
+    pair0 = [qam_to_tm(CONSTELLATION16[i], TS) for i in range(16) for _ in range(16)]
+    pair1 = [qam_to_tm(CONSTELLATION16[j], TS) for _ in range(16) for j in range(16)]
+    # rows with two different symbol periods exercise the per-row time axis
+    mixed0 = park_params(40, 11) + [qam_to_tm(p, 2 * TS) for p in CONSTELLATION16]
+    mixed1 = park_params(40, 12) + [qam_to_tm(p, 2 * TS) for p in CONSTELLATION16[::-1]]
+    for params0, params1 in ((pair0, pair1), (mixed0, mixed1), ([], [])):
+        result = distort_reflection(params0, params1, lut, hw, 64)
+        wave0, clipped0, wave1, clipped1 = reference_distort_reflection(params0, params1, lut, hw, 64)
+        assert np.array_equal(result.wave0, wave0)
+        assert np.array_equal(result.wave1, wave1)
+        assert (result.clipped0, result.clipped1) == (clipped0, clipped1)
 
 
 def test_distortion_rejects_mismatched_streams():

@@ -15,8 +15,10 @@ from dpris.modulation import (
     exact_coefficients,
     harmonic_closed_form,
     harmonic_exact,
+    _zero_shift_phase,
     map_bits_to_qam,
     qam_to_tm,
+    qam_to_tm_table,
     ramp_harmonic_amplitude,
     symbol_indices_to_bytes,
     waveform,
@@ -216,6 +218,44 @@ def test_qam_to_tm_round_trip_constellation():
         params = qam_to_tm(point, TS)
         value = harmonic_closed_form(params).value
         assert abs(value - point) < 1e-9
+
+
+def reference_qam_to_tm(target, ts):
+    """The fixed 200-step scalar bisection, one target at a time."""
+    point = complex(target)
+    amp = abs(point)
+    if amp >= 1.0:
+        delta_phi = TWO_PI
+    else:
+        lo, hi = 1e-12, TWO_PI
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if ramp_harmonic_amplitude(mid) < amp:
+                lo = mid
+            else:
+                hi = mid
+        delta_phi = 0.5 * (lo + hi)
+    t_shift = ((_zero_shift_phase(delta_phi) - np.angle(point)) / TWO_PI * ts) % ts
+    if t_shift >= ts:
+        t_shift = 0.0
+    return float(delta_phi), float(t_shift)
+
+
+def test_qam_to_tm_bit_identical_to_fixed_step_bisection():
+    rng = np.random.default_rng(2021)
+    randoms = rng.uniform(0.0, 1.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+    targets = [*CONSTELLATION16, 1e-9, 1.0, 1.0 + 1e-13, *randoms]
+    for ts in (TS, 1e-6):
+        for target in targets:
+            params = qam_to_tm(target, ts)
+            assert (params.delta_phi, params.t_shift_s) == reference_qam_to_tm(target, ts), target
+
+
+def test_qam_to_tm_table_matches_pointwise_calls():
+    table = qam_to_tm_table(CONSTELLATION16, TS)
+    assert table == tuple(qam_to_tm(point, TS) for point in CONSTELLATION16)
+    with pytest.raises(ValueError, match="exceeds"):
+        qam_to_tm_table([0.5, 1.5], TS)
 
 
 @given(
