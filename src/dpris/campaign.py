@@ -23,6 +23,7 @@ per-sample noise at M times that power.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent import futures
 from dataclasses import dataclass, replace
@@ -56,6 +57,7 @@ from .modulation import (
 )
 from .receiver import (
     BerRecord,
+    SingularChannelError,
     default_pilot_block,
     demap_indices,
     estimate_channel,
@@ -63,7 +65,7 @@ from .receiver import (
     slicer_demap_indices,
     theoretical_ber_16qam,
     wilson_interval_halfwidth,
-    zf_equalize,
+    zf_matrix,
 )
 
 CHUNK_SYMBOLS = 16384
@@ -132,11 +134,48 @@ class CampaignResult:
     wall_time_s: float
 
 
+class PilotEstimateError(ValueError):
+    """A grid point's noisy pilot estimate is too ill-conditioned to invert.
+
+    With ``csi: pilot`` the estimate is redrawn at every grid point, so this
+    is a random event of the pilot noise at that Eb/N0 while the configured
+    channel itself is well-conditioned.
+    """
+
+    def __init__(self, ebn0_db: float, cause: SingularChannelError, channel_condition: float):
+        super().__init__(
+            f"noisy pilot estimate at Eb/N0 {ebn0_db:g} dB is ill-conditioned: {cause}, "
+            f"while the configured channel's is {channel_condition:.3e}; "
+            "this is a random event of the pilot noise at that point, not a bad channel "
+            "(a longer pilot_length or a higher zf_condition_limit makes it rarer)"
+        )
+
+
+class _ChunkBuffers:
+    """One thread's reusable arrays for chunks of up to ``capacity`` symbols.
+
+    ``work`` is reused down the chunk: normal draws, then G @ tx, then
+    slicer scratch; ``tx`` holds the transmitted block, then s_hat.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.tx = np.empty(STREAMS * capacity, dtype=np.complex128)
+        self.y = np.empty(STREAMS * capacity, dtype=np.complex128)
+        self.work = np.empty(3 * STREAMS * capacity)
+        self.pair = np.empty(capacity, dtype=np.int64)
+
+
 class LinkEngine:
-    """Precomputed link state shared by every chunk of a campaign."""
+    """Precomputed link state shared by every chunk of a campaign.
+
+    Each thread that runs chunks gets its own :class:`_ChunkBuffers`, so
+    after a thread's first chunk the kernel allocates only its result.
+    """
 
     def __init__(self, config: CampaignConfig):
         self.cfg = config
+        self._local = threading.local()
         geometry = config.geometry
         if geometry.k_rx != 1:
             raise ConfigError("geometry.rx_positions_m", "BER campaigns drive the 2x2 link (one receive antenna per polarization)")
@@ -175,6 +214,13 @@ class LinkEngine:
 
         self._ghat_static = self._static_ghat()
 
+    def _buffers(self, n: int) -> _ChunkBuffers:
+        """This thread's chunk buffers, grown to hold ``n`` symbols."""
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None or buffers.capacity < n:
+            buffers = self._local.buffers = _ChunkBuffers(max(n, CHUNK_SYMBOLS))
+        return buffers
+
     # -- transmitted equivalent symbols ------------------------------------
 
     def _pair_harmonic_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,11 +239,28 @@ class LinkEngine:
         t1 = (result.wave1 @ probe).reshape(16, 16)
         return t0, t1
 
-    def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
-        """Equivalent baseband symbols entering the channel, shape (2, n)."""
+    def tx_symbols(
+        self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Equivalent baseband symbols entering the channel, shape (2, n).
+
+        Symbol indices are 4-bit values, 0..15.  ``out`` (complex128,
+        C-contiguous, (2, n)) receives the symbols; it is allocated when
+        omitted.
+        """
+        n = sym0.size
+        if out is None:
+            out = np.empty((STREAMS, n), dtype=np.complex128)
+        # mode="clip" writes straight into out; "raise" would buffer a copy.
         if fidelity == "A":
-            return np.stack([self.table_a[sym0], self.table_a[sym1]])
-        return np.stack([self.table_b0[sym0, sym1], self.table_b1[sym0, sym1]])
+            np.take(self.table_a, sym0, out=out[0], mode="clip")
+            np.take(self.table_a, sym1, out=out[1], mode="clip")
+            return out
+        pair = np.multiply(sym0, 16, out=self._buffers(n).pair[:n])
+        pair += sym1
+        np.take(self.table_b0, pair, out=out[0], mode="clip")
+        np.take(self.table_b1, pair, out=out[1], mode="clip")
+        return out
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Direct per-symbol waveform route (no pair table); test oracle."""
@@ -228,6 +291,21 @@ class LinkEngine:
         noise = awgn(2 * self.pilot.length, noise_power, rng).reshape(2, -1)
         return estimate_channel(self.pilot, self.g @ tx + noise)
 
+    def zf_for_point(self, point_idx: int, ebn0_db: float, noise_power: float) -> np.ndarray:
+        """The zero-forcing matrix every chunk of a grid point equalizes with.
+
+        Raises :class:`PilotEstimateError` when only the point's noisy pilot
+        estimate, not the configured channel, is too ill-conditioned.
+        """
+        limit = self.cfg.zf_condition_limit
+        try:
+            return zf_matrix(self.ghat_for_point(point_idx, noise_power), limit)
+        except SingularChannelError as exc:
+            channel_condition = float(np.linalg.cond(self.g))
+            if self._ghat_static is not None or not channel_condition <= limit:
+                raise
+            raise PilotEstimateError(ebn0_db, exc, channel_condition) from exc
+
     # -- Monte Carlo --------------------------------------------------------
 
     def noise_power(self, ebn0_db: float) -> float:
@@ -239,18 +317,27 @@ class LinkEngine:
         sym1: np.ndarray,
         rng: np.random.Generator,
         noise_power: float,
-        ghat: np.ndarray,
+        w: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The chunk kernel: transmit both streams, add noise, equalize, slice.
 
-        Returns the detected symbol indices of each stream.  ``rng`` is the
-        chunk's substream; only the AWGN draw consumes it here.
+        ``w`` is the point's zero-forcing matrix (:meth:`zf_for_point`).
+        Returns the detected symbol indices of each stream, in a fresh array.
+        ``rng`` is the chunk's substream; only the AWGN draw consumes it here.
+        The result is bit-identical to ``tx_symbols``, ``awgn``,
+        ``g @ tx + noise``, ``zf_equalize`` and ``slicer_demap_indices`` of
+        each stream called one after another.
         """
         n = sym0.size
-        tx = self.tx_symbols(sym0, sym1, self.cfg.fidelity)
-        y = self.g @ tx + awgn(2 * n, noise_power, rng).reshape(2, n)
-        s_hat = zf_equalize(ghat, y, self.cfg.zf_condition_limit)
-        return slicer_demap_indices(s_hat[0]), slicer_demap_indices(s_hat[1])
+        m = STREAMS * n
+        buf = self._buffers(n)
+        tx = self.tx_symbols(sym0, sym1, self.cfg.fidelity, out=buf.tx[:m].reshape(STREAMS, n))
+        y = awgn(m, noise_power, rng, out=buf.y[:m], scratch=buf.work).reshape(STREAMS, n)
+        # noise + G tx rounds exactly as G tx + noise: IEEE addition commutes.
+        y += np.matmul(self.g, tx, out=buf.work.view(np.complex128)[:m].reshape(STREAMS, n))
+        s_hat = np.matmul(w, y, out=tx)
+        rx = slicer_demap_indices(s_hat, scratch=buf.work)
+        return rx[:n], rx[n:]
 
     def _chunk_counts(
         self,
@@ -258,7 +345,7 @@ class LinkEngine:
         chunk_idx: int,
         n_symbols: int,
         noise_power: float,
-        ghat: np.ndarray,
+        w: np.ndarray,
     ) -> tuple[int, int]:
         rng = _point_rng(self.cfg.seed, point_idx, 1 + chunk_idx)
         sym0 = rng.integers(0, 16, n_symbols)
@@ -266,7 +353,7 @@ class LinkEngine:
             sym1 = sym0
         else:
             sym1 = rng.integers(0, 16, n_symbols)
-        rx0, rx1 = self.detect_chunk(sym0, sym1, rng, noise_power, ghat)
+        rx0, rx1 = self.detect_chunk(sym0, sym1, rng, noise_power, w)
         return _error_counts(rx0, rx1, sym0, sym1)
 
     def run_point(
@@ -274,11 +361,11 @@ class LinkEngine:
     ) -> BerRecord:
         n_symbols = -(-n_bits // (STREAMS * BITS_PER_SYMBOL))
         noise_power = self.noise_power(ebn0_db)
-        ghat = self.ghat_for_point(point_idx, noise_power)
+        w = self.zf_for_point(point_idx, ebn0_db, noise_power)
 
         def job(chunk_idx):
             size = min(CHUNK_SYMBOLS, n_symbols - chunk_idx * CHUNK_SYMBOLS)
-            return self._chunk_counts(point_idx, chunk_idx, size, noise_power, ghat)
+            return self._chunk_counts(point_idx, chunk_idx, size, noise_power, w)
 
         counts = _map_chunks(job, -(-n_symbols // CHUNK_SYMBOLS), threads)
         return _ber_record(
@@ -594,7 +681,7 @@ def run_file_loopback(
 
     engine = LinkEngine(replace(config, fidelity="B"))
     noise_power = engine.noise_power(config.loopback_ebn0_db)
-    ghat = engine.ghat_for_point(0, noise_power)
+    w = engine.zf_for_point(0, config.loopback_ebn0_db, noise_power)
 
     # Stream q carries bytes q, q + 2, ...; stream 1 is zero-padded to the
     # length of stream 0 (one byte shorter for odd payloads).
@@ -609,7 +696,7 @@ def run_file_loopback(
     def job(chunk_idx):
         part = slice(chunk_idx * CHUNK_SYMBOLS, (chunk_idx + 1) * CHUNK_SYMBOLS)
         rng = _point_rng(config.seed, 0, 1 + chunk_idx)
-        rx0[part], rx1[part] = engine.detect_chunk(sym0[part], sym1[part], rng, noise_power, ghat)
+        rx0[part], rx1[part] = engine.detect_chunk(sym0[part], sym1[part], rng, noise_power, w)
 
     _map_chunks(job, -(-sym0.size // CHUNK_SYMBOLS), threads)
     bit_errors, symbol_errors = _error_counts(rx0, rx1[:n1], sym0, sym1[:n1])

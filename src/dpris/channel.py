@@ -217,14 +217,34 @@ def effective_stream_channel(
     return np.sqrt(carrier_power_watts) * g
 
 
-def awgn(length: int, noise_power: float, rng: np.random.Generator) -> np.ndarray:
-    """Circular complex Gaussian noise, per-entry variance = noise_power."""
+def awgn(
+    length: int,
+    noise_power: float,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Circular complex Gaussian noise, per-entry variance = noise_power.
+
+    Draws ``2 * length`` standard normals, the real parts first, then the
+    imaginary parts; zero power draws nothing.  ``out`` (complex128,
+    ``length`` entries) receives the noise and ``scratch`` (float64, at
+    least ``2 * length`` entries) holds the draws; each is allocated when
+    omitted.
+    """
     if noise_power < 0:
         raise ValueError("noise_power must be non-negative")
+    if out is None:
+        out = np.empty(length, dtype=np.complex128)
     if noise_power == 0.0:
-        return np.zeros(length, dtype=np.complex128)
+        out.fill(0.0)
+        return out
     scale = np.sqrt(noise_power / 2.0)
-    return scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    draws = np.empty(2 * length) if scratch is None else scratch[: 2 * length]
+    rng.standard_normal(out=draws)
+    np.multiply(draws[:length], scale, out=out.real)
+    np.multiply(draws[length:], scale, out=out.imag)
+    return out
 
 
 def noise_power_for_ebn0(

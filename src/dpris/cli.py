@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ber-sweep, oracle-check, file-loopback, export-waveform.
-Exit codes: 0 success, 2 configuration error, 3 oracle failure, 4 I/O error.
+Exit codes: 0 success, 2 configuration error (or a noisy pilot estimate too
+ill-conditioned to equalize), 3 oracle failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 import numpy as np
 
 from .campaign import (
+    PilotEstimateError,
     export_waveform,
     refuse_existing_output,
     run_ber_sweep,
@@ -89,6 +91,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SingularChannelError as exc:
         print(f"config error: configured channel cannot be equalized: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except PilotEstimateError as exc:
+        print(f"estimation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

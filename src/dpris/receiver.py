@@ -117,12 +117,11 @@ def estimate_channel(pilot: PilotBlock, observations) -> np.ndarray:
     return y @ s.conj().T @ np.linalg.inv(gram)
 
 
-def zf_equalize(g_hat, y, condition_limit: float = 1e8) -> np.ndarray:
-    """Zero-forcing stream separation: s_hat = G_hat^{-1} y.
+def zf_matrix(g_hat, condition_limit: float = 1e8) -> np.ndarray:
+    """Zero-forcing matrix G_hat^{-1}.
 
-    ``y`` may be a 2-vector or a (2, n) block of symbols.  Raises
-    :class:`SingularChannelError` when the estimate is too close to singular
-    to resolve the streams.
+    Raises :class:`SingularChannelError` when the estimate is too close to
+    singular to resolve the streams.
     """
     g = np.asarray(g_hat, dtype=np.complex128)
     if g.shape != (2, 2):
@@ -130,7 +129,16 @@ def zf_equalize(g_hat, y, condition_limit: float = 1e8) -> np.ndarray:
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > condition_limit:
         raise SingularChannelError(float(cond), condition_limit)
-    return np.linalg.solve(g, np.asarray(y, dtype=np.complex128))
+    return np.linalg.inv(g)
+
+
+def zf_equalize(g_hat, y, condition_limit: float = 1e8) -> np.ndarray:
+    """Zero-forcing stream separation: s_hat = G_hat^{-1} y.
+
+    ``y`` may be a 2-vector or a (2, n) block of symbols.  Raises
+    :class:`SingularChannelError` as :func:`zf_matrix` does.
+    """
+    return zf_matrix(g_hat, condition_limit) @ np.asarray(y, dtype=np.complex128)
 
 
 def demap_indices(points, constellation=CONSTELLATION16) -> np.ndarray:
@@ -140,20 +148,34 @@ def demap_indices(points, constellation=CONSTELLATION16) -> np.ndarray:
     return np.argmin(d, axis=1)
 
 
-def slicer_demap_indices(points) -> np.ndarray:
+def slicer_demap_indices(points, out=None, scratch=None) -> np.ndarray:
     """Per-dimension threshold demapper for the Gray 16-QAM table.
 
     Equivalent to :func:`demap_indices` on the square grid (checked by
-    test), and O(n) instead of O(16 n) for big Monte Carlo blocks.
+    test), and O(n) instead of O(16 n) for big Monte Carlo blocks.  ``out``
+    (int64, one entry per point) receives the indices and ``scratch``
+    (float64, at least three entries per point) holds the intermediates;
+    each is allocated when omitted.
     """
-    pts = np.asarray(points, dtype=np.complex128).reshape(-1)
-    re = pts.real / QAM16_SCALE
-    im = pts.imag / QAM16_SCALE
-    b0 = (re > 0).astype(np.int64)
-    b1 = (np.abs(re) < 2.0).astype(np.int64)
-    b2 = (im > 0).astype(np.int64)
-    b3 = (np.abs(im) < 2.0).astype(np.int64)
-    return (b0 << 3) | (b1 << 2) | (b2 << 1) | b3
+    pts = np.ascontiguousarray(points, dtype=np.complex128).reshape(-1)
+    n = pts.size
+    if out is None:
+        out = np.empty(n, dtype=np.int64)
+    if scratch is None:
+        scratch = np.empty(3 * n)
+    # Row k of x is (re, im) of point k over QAM16_SCALE.  Per dimension the
+    # Gray bit pair is (x > 0, |x| < 2): (b0, b1) for re, (b2, b3) for im.
+    x = np.divide(pts.view(np.float64), QAM16_SCALE, out=scratch[: 2 * n]).reshape(n, 2)
+    flags = scratch[2 * n : 3 * n].view(np.bool_)  # 8 bytes per point, 4 used
+    positive = np.greater(x, 0.0, out=flags[: 2 * n].reshape(n, 2))
+    inner = np.less(np.abs(x, out=x), 2.0, out=flags[2 * n : 4 * n].reshape(n, 2))
+    code = positive.view(np.uint8)  # 2-bit Gray code per dimension
+    code <<= 1
+    code |= inner.view(np.uint8)
+    out[...] = code[:, 0]
+    out <<= 2
+    out |= code[:, 1]
+    return out
 
 
 def theoretical_ber_16qam(ebn0_db) -> float | np.ndarray:

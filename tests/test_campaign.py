@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpris import campaign
 from dpris.campaign import (
+    CHUNK_SYMBOLS,
     LinkEngine,
     _map_chunks,
     ebn0_at_ber,
@@ -28,8 +30,9 @@ from dpris.config import (
     config_hash,
     load_config,
 )
+from dpris.channel import awgn
 from dpris.modulation import CONSTELLATION16, harmonic_closed_form, HarmonicCoefficient, qam_to_tm
-from dpris.receiver import theoretical_ber_16qam
+from dpris.receiver import slicer_demap_indices, theoretical_ber_16qam, zf_equalize
 
 
 def small_config(**overrides):
@@ -161,6 +164,66 @@ def test_engine_params16_match_pointwise_qam_to_tm():
         assert engine.params16 == tuple(qam_to_tm(p, ts) for p in CONSTELLATION16)
 
 
+def _public_stages(engine, sym0, sym1, rng, noise_power, ghat):
+    """One chunk through the public stage functions, as the benchmark replays it."""
+    n = sym0.size
+    tx = engine.tx_symbols(sym0, sym1, engine.cfg.fidelity)
+    noise = awgn(2 * n, noise_power, rng).reshape(2, n)
+    s_hat = zf_equalize(ghat, engine.g @ tx + noise, engine.cfg.zf_condition_limit)
+    return slicer_demap_indices(s_hat[0]), slicer_demap_indices(s_hat[1])
+
+
+@pytest.mark.parametrize("relation", ["independent", "identical"])
+@pytest.mark.parametrize("fidelity", ["A", "B"])
+@pytest.mark.parametrize("ebn0_db", [float("inf"), 4.0])
+def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_db):
+    cfg = small_config(fidelity=fidelity, coupling=fidelity == "B", stream_relation=relation)
+    engine = LinkEngine(cfg)
+    noise_power = engine.noise_power(ebn0_db)
+    assert (noise_power == 0.0) == (ebn0_db == float("inf"))
+    ghat = engine.ghat_for_point(0, noise_power)
+    w = engine.zf_for_point(0, ebn0_db, noise_power)
+    # Full, short, full on one engine, so stale buffer contents would show;
+    # then a block longer than a chunk, which grows the buffers.
+    for chunk, n in enumerate((CHUNK_SYMBOLS, 1001, CHUNK_SYMBOLS, CHUNK_SYMBOLS + 5)):
+        draw = np.random.default_rng([5, chunk])
+        sym0 = draw.integers(0, 16, n)
+        sym1 = sym0 if relation == "identical" else draw.integers(0, 16, n)
+        rng, ref_rng = np.random.default_rng([9, chunk]), np.random.default_rng([9, chunk])
+        got = engine.detect_chunk(sym0, sym1, rng, noise_power, w)
+        want = _public_stages(engine, sym0, sym1, ref_rng, noise_power, ghat)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].dtype == want[0].dtype == np.int64
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # Loopback feeds payload nibbles as uint8.
+        payload = engine.detect_chunk(
+            sym0.astype(np.uint8), sym1.astype(np.uint8), np.random.default_rng([9, chunk]), noise_power, w
+        )
+        assert np.array_equal(payload[0], want[0]) and np.array_equal(payload[1], want[1])
+        buffers = engine._buffers(n)
+        for rx in got:
+            for buf in (buffers.tx, buffers.y, buffers.work, buffers.pair):
+                assert not np.shares_memory(rx, buf)
+
+
+def test_zf_matrix_runs_once_per_grid_point(monkeypatch, tmp_path):
+    calls = []
+    real = campaign.zf_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(campaign, "zf_matrix", counting)
+    cfg = small_config(ebn0_grid_db=(6.0, 8.0, 10.0), bits_per_point=300_000)  # 3 chunks a point
+    run_ber_sweep(cfg, threads=2)
+    assert len(calls) == 3
+    src = tmp_path / "payload.bin"
+    src.write_bytes(np.random.default_rng(1).bytes(20_000))  # 3 chunks
+    run_file_loopback(src, tmp_path / "out.bin", cfg, threads=2)
+    assert len(calls) == 4
+
+
 def test_map_chunks_keeps_order_and_runs_one_chunk_inline():
     import threading
 
@@ -252,13 +315,15 @@ def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, rows, code):
 
 
 def test_csv_byte_identical_across_thread_counts(tmp_path):
-    cfg = small_config(fidelity="B", coupling=True, bits_per_point=40_000)
+    # Three chunks a point, so two and eight threads each slice with their
+    # own chunk buffers.
+    cfg = small_config(fidelity="B", coupling=True, bits_per_point=300_000)
     paths = []
-    for threads in (1, 8):
+    for threads in (1, 2, 8):
         out = tmp_path / f"t{threads}.csv"
         write_ber_csv(run_ber_sweep(cfg, threads=threads), cfg, out)
         paths.append(out.read_bytes())
-    assert paths[0] == paths[1]
+    assert paths[0] == paths[1] == paths[2]
 
 
 def test_csv_contains_provenance_and_columns(tmp_path):
@@ -454,6 +519,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text('{"oracle": {"harmonic_cases": true}}')
     assert main(["oracle-check", "--config", str(bad)]) == 2
     assert "oracle.harmonic_cases" in capsys.readouterr().err
+
+
+def test_cli_pilot_estimate_error_names_the_point(tmp_path, capsys):
+    # cond(G) = 1 at the default geometry; only the noisy -10 dB pilot
+    # estimate exceeds the 1.5 limit.
+    path = tmp_path / "pilot.json"
+    out = str(tmp_path / "o.csv")
+    pilot = {"csi": "pilot", "ebn0_grid_db": [-10.0], "zf_condition_limit": 1.5, "bits_per_point": 20000}
+    path.write_text(json.dumps(pilot))
+    assert main(["ber-sweep", "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("estimation error: noisy pilot estimate at Eb/N0 -10 dB is ill-conditioned")
+    assert "not a bad channel" in err
+    # A limit the configured channel itself exceeds keeps the channel message,
+    # for pilot CSI and for the static estimates.
+    for csi in ("pilot", "calibrated", "perfect"):
+        path.write_text(json.dumps({**pilot, "csi": csi, "zf_condition_limit": 0.5}))
+        assert main(["ber-sweep", "--config", str(path), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: configured channel cannot be equalized")
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_ber_sweep_requires_out():

@@ -199,6 +199,27 @@ def test_awgn_variance_accuracy():
     assert abs(measured - 3.0) / 3.0 < 0.005
 
 
+@pytest.mark.parametrize("length", [1, 7, 16384, 32768, 40001])
+def test_awgn_bytes_and_rng_state_match_two_draw_formula(length):
+    # The real parts are one standard_normal(length) call and the imaginary
+    # parts the next; awgn must give those bytes and leave the generator in
+    # the same state, with or without caller buffers (reused, so stale).
+    out = np.full(length + 3, np.nan + 1j)
+    scratch = np.full(2 * length + 5, np.nan)
+    for power in (2.0, 1e-9):
+        ref_rng = np.random.default_rng(length)
+        scale = np.sqrt(power / 2.0)
+        want = scale * (ref_rng.standard_normal(length) + 1j * ref_rng.standard_normal(length))
+        for kwargs in ({}, {"out": out[:length], "scratch": scratch}):
+            rng = np.random.default_rng(length)
+            assert awgn(length, power, rng, **kwargs).tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    rng = np.random.default_rng(length)
+    before = rng.bit_generator.state
+    assert not np.any(awgn(length, 0.0, rng, out=out[:length]))
+    assert rng.bit_generator.state == before
+
+
 def test_awgn_rejects_negative_power():
     with pytest.raises(ValueError):
         awgn(4, -1.0, np.random.default_rng(0))

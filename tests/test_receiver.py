@@ -24,7 +24,9 @@ from dpris.receiver import (
     theoretical_ber_16qam,
     wilson_interval_halfwidth,
     zf_equalize,
+    zf_matrix,
 )
+from dpris.modulation import QAM16_SCALE
 
 TS = 4e-7
 
@@ -144,9 +146,26 @@ def test_zf_recovers_streams():
 
 def test_zf_rejects_near_singular():
     g = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
-    with pytest.raises(SingularChannelError) as err:
-        zf_equalize(g, np.ones(2))
-    assert err.value.condition > 1e8
+    for call in (lambda: zf_equalize(g, np.ones(2)), lambda: zf_matrix(g)):
+        with pytest.raises(SingularChannelError) as err:
+            call()
+        assert err.value.condition > 1e8
+
+
+def test_zf_equalize_matches_solve_within_conditioning_bound():
+    # The inverse multiply and an LU solve each land within a small multiple
+    # of eps * cond(G) * |s| of the exact s, so they differ by at most that
+    # sum; 16 eps * cond(G) covers both for a 2x2 with margin.
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(8)
+    for target in (1.0, 1e2, 1e4, 1e6):
+        for _ in range(20):
+            u, _, vh = np.linalg.svd(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            g = u @ np.diag([1.0, 1.0 / target]) @ vh * rng.uniform(0.1, 10.0)
+            y = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
+            ref = np.linalg.solve(g, y)
+            err = np.linalg.norm(zf_equalize(g, y) - ref, axis=0)
+            assert np.all(err <= 16.0 * eps * np.linalg.cond(g) * np.linalg.norm(ref, axis=0))
 
 
 # -- demapping -----------------------------------------------------------------
@@ -169,6 +188,34 @@ def test_slicer_matches_nearest_point_demap():
     rng = np.random.default_rng(3)
     pts = 1.4 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
     assert np.array_equal(slicer_demap_indices(pts), demap_indices(pts))
+
+
+def _slicer_reference(points):
+    """The per-dimension slicer written bit by bit, one stream at a time."""
+    re = points.real / QAM16_SCALE
+    im = points.imag / QAM16_SCALE
+    b0 = (re > 0).astype(np.int64)
+    b1 = (np.abs(re) < 2.0).astype(np.int64)
+    b2 = (im > 0).astype(np.int64)
+    b3 = (np.abs(im) < 2.0).astype(np.int64)
+    return (b0 << 3) | (b1 << 2) | (b2 << 1) | b3
+
+
+def test_slicer_out_and_scratch_match_reference_on_thresholds():
+    # Exact decision thresholds, both zero signs, a denormal and NaN, then
+    # random blocks sliced through one reused out/scratch pair: stale
+    # contents from a longer block must not leak into a shorter one.
+    edges = np.array([0.0, -0.0, 2.0, -2.0, 5e-324, -5e-324, np.nan, 3.0, -1.0]) * QAM16_SCALE
+    special = (edges[:, None] + 1j * edges[None, :]).reshape(-1)
+    assert np.array_equal(slicer_demap_indices(special), _slicer_reference(special))
+    rng = np.random.default_rng(12)
+    out = np.empty(10000, dtype=np.int64)
+    scratch = np.empty(30000)
+    for n in (5000, 17, 5000, 0):
+        block = 1.4 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        got = slicer_demap_indices(block, out=out[: 2 * n], scratch=scratch)
+        want = np.concatenate([_slicer_reference(block[0]), _slicer_reference(block[1])])
+        assert np.array_equal(got, want)
 
 
 # -- theoretical BER ------------------------------------------------------------
