@@ -154,8 +154,9 @@ class PilotEstimateError(ValueError):
 class _ChunkBuffers:
     """One thread's reusable arrays for chunks of up to ``capacity`` symbols.
 
-    ``work`` is reused down the chunk: normal draws, then G @ tx, then
-    slicer scratch; ``tx`` holds the transmitted block, then s_hat.
+    ``work`` is reused down the chunk: pair-table indices, then normal
+    draws, then G @ tx, then slicer scratch; ``tx`` holds the transmitted
+    block, then s_hat.
     """
 
     def __init__(self, capacity: int):
@@ -163,7 +164,6 @@ class _ChunkBuffers:
         self.tx = np.empty(STREAMS * capacity, dtype=np.complex128)
         self.y = np.empty(STREAMS * capacity, dtype=np.complex128)
         self.work = np.empty(3 * STREAMS * capacity)
-        self.pair = np.empty(capacity, dtype=np.int64)
 
 
 class LinkEngine:
@@ -240,13 +240,19 @@ class LinkEngine:
         return t0, t1
 
     def tx_symbols(
-        self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str, out: np.ndarray | None = None
+        self,
+        sym0: np.ndarray,
+        sym1: np.ndarray,
+        fidelity: str,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """Equivalent baseband symbols entering the channel, shape (2, n).
 
         Symbol indices are 4-bit values, 0..15.  ``out`` (complex128,
-        C-contiguous, (2, n)) receives the symbols; it is allocated when
-        omitted.
+        C-contiguous, (2, n)) receives the symbols and ``scratch`` (int64,
+        n entries) holds fidelity B's pair-table indices; each is allocated
+        when omitted.
         """
         n = sym0.size
         if out is None:
@@ -256,7 +262,7 @@ class LinkEngine:
             np.take(self.table_a, sym0, out=out[0], mode="clip")
             np.take(self.table_a, sym1, out=out[1], mode="clip")
             return out
-        pair = np.multiply(sym0, 16, out=self._buffers(n).pair[:n])
+        pair = np.multiply(sym0, 16, out=scratch)
         pair += sym1
         np.take(self.table_b0, pair, out=out[0], mode="clip")
         np.take(self.table_b1, pair, out=out[1], mode="clip")
@@ -331,7 +337,13 @@ class LinkEngine:
         n = sym0.size
         m = STREAMS * n
         buf = self._buffers(n)
-        tx = self.tx_symbols(sym0, sym1, self.cfg.fidelity, out=buf.tx[:m].reshape(STREAMS, n))
+        tx = self.tx_symbols(
+            sym0,
+            sym1,
+            self.cfg.fidelity,
+            out=buf.tx[:m].reshape(STREAMS, n),
+            scratch=buf.work[:n].view(np.int64),
+        )
         y = awgn(m, noise_power, rng, out=buf.y[:m], scratch=buf.work).reshape(STREAMS, n)
         # noise + G tx rounds exactly as G tx + noise: IEEE addition commutes.
         y += np.matmul(self.g, tx, out=buf.work.view(np.complex128)[:m].reshape(STREAMS, n))

@@ -148,19 +148,17 @@ def demap_indices(points, constellation=CONSTELLATION16) -> np.ndarray:
     return np.argmin(d, axis=1)
 
 
-def slicer_demap_indices(points, out=None, scratch=None) -> np.ndarray:
+def slicer_demap_indices(points, scratch=None) -> np.ndarray:
     """Per-dimension threshold demapper for the Gray 16-QAM table.
 
     Equivalent to :func:`demap_indices` on the square grid (checked by
-    test), and O(n) instead of O(16 n) for big Monte Carlo blocks.  ``out``
-    (int64, one entry per point) receives the indices and ``scratch``
-    (float64, at least three entries per point) holds the intermediates;
-    each is allocated when omitted.
+    test), and O(n) instead of O(16 n) for big Monte Carlo blocks.  Returns
+    a fresh int64 index per point; ``scratch`` (float64, at least three
+    entries per point) holds the intermediates and is allocated when omitted.
     """
     pts = np.ascontiguousarray(points, dtype=np.complex128).reshape(-1)
     n = pts.size
-    if out is None:
-        out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
     if scratch is None:
         scratch = np.empty(3 * n)
     # Row k of x is (re, im) of point k over QAM16_SCALE.  Per dimension the

@@ -202,7 +202,7 @@ def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_d
         assert np.array_equal(payload[0], want[0]) and np.array_equal(payload[1], want[1])
         buffers = engine._buffers(n)
         for rx in got:
-            for buf in (buffers.tx, buffers.y, buffers.work, buffers.pair):
+            for buf in (buffers.tx, buffers.y, buffers.work):
                 assert not np.shares_memory(rx, buf)
 
 
