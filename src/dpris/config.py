@@ -40,6 +40,11 @@ class ConfigError(ValueError):
         self.path = path
 
 
+# Per-suite cap: the harmonic suite draws all its cases up front, and a
+# million cases of each suite already take minutes.
+MAX_ORACLE_CASES = 1_000_000
+
+
 @dataclass(frozen=True)
 class OracleCheckConfig:
     harmonic_cases: int = 1000
@@ -48,8 +53,9 @@ class OracleCheckConfig:
 
     def __post_init__(self):
         for name in ("harmonic_cases", "parseval_cases", "model_identity_cases"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_ORACLE_CASES:
+                raise ValueError(f"{name} must lie in [1, {MAX_ORACLE_CASES}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -229,11 +235,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> CampaignConf
     raw: dict = {}
     if path is not None:
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
+            with open(path, "rb") as fh:
+                raw = json.loads(fh.read().decode("utf-8"))
         except OSError as exc:
             raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # over-long integers; RecursionError covers nesting too deep to parse.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
     if overrides:
         raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}

@@ -10,10 +10,11 @@ This module provides:
 
 * :func:`waveform`            sampled unimodular ramp waveform
 * :func:`harmonic_closed_form` closed-form amplitude/phase of the -1st harmonic
-* :func:`harmonic_exact`      exact Fourier coefficient of any order, by
-                              closed-form integration of each linear-phase
-                              segment (the oracle the closed form is checked
-                              against)
+* :func:`exact_coefficient_table` exact Fourier coefficients of many ramps
+                              at once, by closed-form integration of each
+                              linear-phase segment (the oracle the closed
+                              form is checked against; :func:`harmonic_exact`
+                              for one order of one ramp)
 * :func:`qam_to_tm_table`     inverse mapping from target constellation
                               points to ramp parameters (:func:`qam_to_tm`
                               for one point)
@@ -175,29 +176,37 @@ def harmonic_closed_form(params: TmSymbolParams) -> HarmonicCoefficient:
     return HarmonicCoefficient(order=-1, value=value)
 
 
-def exact_coefficients(params: TmSymbolParams, orders) -> np.ndarray:
-    """Exact Fourier coefficients c_k = (1/Ts) * integral of x(t) e^{-j2pikt/Ts}.
+def exact_coefficient_table(delta_phi, t_shift_s, symbol_period_s, orders) -> np.ndarray:
+    """Exact Fourier coefficients of n ramps, shape (n, len(orders)) (array-capable core).
 
-    Each ramp segment is a linear-phase exponential, so its integral has the
-    closed form  dur * e^{j(a + beta*(t0+t1)/2)} * sinc(beta*dur/2),  which is
-    exact for every beta including the resonant segment beta -> 0.
+    c_k = (1/Ts) * integral of x(t) e^{-j2pikt/Ts}.  Each ramp is two
+    linear-phase segments split at Ts - t_shift, and each segment integrates
+    in closed form to  dur * e^{j(a + beta*(t0+t1)/2)} * sinc(beta*dur/2),
+    which is exact for every beta including the resonant segment beta -> 0.
+    A zero shift gives the second segment zero length, so it adds exactly
+    zero.
     """
-    orders = np.asarray(orders, dtype=float)
-    ts = params.symbol_period_s
-    slope = params.delta_phi / ts
-    if params.t_shift_s > 0:
-        bounds = [(0.0, ts - params.t_shift_s), (ts - params.t_shift_s, ts)]
-        offsets = [slope * (ts - params.t_shift_s), slope * (2.0 * ts - params.t_shift_s)]
-    else:
-        bounds = [(0.0, ts)]
-        offsets = [slope * ts]
-    beta = -(params.delta_phi + TWO_PI * orders) / ts
-    total = np.zeros(orders.shape, dtype=np.complex128)
-    for (t0, t1), a in zip(bounds, offsets):
+    ts = symbol_period_s
+    delta_phi = np.asarray(delta_phi, dtype=float).reshape(-1, 1)
+    t_shift_s = np.asarray(t_shift_s, dtype=float).reshape(-1, 1)
+    t_split = ts - t_shift_s
+    slope = delta_phi / ts
+    segments = (
+        (0.0, t_split, slope * t_split),
+        (t_split, ts, slope * (2.0 * ts - t_shift_s)),
+    )
+    beta = -(delta_phi + TWO_PI * np.asarray(orders, dtype=float)) / ts
+    total = np.zeros(beta.shape, dtype=np.complex128)
+    for t0, t1, a in segments:
         dur = t1 - t0
         mid = 0.5 * (t0 + t1)
         total += np.exp(1j * (a + beta * mid)) * dur * unnormalized_sinc(0.5 * beta * dur)
     return total / ts
+
+
+def exact_coefficients(params: TmSymbolParams, orders) -> np.ndarray:
+    """Exact Fourier coefficients of one ramp at ``orders``; see :func:`exact_coefficient_table`."""
+    return exact_coefficient_table(params.delta_phi, params.t_shift_s, params.symbol_period_s, orders)[0]
 
 
 def harmonic_exact(params: TmSymbolParams, order: int) -> HarmonicCoefficient:

@@ -24,6 +24,7 @@ from dpris.campaign import (
 )
 from dpris.cli import main
 from dpris.config import (
+    MAX_ORACLE_CASES,
     CampaignConfig,
     ConfigError,
     config_from_dict,
@@ -31,7 +32,17 @@ from dpris.config import (
     load_config,
 )
 from dpris.channel import awgn
-from dpris.modulation import CONSTELLATION16, harmonic_closed_form, HarmonicCoefficient, qam_to_tm
+from dpris.model import received_reduced
+from dpris.modulation import (
+    CONSTELLATION16,
+    TWO_PI,
+    TmSymbolParams,
+    closed_form_value,
+    exact_coefficients,
+    harmonic_closed_form,
+    qam_to_tm,
+    wrap_phase,
+)
 from dpris.receiver import slicer_demap_indices, theoretical_ber_16qam, zf_equalize
 
 
@@ -286,29 +297,35 @@ def test_custom_lut_csv_feeds_fidelity_b(tmp_path):
     assert record.ber < 1e-3  # clean high-SNR link through the custom curves
 
 
+BAD_ROW_LUT = ["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"]
+
+
 @pytest.mark.parametrize(
-    "rows, code",
+    "fidelity, rows, code",
     [
         # polarization 0 spans only half a turn: the ramp phases cannot be realized
-        (["0,0,0", "0,20,180", "1,0,0", "1,20,360"], 2),
-        (["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"], 2),
-        (None, 4),  # no file at all: an I/O error, not a config error
+        ("B", ["0,0,0", "0,20,180", "1,0,0", "1,20,360"], 2),
+        ("B", BAD_ROW_LUT, 2),
+        ("B", None, 4),  # no file at all: an I/O error, not a config error
+        # fidelity A never uses the curves, but a named LUT is still checked
+        ("A", BAD_ROW_LUT, 2),
+        ("A", None, 4),
     ],
-    ids=["narrow", "bad-row", "missing"],
+    ids=["narrow", "bad-row", "missing", "bad-row-fidelity-a", "missing-fidelity-a"],
 )
-def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, rows, code):
+def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, fidelity, rows, code):
     lut = tmp_path / "curves.csv"
     if rows is not None:
         lut.write_text("\n".join(["polarization,voltage_volts,phase_degrees", *rows]) + "\n")
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(
-        json.dumps({"fidelity": "B", "lut_csv": str(lut), "ebn0_grid_db": [20.0], "bits_per_point": 20000})
+        json.dumps({"fidelity": fidelity, "lut_csv": str(lut), "ebn0_grid_db": [20.0], "bits_per_point": 20000})
     )
     argv = ["ber-sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
     assert main(argv) == code
     assert not (tmp_path / "o.csv").exists()
-    if code == 2:
-        assert "lut_csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("lut_csv" in err) if code == 2 else err.startswith("i/o error:")
 
 
 # -- determinism ---------------------------------------------------------------
@@ -377,13 +394,70 @@ def test_oracle_check_passes_on_correct_build():
 def test_oracle_check_detects_phase_sign_corruption():
     cfg = small_config()
 
-    def corrupted(params):
-        good = harmonic_closed_form(params)
-        return HarmonicCoefficient(order=-1, value=np.conj(good.value))
+    def corrupted(delta_phi, t_shift_s, symbol_period_s):
+        return np.conj(closed_form_value(delta_phi, t_shift_s, symbol_period_s))
 
     report = run_oracle_check(cfg, closed_form_fn=corrupted)
     assert not report.ok
     assert not report.suites[0].passed
+
+
+def test_oracle_check_rejects_closed_form_above_unit_amplitude():
+    def inflated(delta_phi, t_shift_s, symbol_period_s):
+        return 2.0 * closed_form_value(delta_phi, t_shift_s, symbol_period_s)
+
+    with pytest.raises(ValueError, match="exceeds 1"):
+        run_oracle_check(small_config(), closed_form_fn=inflated)
+
+
+def reference_oracle_details(cfg):
+    """The harmonic and Parseval suites case by case through the scalar
+    public functions, then the model identity suite on the same stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xAC, 0)))
+    ts = cfg.symbol_period_s
+    n = cfg.oracle.harmonic_cases
+    delta_phis = rng.uniform(0.0, TWO_PI, n)
+    delta_phis[delta_phis == 0.0] = TWO_PI
+    shifts = rng.uniform(0.0, ts, n)
+    worst_amp = worst_phase = 0.0
+    for dp, sh in zip(delta_phis, shifts):
+        params = TmSymbolParams(delta_phi=dp, t_shift_s=sh, symbol_period_s=ts)
+        cf = harmonic_closed_form(params)
+        ex = exact_coefficients(params, np.array([-1.0]))[0]
+        worst_amp = max(worst_amp, abs(cf.amplitude - abs(ex)))
+        worst_phase = max(worst_phase, abs(float(wrap_phase(cf.phase - np.angle(ex)))))
+    orders = np.arange(-200.0, 201.0)
+    lo = hi = 1.0
+    for _ in range(cfg.oracle.parseval_cases):
+        dp = rng.uniform(0.0, TWO_PI)
+        if dp == 0.0:
+            dp = TWO_PI
+        sh = rng.uniform(0.0, ts)
+        params = TmSymbolParams(delta_phi=dp, t_shift_s=sh, symbol_period_s=ts)
+        total = float(np.sum(np.abs(exact_coefficients(params, orders)) ** 2))
+        lo = min(lo, total)
+        hi = max(hi, total)
+    identity = campaign._suite_model_identity(cfg, rng, received_reduced)
+    return [
+        f"max amplitude err {worst_amp:.3e}, max phase err {worst_phase:.3e} (tol 1e-9)",
+        f"window sum in [{lo:.9f}, {hi:.9f}]",
+        identity.detail,
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_oracle_blocks_match_per_case_reference_loop(seed):
+    # Several full blocks and a partial one.  At 501 cases, seed 0's printed
+    # worst amplitude error moves if np.abs replaces Python's abs.
+    assert 501 % campaign.ORACLE_BLOCK and 77 % campaign.ORACLE_BLOCK
+    cases = {"harmonic_cases": 501, "parseval_cases": 77, "model_identity_cases": 9}
+    cfg = config_from_dict({"seed": seed, "oracle": cases})
+    report = run_oracle_check(cfg)
+    assert report.ok
+    want = reference_oracle_details(cfg)
+    assert report.suites[0].detail == want[0]
+    assert report.suites[1].detail.startswith(want[1])
+    assert report.suites[2].detail == want[2]
 
 
 def test_oracle_check_suite_sizes_follow_config():
@@ -539,6 +613,30 @@ def test_cli_pilot_estimate_error_names_the_point(tmp_path, capsys):
         assert main(["ber-sweep", "--config", str(path), "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error: configured channel cannot be equalized")
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 5000 + b"]" * 5000, b'{"seed": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "nested-5000", "long-integer"],
+)
+def test_cli_unparsable_config_file_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["oracle-check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: <file>: invalid JSON in {path}")
+
+
+def test_oracle_case_counts_are_bounded(tmp_path, capsys):
+    cases = {"harmonic_cases": MAX_ORACLE_CASES, "parseval_cases": 1, "model_identity_cases": 1}
+    assert config_from_dict({"oracle": cases}).oracle.harmonic_cases == MAX_ORACLE_CASES
+    for key in cases:
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"oracle": {key: MAX_ORACLE_CASES + 1}})
+    path = tmp_path / "cfg.json"
+    path.write_text('{"oracle": {"harmonic_cases": 10000000000000}}')
+    assert main(["oracle-check", "--config", str(path)]) == 2
+    assert "harmonic_cases" in capsys.readouterr().err
 
 
 def test_cli_ber_sweep_requires_out():

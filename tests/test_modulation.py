@@ -12,6 +12,7 @@ from dpris.modulation import (
     bits_to_symbol_indices,
     bytes_to_symbol_indices,
     closed_form_value,
+    exact_coefficient_table,
     exact_coefficients,
     harmonic_closed_form,
     harmonic_exact,
@@ -21,6 +22,7 @@ from dpris.modulation import (
     qam_to_tm_table,
     ramp_harmonic_amplitude,
     symbol_indices_to_bytes,
+    unnormalized_sinc,
     waveform,
     wrap_phase,
 )
@@ -129,6 +131,58 @@ def test_closed_form_matches_exact_oracle_bulk():
         worst_phase = max(worst_phase, abs(float(wrap_phase(cf.phase - ex.phase))))
     assert worst_amp < 1e-9
     assert worst_phase < 1e-9
+
+
+def reference_exact_coefficients(params, orders):
+    """One ramp at a time: one segment at zero shift, else two."""
+    orders = np.asarray(orders, dtype=float)
+    ts = params.symbol_period_s
+    slope = params.delta_phi / ts
+    if params.t_shift_s > 0:
+        bounds = [(0.0, ts - params.t_shift_s), (ts - params.t_shift_s, ts)]
+        offsets = [slope * (ts - params.t_shift_s), slope * (2.0 * ts - params.t_shift_s)]
+    else:
+        bounds = [(0.0, ts)]
+        offsets = [slope * ts]
+    beta = -(params.delta_phi + TWO_PI * orders) / ts
+    total = np.zeros(orders.shape, dtype=np.complex128)
+    for (t0, t1), a in zip(bounds, offsets):
+        dur = t1 - t0
+        total += np.exp(1j * (a + beta * (0.5 * (t0 + t1)))) * dur * unnormalized_sinc(0.5 * beta * dur)
+    return total / ts
+
+
+@pytest.mark.parametrize("ts", [TS, 1.0, 3.3e-3, 1e-9])
+def test_exact_coefficient_table_rows_equal_exact_coefficients(ts):
+    rng = np.random.default_rng(31)
+    delta_phis = rng.uniform(0.0, TWO_PI, 75)
+    shifts = rng.uniform(0.0, ts, 75)
+    delta_phis[:5] = TWO_PI
+    delta_phis[5:10] = 1e-12
+    shifts[::4] = 0.0
+    shifts[10] = np.nextafter(ts, 0.0)
+    for orders in (np.array([-1.0]), np.arange(-200.0, 201.0), [0.0, 3.0, -1.0]):
+        table = exact_coefficient_table(delta_phis, shifts, ts, orders)
+        assert table.shape == (75, len(orders))
+        for row, dp, sh in zip(table, delta_phis, shifts):
+            params = TmSymbolParams(delta_phi=float(dp), t_shift_s=float(sh), symbol_period_s=ts)
+            want = reference_exact_coefficients(params, orders).tobytes()
+            assert row.tobytes() == want
+            assert exact_coefficients(params, orders).tobytes() == want
+
+
+def test_closed_form_value_elements_equal_harmonic_closed_form():
+    rng = np.random.default_rng(32)
+    delta_phis = rng.uniform(0.0, TWO_PI, 100)
+    shifts = rng.uniform(0.0, TS, 100)
+    delta_phis[:3] = TWO_PI
+    shifts[::5] = 0.0
+    values = closed_form_value(delta_phis, shifts, TS)
+    phases = wrap_phase(np.angle(values))
+    for value, phase, dp, sh in zip(values, phases, delta_phis, shifts):
+        coeff = harmonic_closed_form(TmSymbolParams(float(dp), float(sh), TS))
+        assert complex(value) == coeff.value
+        assert float(phase) == coeff.phase
 
 
 @given(params_strategy)
