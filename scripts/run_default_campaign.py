@@ -14,7 +14,8 @@ the extra Eb/N0 relative to the theoretical curve.  With the synthetic
 default transfer curves the absolute dB numbers are illustrative; the
 robust observation is the ordering: independent streams pay more than
 identical streams, and both pay something.  The exit status is 1 when that
-ordering does not hold.
+ordering does not hold, and 2 on a configuration error such as --bits
+below 10,000.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dpris.campaign import coupling_penalty_report, run_ber_sweep, write_ber_csv
-from dpris.config import CampaignConfig
+from dpris.config import CampaignConfig, ConfigError
 
 
 def main() -> int:
@@ -37,13 +38,16 @@ def main() -> int:
     parser.add_argument("--force", action="store_true")
     args = parser.parse_args()
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    base = CampaignConfig(seed=args.seed, bits_per_point=args.bits)
+    try:
+        base = CampaignConfig(seed=args.seed, bits_per_point=args.bits)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     coupled = replace(
         base, fidelity="B", coupling=True, ebn0_grid_db=tuple(float(x) for x in range(8, 30, 2))
     )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(name, cfg, result):
         write_ber_csv(result, cfg, out_dir / name, force=args.force)

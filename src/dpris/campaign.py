@@ -39,7 +39,7 @@ from .config import (
     STREAMS,
     config_hash,
 )
-from .hardware import HardwareConfig, default_lut, distort_reflection, load_lut_csv
+from .hardware import HardwareConfig, PhaseVoltageLut, default_lut, distort_reflection, load_lut_csv
 from .model import ChannelSet, ReflectionVector, attenuation_from, received_full, received_reduced
 from .modulation import (
     CONSTELLATION16,
@@ -167,6 +167,21 @@ class _ChunkBuffers:
         self.work = np.empty(3 * STREAMS * capacity)
 
 
+def _named_lut(config: CampaignConfig) -> PhaseVoltageLut | None:
+    """The transfer curves ``config.lut_csv`` names, or None when it names none.
+
+    Every command calls this, even where the curves go unused, so a bad path
+    never passes silently: an unreadable file stays an OSError, and a
+    malformed one is a :class:`ConfigError` on ``lut_csv``.
+    """
+    if not config.lut_csv:
+        return None
+    try:
+        return load_lut_csv(config.lut_csv)
+    except ValueError as exc:
+        raise ConfigError("lut_csv", str(exc)) from exc
+
+
 class LinkEngine:
     """Precomputed link state shared by every chunk of a campaign.
 
@@ -196,26 +211,22 @@ class LinkEngine:
             [closed_form_value(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in self.params16]
         )
 
-        self.lut = None
+        self.lut = _named_lut(config)
         self.hw_active: HardwareConfig | None = None
         self.table_b0 = self.table_b1 = None
-        # A malformed LUT row, or a curve too narrow to realize every ramp
-        # phase, is bad input; an unreadable file stays an OSError.  A named
-        # LUT is loaded at fidelity A too, so a bad path never passes silently.
-        try:
-            if config.lut_csv:
-                self.lut = load_lut_csv(config.lut_csv)
-            if config.fidelity == "B":
-                self.hw_active = (
-                    config.hardware
-                    if config.coupling
-                    else replace(config.hardware, isolation_db=float("inf"))
-                )
-                if self.lut is None:
-                    self.lut = default_lut()
+        if config.fidelity == "B":
+            self.hw_active = (
+                config.hardware
+                if config.coupling
+                else replace(config.hardware, isolation_db=float("inf"))
+            )
+            if self.lut is None:
+                self.lut = default_lut()
+            # A curve too narrow to realize every ramp phase is bad input too.
+            try:
                 self.table_b0, self.table_b1 = self._pair_harmonic_tables()
-        except ValueError as exc:
-            raise ConfigError("lut_csv", str(exc)) from exc
+            except ValueError as exc:
+                raise ConfigError("lut_csv", str(exc)) from exc
 
         self._ghat_static = self._static_ghat()
 
@@ -686,6 +697,7 @@ def run_oracle_check(
     suites evaluate their cases in blocks of :data:`ORACLE_BLOCK`; the model
     identity suite runs case by case through the public received-signal
     forms."""
+    _named_lut(config)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0xAC, 0)))
     suites = (
         _suite_harmonic(config, rng, closed_form_fn),
@@ -716,12 +728,12 @@ def run_file_loopback(
     except OSError as exc:
         raise OSError(f"cannot read {input_path}: {exc}") from exc
 
+    engine = LinkEngine(replace(config, fidelity="B"))
     if len(payload) == 0:
         with _open_output(output_path, force, binary=True):
             pass
         return LoopbackResult(bytes_in=0, bytes_out=0, record=None)
 
-    engine = LinkEngine(replace(config, fidelity="B"))
     noise_power = engine.noise_power(config.loopback_ebn0_db)
     w = engine.zf_for_point(0, config.loopback_ebn0_db, noise_power)
 
@@ -770,6 +782,7 @@ class WaveformExport:
 
 def export_waveform(config: CampaignConfig, out_path, force: bool = False) -> WaveformExport:
     """Write the sampled ramp waveform as CSV and return its harmonic table."""
+    _named_lut(config)
     wcfg = config.waveform_export
     ts = config.symbol_period_s
     params = TmSymbolParams(

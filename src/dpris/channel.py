@@ -115,8 +115,6 @@ class ChannelModelSpec:
     def cross_scale(self) -> float:
         if self.cross_polarization_discrimination_db is None:
             return 0.0
-        if np.isinf(self.cross_polarization_discrimination_db):
-            return 0.0
         return float(10.0 ** (-self.cross_polarization_discrimination_db / 20.0))
 
 

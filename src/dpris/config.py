@@ -6,7 +6,9 @@ degree feed, 2.5 MSps, 16 dB isolation), so an empty config reproduces the
 bench-scale scenario with one command.  Every JSON value is checked against
 the annotation of the dataclass field it sets, in the root and every
 section; violations are reported with their full key path and exit the CLI
-with code 2.
+with code 2.  Every dataclass checks its own ranges and cross-field rules in
+``__post_init__``, so a config built in Python, directly or through
+``dataclasses.replace``, is held to the same rules as one loaded from JSON.
 """
 
 from __future__ import annotations
@@ -101,6 +103,41 @@ class CampaignConfig:
     oracle: OracleCheckConfig = field(default_factory=OracleCheckConfig)
     waveform_export: WaveformExportConfig = field(default_factory=WaveformExportConfig)
 
+    def __post_init__(self):
+        """Root and cross-field rules; each raises a :class:`ConfigError` on its key."""
+        if self.mode not in MODES:
+            raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
+        if self.fidelity not in FIDELITIES:
+            raise ConfigError("fidelity", f"must be one of {FIDELITIES}, got {self.fidelity!r}")
+        if self.stream_relation not in STREAM_RELATIONS:
+            raise ConfigError(
+                "stream_relation",
+                f"must be one of {STREAM_RELATIONS}, got {self.stream_relation!r}",
+            )
+        if self.csi not in CSI_MODES:
+            raise ConfigError("csi", f"must be one of {CSI_MODES}, got {self.csi!r}")
+        if len(self.ebn0_grid_db) == 0:
+            raise ConfigError("ebn0_grid_db", "grid must be non-empty")
+        if self.bits_per_point < MIN_BITS_PER_POINT:
+            raise ConfigError(
+                "bits_per_point",
+                f"must be at least {MIN_BITS_PER_POINT}, got {self.bits_per_point}",
+            )
+        if self.symbol_rate_sps <= 0:
+            raise ConfigError("symbol_rate_sps", "must be positive")
+        if self.samples_per_symbol < 2:
+            raise ConfigError("samples_per_symbol", "must be at least 2")
+        if self.pilot_length < 2 or self.pilot_length % 2 != 0:
+            raise ConfigError("pilot_length", "must be an even number >= 2")
+        if self.coupling and self.fidelity != "B":
+            raise ConfigError(
+                "coupling", "voltage coupling is a waveform-level impairment; requires fidelity B"
+            )
+        if not self.seed >= 0:
+            raise ConfigError("seed", "must be a non-negative integer")
+        if self.carrier_power_watts <= 0:
+            raise ConfigError("carrier_power_watts", "must be positive")
+
     @property
     def symbol_period_s(self) -> float:
         return 1.0 / self.symbol_rate_sps
@@ -109,41 +146,6 @@ class CampaignConfig:
     def throughput_bps(self) -> float:
         """Streams x bits-per-symbol x symbol rate; 20 Mbps at defaults."""
         return STREAMS * BITS_PER_SYMBOL * self.symbol_rate_sps
-
-
-def validate_config(cfg: CampaignConfig) -> CampaignConfig:
-    """Cross-field checks beyond what the dataclass constructors enforce."""
-    if cfg.mode not in MODES:
-        raise ConfigError("mode", f"must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.fidelity not in FIDELITIES:
-        raise ConfigError("fidelity", f"must be one of {FIDELITIES}, got {cfg.fidelity!r}")
-    if cfg.stream_relation not in STREAM_RELATIONS:
-        raise ConfigError(
-            "stream_relation", f"must be one of {STREAM_RELATIONS}, got {cfg.stream_relation!r}"
-        )
-    if cfg.csi not in CSI_MODES:
-        raise ConfigError("csi", f"must be one of {CSI_MODES}, got {cfg.csi!r}")
-    if len(cfg.ebn0_grid_db) == 0:
-        raise ConfigError("ebn0_grid_db", "grid must be non-empty")
-    if cfg.bits_per_point < MIN_BITS_PER_POINT:
-        raise ConfigError(
-            "bits_per_point", f"must be at least {MIN_BITS_PER_POINT}, got {cfg.bits_per_point}"
-        )
-    if cfg.symbol_rate_sps <= 0:
-        raise ConfigError("symbol_rate_sps", "must be positive")
-    if cfg.samples_per_symbol < 2:
-        raise ConfigError("samples_per_symbol", "must be at least 2")
-    if cfg.pilot_length < 2 or cfg.pilot_length % 2 != 0:
-        raise ConfigError("pilot_length", "must be an even number >= 2")
-    if cfg.coupling and cfg.fidelity != "B":
-        raise ConfigError(
-            "coupling", "voltage coupling is a waveform-level impairment; requires fidelity B"
-        )
-    if not cfg.seed >= 0:
-        raise ConfigError("seed", "must be a non-negative integer")
-    if cfg.carrier_power_watts <= 0:
-        raise ConfigError("carrier_power_watts", "must be positive")
-    return cfg
 
 
 # Strings that a JSON config may use for a field's None value.
@@ -217,6 +219,8 @@ def _merge(cls, raw, path: str):
         values[key] = _check_value(val, field_types[key], key_path)
     try:
         return cls(**values)
+    except ConfigError:  # already names its key
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(path or "<root>", str(exc)) from exc
 
@@ -227,7 +231,7 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     Unknown keys are rejected with their path so typos surface instead of
     silently falling back to defaults.
     """
-    return validate_config(_merge(CampaignConfig, raw, ""))
+    return _merge(CampaignConfig, raw, "")
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> CampaignConfig:

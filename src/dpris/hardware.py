@@ -78,14 +78,14 @@ class PhaseVoltageLut:
         return int(np.count_nonzero((v < lo) | (v > hi)))
 
 
-def default_lut(points: int = _DEFAULT_LUT_POINTS) -> PhaseVoltageLut:
+def default_lut() -> PhaseVoltageLut:
     """Synthetic default transfer curves over 0..20 V.
 
     Normalized tanh shapes spanning exactly [0, 2*pi] so every ramp phase is
     realizable.  Synthetic stand-ins for unpublished measured curves.
     """
     v_lo, v_hi = DEFAULT_VOLTAGE_RANGE
-    grid = np.linspace(v_lo, v_hi, points)
+    grid = np.linspace(v_lo, v_hi, _DEFAULT_LUT_POINTS)
     volts = []
     phases = []
     for pol in Polarization:
@@ -172,8 +172,6 @@ def ideal_hardware() -> HardwareConfig:
 
 def coupling_factor(isolation_db: float) -> float:
     """Linear voltage coupling factor kappa = 10^(-isolation/20); inf -> 0."""
-    if np.isinf(isolation_db):
-        return 0.0
     return float(10.0 ** (-isolation_db / 20.0))
 
 
@@ -240,8 +238,6 @@ def reflection_amplitude(v, pol: Polarization, lut: PhaseVoltageLut, hw: Hardwar
     excursion ``amplitude_ripple_db``, bounding the fluctuation without
     inventing a stochastic model.
     """
-    if hw.amplitude_ripple_db == 0.0:
-        return hw.base_reflection_amplitude * np.ones_like(np.asarray(v, dtype=float))
     lo, hi = lut.voltage_span(pol)
     ripple_db = 0.5 * hw.amplitude_ripple_db * np.sin(TWO_PI * (np.asarray(v) - lo) / (hi - lo))
     return hw.base_reflection_amplitude * 10.0 ** (ripple_db / 20.0)

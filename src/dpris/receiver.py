@@ -82,10 +82,11 @@ class BerRecord:
     wilson_interval_halfwidth: float
 
 
-def wilson_interval_halfwidth(errors: int, trials: int, z: float = WILSON_Z) -> float:
-    """Half-width of the Wilson score interval for a binomial proportion."""
+def wilson_interval_halfwidth(errors: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = WILSON_Z
     p = errors / trials
     denom = 1.0 + z * z / trials
     return (z / denom) * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
@@ -141,10 +142,10 @@ def zf_equalize(g_hat, y, condition_limit: float = 1e8) -> np.ndarray:
     return zf_matrix(g_hat, condition_limit) @ np.asarray(y, dtype=np.complex128)
 
 
-def demap_indices(points, constellation=CONSTELLATION16) -> np.ndarray:
-    """Vectorized nearest-point demapping (argmin keeps the lowest-index tie)."""
+def demap_indices(points) -> np.ndarray:
+    """Nearest-point demapping onto CONSTELLATION16 (argmin keeps the lowest-index tie)."""
     pts = np.asarray(points, dtype=np.complex128).reshape(-1)
-    d = np.abs(pts[:, None] - np.asarray(constellation)[None, :])
+    d = np.abs(pts[:, None] - CONSTELLATION16[None, :])
     return np.argmin(d, axis=1)
 
 

@@ -112,6 +112,38 @@ def test_config_type_and_range_errors_carry_paths():
         assert err.value.path == path, text
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"mode": "sweep"},
+        {"fidelity": "C"},
+        {"stream_relation": "crossed"},
+        {"csi": "bogus"},
+        {"ebn0_grid_db": ()},
+        {"bits_per_point": 5},
+        {"symbol_rate_sps": 0.0},
+        {"samples_per_symbol": 1},
+        {"pilot_length": 3},
+        {"coupling": True, "fidelity": "A"},
+        {"seed": -1},
+        {"carrier_power_watts": 0.0},
+    ],
+    ids=lambda bad: next(iter(bad)) if len(bad) == 1 else "coupling-fidelity-a",
+)
+def test_root_rules_hold_however_the_config_is_built(bad):
+    errors = []
+    for build in (
+        lambda: config_from_dict(bad),
+        lambda: CampaignConfig(**bad),
+        lambda: replace(CampaignConfig(), **bad),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build()
+        errors.append((err.value.path, str(err.value)))
+    assert errors[0][0] == next(iter(bad))
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+
+
 def test_dac_bits_accepts_ideal_string():
     cfg = config_from_dict({"hardware": {"dac_bits": "ideal"}})
     assert cfg.hardware.dac_bits is None
@@ -301,19 +333,34 @@ BAD_ROW_LUT = ["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"]
 
 
 @pytest.mark.parametrize(
-    "fidelity, rows, code",
+    "command, fidelity, rows, code",
     [
         # polarization 0 spans only half a turn: the ramp phases cannot be realized
-        ("B", ["0,0,0", "0,20,180", "1,0,0", "1,20,360"], 2),
-        ("B", BAD_ROW_LUT, 2),
-        ("B", None, 4),  # no file at all: an I/O error, not a config error
+        ("ber-sweep", "B", ["0,0,0", "0,20,180", "1,0,0", "1,20,360"], 2),
+        ("ber-sweep", "B", BAD_ROW_LUT, 2),
+        ("ber-sweep", "B", None, 4),  # no file at all: an I/O error, not a config error
         # fidelity A never uses the curves, but a named LUT is still checked
-        ("A", BAD_ROW_LUT, 2),
-        ("A", None, 4),
+        ("ber-sweep", "A", BAD_ROW_LUT, 2),
+        ("ber-sweep", "A", None, 4),
+        # nor do these commands, which check it all the same
+        ("oracle-check", "A", BAD_ROW_LUT, 2),
+        ("oracle-check", "A", None, 4),
+        ("export-waveform", "A", BAD_ROW_LUT, 2),
+        ("export-waveform", "A", None, 4),
     ],
-    ids=["narrow", "bad-row", "missing", "bad-row-fidelity-a", "missing-fidelity-a"],
+    ids=[
+        "narrow",
+        "bad-row",
+        "missing",
+        "bad-row-fidelity-a",
+        "missing-fidelity-a",
+        "bad-row-oracle-check",
+        "missing-oracle-check",
+        "bad-row-export-waveform",
+        "missing-export-waveform",
+    ],
 )
-def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, fidelity, rows, code):
+def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, command, fidelity, rows, code):
     lut = tmp_path / "curves.csv"
     if rows is not None:
         lut.write_text("\n".join(["polarization,voltage_volts,phase_degrees", *rows]) + "\n")
@@ -321,7 +368,9 @@ def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, fidelity, rows, code):
     cfgfile.write_text(
         json.dumps({"fidelity": fidelity, "lut_csv": str(lut), "ebn0_grid_db": [20.0], "bits_per_point": 20000})
     )
-    argv = ["ber-sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+    argv = [command, "--config", str(cfgfile)]
+    if command != "oracle-check":
+        argv += ["--out", str(tmp_path / "o.csv")]
     assert main(argv) == code
     assert not (tmp_path / "o.csv").exists()
     err = capsys.readouterr().err
@@ -745,3 +794,14 @@ def test_default_campaign_script_writes_curves_and_penalty(tmp_path):
     assert "independent streams: crossing" in proc.stdout
     assert "identical streams:   crossing" in proc.stdout
     assert "ordering independent > identical > 0: True" in proc.stdout
+
+    # too few bits a point: a config error before any sweep runs or CSV is written
+    bad_dir = tmp_path / "bad"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(bad_dir), "--bits", "5", "--threads", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: bits_per_point: must be at least 10000")
+    assert not bad_dir.exists()

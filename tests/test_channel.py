@@ -92,11 +92,14 @@ def test_h1_deterministic_bit_identical():
 
 def test_h2_infinite_xpd_zeroes_cross_blocks():
     geo = Geometry(cells_x=2, cells_y=2)
-    h2 = build_h2(geo, ChannelModelSpec())
     n, k = geo.n_cells, geo.k_rx
-    assert np.all(h2[:k, n:] == 0)
-    assert np.all(h2[k:, :n] == 0)
-    assert np.all(h2[:k, :n] != 0)
+    # None (the default) and an explicit infinite discrimination alike
+    for spec in (ChannelModelSpec(), ChannelModelSpec(cross_polarization_discrimination_db=float("inf"))):
+        assert spec.cross_scale == 0.0
+        h2 = build_h2(geo, spec)
+        assert np.all(h2[:k, n:] == 0)
+        assert np.all(h2[k:, :n] == 0)
+        assert np.all(h2[:k, :n] != 0)
 
 
 def test_h2_finite_xpd_scales_cross_blocks():

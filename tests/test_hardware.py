@@ -337,3 +337,10 @@ def test_ideal_hardware_is_transparent():
     assert hw.amplitude_ripple_db == 0.0
     assert hw.base_reflection_amplitude == 1.0
     assert hw.dac_bits is None
+    # zero ripple leaves exactly the base amplitude at every voltage
+    lut = default_lut()
+    v = np.random.default_rng(13).uniform(*DEFAULT_VOLTAGE_RANGE, (64, 32))
+    for base in (1.0, 0.84, 0.7):
+        flat = HardwareConfig(isolation_db=16.0, amplitude_ripple_db=0.0, base_reflection_amplitude=base)
+        for pol in Polarization:
+            assert np.array_equal(reflection_amplitude(v, pol, lut, flat), np.full(v.shape, base))
