@@ -153,18 +153,17 @@ class PilotEstimateError(ValueError):
 
 
 class _ChunkBuffers:
-    """One thread's reusable arrays for chunks of up to ``capacity`` symbols.
+    """One thread's reusable arrays for chunks of up to :data:`CHUNK_SYMBOLS` symbols.
 
     ``work`` is reused down the chunk: pair-table indices, then normal
     draws, then G @ tx, then slicer scratch; ``tx`` holds the transmitted
     block, then s_hat.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.tx = np.empty(STREAMS * capacity, dtype=np.complex128)
-        self.y = np.empty(STREAMS * capacity, dtype=np.complex128)
-        self.work = np.empty(3 * STREAMS * capacity)
+    def __init__(self):
+        self.tx = np.empty(STREAMS * CHUNK_SYMBOLS, dtype=np.complex128)
+        self.y = np.empty(STREAMS * CHUNK_SYMBOLS, dtype=np.complex128)
+        self.work = np.empty(3 * STREAMS * CHUNK_SYMBOLS)
 
 
 def _named_lut(config: CampaignConfig) -> PhaseVoltageLut | None:
@@ -198,15 +197,10 @@ class LinkEngine:
         self.channels = channel_set_from(geometry, config.channel, config.carrier_power_watts)
         self.e = attenuation_from(self.channels)
         self.g = effective_stream_channel(self.channels.h2, self.e, config.carrier_power_watts)
-        self.symbol_period_s = config.symbol_period_s
         self.pilot = default_pilot_block(config.pilot_length)
-        self._pilot_idx = (
-            demap_indices(self.pilot.symbols[0]),
-            demap_indices(self.pilot.symbols[1]),
-        )
 
         # Per-constellation-point ramp parameters and closed-form symbols.
-        self.params16 = qam_to_tm_table(CONSTELLATION16, self.symbol_period_s)
+        self.params16 = qam_to_tm_table(CONSTELLATION16, config.symbol_period_s)
         self.table_a = np.array(
             [closed_form_value(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in self.params16]
         )
@@ -228,13 +222,15 @@ class LinkEngine:
             except ValueError as exc:
                 raise ConfigError("lut_csv", str(exc)) from exc
 
-        self._ghat_static = self._static_ghat()
+        # The pilot block as it arrives without noise, through the active fidelity.
+        pilot_tx = self.tx_symbols(*map(demap_indices, self.pilot.symbols), config.fidelity)
+        self._pilot_rx = self.g @ pilot_tx
 
-    def _buffers(self, n: int) -> _ChunkBuffers:
-        """This thread's chunk buffers, grown to hold ``n`` symbols."""
+    def _buffers(self) -> _ChunkBuffers:
+        """This thread's chunk buffers, built at its first chunk: set-up alone allocates none."""
         buffers = getattr(self._local, "buffers", None)
-        if buffers is None or buffers.capacity < n:
-            buffers = self._local.buffers = _ChunkBuffers(max(n, CHUNK_SYMBOLS))
+        if buffers is None:
+            buffers = self._local.buffers = _ChunkBuffers()
         return buffers
 
     # -- transmitted equivalent symbols ------------------------------------
@@ -297,21 +293,16 @@ class LinkEngine:
 
     # -- receiver state -----------------------------------------------------
 
-    def _static_ghat(self) -> np.ndarray | None:
+    def ghat_for_point(self, point_idx: int, noise_power: float) -> np.ndarray:
+        """The point's channel estimate: G itself, or LS on the received pilot
+        block, noiseless (``calibrated``) or plus the point's AWGN (``pilot``)."""
         if self.cfg.csi == "perfect":
             return self.g
-        if self.cfg.csi == "calibrated":
-            tx = self.tx_symbols(self._pilot_idx[0], self._pilot_idx[1], self.cfg.fidelity)
-            return estimate_channel(self.pilot, self.g @ tx)
-        return None  # noisy pilot estimation happens per grid point
-
-    def ghat_for_point(self, point_idx: int, noise_power: float) -> np.ndarray:
-        if self._ghat_static is not None:
-            return self._ghat_static
-        rng = _point_rng(self.cfg.seed, point_idx, 0)
-        tx = self.tx_symbols(self._pilot_idx[0], self._pilot_idx[1], self.cfg.fidelity)
-        noise = awgn(2 * self.pilot.length, noise_power, rng).reshape(2, -1)
-        return estimate_channel(self.pilot, self.g @ tx + noise)
+        rx = self._pilot_rx
+        if self.cfg.csi == "pilot":
+            rng = _point_rng(self.cfg.seed, point_idx, 0)
+            rx = rx + awgn(2 * self.pilot.length, noise_power, rng).reshape(2, -1)
+        return estimate_channel(self.pilot, rx)
 
     def zf_for_point(self, point_idx: int, ebn0_db: float, noise_power: float) -> np.ndarray:
         """The zero-forcing matrix every chunk of a grid point equalizes with.
@@ -324,7 +315,7 @@ class LinkEngine:
             return zf_matrix(self.ghat_for_point(point_idx, noise_power), limit)
         except SingularChannelError as exc:
             channel_condition = float(np.linalg.cond(self.g))
-            if self._ghat_static is not None or not channel_condition <= limit:
+            if self.cfg.csi != "pilot" or not channel_condition <= limit:
                 raise
             raise PilotEstimateError(ebn0_db, exc, channel_condition) from exc
 
@@ -343,8 +334,9 @@ class LinkEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The chunk kernel: transmit both streams, add noise, equalize, slice.
 
-        ``w`` is the point's zero-forcing matrix (:meth:`zf_for_point`).
-        Returns the detected symbol indices of each stream, in a fresh array.
+        ``w`` is the point's zero-forcing matrix (:meth:`zf_for_point`); a
+        chunk holds at most :data:`CHUNK_SYMBOLS` symbols.  Returns the
+        detected symbol indices of each stream, in a fresh array.
         ``rng`` is the chunk's substream; only the AWGN draw consumes it here.
         The result is bit-identical to ``tx_symbols``, ``awgn``,
         ``g @ tx + noise``, ``zf_equalize`` and ``slicer_demap_indices`` of
@@ -352,7 +344,7 @@ class LinkEngine:
         """
         n = sym0.size
         m = STREAMS * n
-        buf = self._buffers(n)
+        buf = self._buffers()
         tx = self.tx_symbols(
             sym0,
             sym1,
@@ -367,51 +359,42 @@ class LinkEngine:
         rx = slicer_demap_indices(s_hat, scratch=buf.work)
         return rx[:n], rx[n:]
 
-    def _chunk_counts(
-        self,
-        point_idx: int,
-        chunk_idx: int,
-        n_symbols: int,
-        noise_power: float,
-        w: np.ndarray,
-    ) -> tuple[int, int]:
-        rng = _point_rng(self.cfg.seed, point_idx, 1 + chunk_idx)
-        sym0 = rng.integers(0, 16, n_symbols)
-        if self.cfg.stream_relation == "identical":
-            sym1 = sym0
-        else:
-            sym1 = rng.integers(0, 16, n_symbols)
-        rx0, rx1 = self.detect_chunk(sym0, sym1, rng, noise_power, w)
-        return _error_counts(rx0, rx1, sym0, sym1)
+    def run_points(self, ebn0_grid_db, n_bits: int, threads: int = 1) -> tuple[BerRecord, ...]:
+        """One record per grid point, each from at least ``n_bits`` Monte Carlo bits.
 
-    def run_point(
-        self, point_idx: int, ebn0_db: float, n_bits: int, threads: int = 1
-    ) -> BerRecord:
+        Every point's noise power and zero-forcing matrix are resolved first,
+        in grid order, so a :class:`PilotEstimateError` comes before any
+        chunk runs.  Then the chunks of all points share one worker pool.
+        """
         n_symbols = -(-n_bits // (STREAMS * BITS_PER_SYMBOL))
-        noise_power = self.noise_power(ebn0_db)
-        w = self.zf_for_point(point_idx, ebn0_db, noise_power)
+        n_chunks = -(-n_symbols // CHUNK_SYMBOLS)
+        noise_powers = [self.noise_power(ebn0) for ebn0 in ebn0_grid_db]
+        ws = [self.zf_for_point(p, ebn0, noise_powers[p]) for p, ebn0 in enumerate(ebn0_grid_db)]
+        identical = self.cfg.stream_relation == "identical"
 
-        def job(chunk_idx):
+        def job(k):
+            point_idx, chunk_idx = divmod(k, n_chunks)
             size = min(CHUNK_SYMBOLS, n_symbols - chunk_idx * CHUNK_SYMBOLS)
-            return self._chunk_counts(point_idx, chunk_idx, size, noise_power, w)
+            rng = _point_rng(self.cfg.seed, point_idx, 1 + chunk_idx)
+            sym0 = rng.integers(0, 16, size)
+            sym1 = sym0 if identical else rng.integers(0, 16, size)
+            rx0, rx1 = self.detect_chunk(sym0, sym1, rng, noise_powers[point_idx], ws[point_idx])
+            return _error_counts(rx0, rx1, sym0, sym1)
 
-        counts = _map_chunks(job, -(-n_symbols // CHUNK_SYMBOLS), threads)
-        return _ber_record(
-            ebn0_db,
-            STREAMS * BITS_PER_SYMBOL * n_symbols,
-            sum(c[0] for c in counts),
-            sum(c[1] for c in counts),
-        )
+        counts = _map_chunks(job, len(ws) * n_chunks, threads)
+        records = []
+        for p, ebn0 in enumerate(ebn0_grid_db):
+            bit_errors, symbol_errors = map(sum, zip(*counts[p * n_chunks : (p + 1) * n_chunks]))
+            records.append(
+                _ber_record(ebn0, STREAMS * BITS_PER_SYMBOL * n_symbols, bit_errors, symbol_errors)
+            )
+        return tuple(records)
 
 
 def run_ber_sweep(config: CampaignConfig, threads: int = 1) -> CampaignResult:
     """Run the configured Eb/N0 grid and return per-point records."""
     started = time.perf_counter()
-    engine = LinkEngine(config)
-    records = tuple(
-        engine.run_point(p, ebn0, config.bits_per_point, threads)
-        for p, ebn0 in enumerate(config.ebn0_grid_db)
-    )
+    records = LinkEngine(config).run_points(config.ebn0_grid_db, config.bits_per_point, threads)
     theory = tuple(float(theoretical_ber_16qam(e)) for e in config.ebn0_grid_db)
     return CampaignResult(
         records=records,

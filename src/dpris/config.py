@@ -7,8 +7,10 @@ bench-scale scenario with one command.  Every JSON value is checked against
 the annotation of the dataclass field it sets, in the root and every
 section; violations are reported with their full key path and exit the CLI
 with code 2.  Every dataclass checks its own ranges and cross-field rules in
-``__post_init__``, so a config built in Python, directly or through
-``dataclasses.replace``, is held to the same rules as one loaded from JSON.
+``__post_init__``, and ``CampaignConfig`` also runs the annotation checks
+over its fields and each section's, so a config built in Python, directly or
+through ``dataclasses.replace``, is held to the same rules as one loaded
+from JSON.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .channel import ChannelModelSpec, Geometry
 from .hardware import HardwareConfig
+from .modulation import QAM16_BITS_PER_SYMBOL as BITS_PER_SYMBOL
 
 MODES = ("ber_sweep", "oracle_check", "waveform_export", "file_loopback")
 FIDELITIES = ("A", "B")
@@ -30,7 +33,6 @@ STREAM_RELATIONS = ("independent", "identical")
 CSI_MODES = ("perfect", "calibrated", "pilot")
 
 STREAMS = 2
-BITS_PER_SYMBOL = 4
 MIN_BITS_PER_POINT = 10_000
 
 
@@ -97,14 +99,27 @@ class CampaignConfig:
     carrier_power_watts: float = 1.0
     lut_csv: str | None = None
     loopback_ebn0_db: float = 30.0
-    geometry: Geometry = field(default_factory=Geometry)
-    channel: ChannelModelSpec = field(default_factory=ChannelModelSpec)
-    hardware: HardwareConfig = field(default_factory=HardwareConfig)
-    oracle: OracleCheckConfig = field(default_factory=OracleCheckConfig)
-    waveform_export: WaveformExportConfig = field(default_factory=WaveformExportConfig)
+    # Sections are frozen, so every config can share one default instance.
+    geometry: Geometry = Geometry()
+    channel: ChannelModelSpec = ChannelModelSpec()
+    hardware: HardwareConfig = HardwareConfig()
+    oracle: OracleCheckConfig = OracleCheckConfig()
+    waveform_export: WaveformExportConfig = WaveformExportConfig()
 
     def __post_init__(self):
-        """Root and cross-field rules; each raises a :class:`ConfigError` on its key."""
+        """Annotation checks, then root and cross-field rules; each raises a
+        :class:`ConfigError` on its key.
+
+        Every field, and every field of each section, is checked as a JSON
+        value would be, and the checked value is stored, so equal values
+        hash equally however the config was built.  A field still holding
+        its default object needs no check, which keeps a config load in
+        microseconds.
+        """
+        for name, tp in _field_types(CampaignConfig).items():
+            val = getattr(self, name)
+            if val is not getattr(CampaignConfig, name):  # the class attribute is the default
+                object.__setattr__(self, name, _check_value(val, tp, name))
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
         if self.fidelity not in FIDELITIES:
@@ -125,6 +140,11 @@ class CampaignConfig:
             )
         if self.symbol_rate_sps <= 0:
             raise ConfigError("symbol_rate_sps", "must be positive")
+        if not math.isfinite(self.symbol_period_s):
+            raise ConfigError(
+                "symbol_rate_sps",
+                f"symbol period 1/{self.symbol_rate_sps!r} s overflows; the rate is too small",
+            )
         if self.samples_per_symbol < 2:
             raise ConfigError("samples_per_symbol", "must be at least 2")
         if self.pilot_length < 2 or self.pilot_length % 2 != 0:
@@ -159,11 +179,28 @@ _SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "
 def _check_value(val, tp, path: str, nested: bool = False):
     """Check one JSON value against a field annotation; return the field value.
 
-    A number inside an optional or a tuple annotated ``float`` becomes a
-    float, while a bare ``float`` field keeps a JSON integer as given; both
-    rules keep existing config hashes stable.
+    A section may also be given as an instance of its dataclass, whose
+    fields are then checked as a JSON object's would be.  A number inside an
+    optional or a tuple annotated ``float`` becomes a float, while a bare
+    ``float`` field keeps a JSON integer as given; both rules keep existing
+    config hashes stable.
     """
+    if tp in _SCALAR_NAMES:
+        accepted = (int, float) if tp is float else tp
+        if isinstance(val, bool) != (tp is bool) or not isinstance(val, accepted):
+            raise ConfigError(path, f"expected {_SCALAR_NAMES[tp]}, got {val!r}")
+        if tp is not float:
+            return val
+        try:
+            as_float = float(val)
+        except OverflowError:  # an integer beyond the float range
+            as_float = math.inf
+        if not math.isfinite(as_float):
+            raise ConfigError(path, f"must be finite, got {val!r}")
+        return as_float if nested else val
     if is_dataclass(tp):
+        if isinstance(val, tp):
+            val = {name: getattr(val, name) for name in _field_types(tp)}
         return tp() if val is None else _merge(tp, val, path)
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):  # "X | None"
@@ -171,28 +208,16 @@ def _check_value(val, tp, path: str, nested: bool = False):
             return None
         inner = next(a for a in args if a is not type(None))
         return _check_value(val, inner, path, nested=True)
-    if origin is tuple:
-        if not isinstance(val, (list, tuple)):
-            raise ConfigError(path, f"expected a list, got {val!r}")
-        item_types = args[:1] * len(val) if args[-1] is Ellipsis else args
-        if len(item_types) != len(val):
-            raise ConfigError(path, f"expected {len(item_types)} entries, got {len(val)}")
-        return tuple(
-            _check_value(v, t, f"{path}[{i}]", nested=True)
-            for i, (v, t) in enumerate(zip(val, item_types))
-        )
-    accepted = (int, float) if tp is float else tp
-    if isinstance(val, bool) != (tp is bool) or not isinstance(val, accepted):
-        raise ConfigError(path, f"expected {_SCALAR_NAMES[tp]}, got {val!r}")
-    if tp is not float:
-        return val
-    try:
-        as_float = float(val)
-    except OverflowError:  # an integer beyond the float range
-        as_float = math.inf
-    if not math.isfinite(as_float):
-        raise ConfigError(path, f"must be finite, got {val!r}")
-    return as_float if nested else val
+    # The one annotation left is a tuple.
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError(path, f"expected a list, got {val!r}")
+    item_types = args[:1] * len(val) if args[-1] is Ellipsis else args
+    if len(item_types) != len(val):
+        raise ConfigError(path, f"expected {len(item_types)} entries, got {len(val)}")
+    return tuple(
+        _check_value(v, t, f"{path}[{i}]", nested=True)
+        for i, (v, t) in enumerate(zip(val, item_types))
+    )
 
 
 @functools.cache

@@ -144,7 +144,7 @@ def test_c4_noiseless_loopback_zero_errors():
     started = time.perf_counter()
     cfg = CampaignConfig(csi="perfect", seed=1)
     engine = LinkEngine(cfg)
-    record = engine.run_point(0, float("inf"), 800_000)  # 1e5 symbols per stream
+    (record,) = engine.run_points((float("inf"),), 800_000)  # 1e5 symbols per stream
     elapsed = time.perf_counter() - started
     ok = record.bit_errors == 0 and record.symbol_errors == 0 and elapsed < 10.0
     report(
@@ -231,8 +231,8 @@ def test_c7_cross_fidelity_agreement():
         samples_per_symbol=4096,
         csi="perfect",
         seed=1,
+        # coupling=False already runs the control path at infinite isolation.
         hardware=HardwareConfig(
-            isolation_db=float("inf"),
             dac_bits=None,
             amplitude_ripple_db=0.0,
             base_reflection_amplitude=1.0,

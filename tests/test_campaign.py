@@ -3,8 +3,10 @@
 import json
 import subprocess
 import sys
+from concurrent import futures
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +129,11 @@ def test_config_type_and_range_errors_carry_paths():
         {"coupling": True, "fidelity": "A"},
         {"seed": -1},
         {"carrier_power_watts": 0.0},
+        # The annotation checks: type and finiteness, as on the JSON path.
+        pytest.param({"ebn0_grid_db": (float("nan"),)}, id="ebn0_grid_db-nan"),
+        pytest.param({"bits_per_point": 20_000.5}, id="bits_per_point-fraction"),
+        pytest.param({"seed": "x"}, id="seed-string"),
+        pytest.param({"symbol_rate_sps": 1e-310}, id="symbol_rate_sps-period-overflow"),
     ],
     ids=lambda bad: next(iter(bad)) if len(bad) == 1 else "coupling-fidelity-a",
 )
@@ -140,8 +147,19 @@ def test_root_rules_hold_however_the_config_is_built(bad):
         with pytest.raises(ConfigError) as err:
             build()
         errors.append((err.value.path, str(err.value)))
-    assert errors[0][0] == next(iter(bad))
+    assert errors[0][0].partition("[")[0] == next(iter(bad))  # an entry's path adds its index
     assert errors[1] == errors[0] and errors[2] == errors[0]
+
+
+def test_python_built_values_are_stored_as_json_would_store_them():
+    # A copy of the default geometry is not the default object, so it is checked.
+    built = CampaignConfig(ebn0_grid_db=[4, 6], geometry=replace(CampaignConfig().geometry))
+    assert built.ebn0_grid_db == (4.0, 6.0)
+    assert config_hash(built) == config_hash(config_from_dict({"ebn0_grid_db": [4, 6]}))
+    assert config_hash(CampaignConfig()) == config_hash(config_from_dict({})) == "9803877346666a6b"
+    with pytest.raises(ConfigError) as err:
+        CampaignConfig(geometry=replace(CampaignConfig().geometry, cells_x=2.5))
+    assert err.value.path == "geometry.cells_x"
 
 
 def test_dac_bits_accepts_ideal_string():
@@ -226,9 +244,8 @@ def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_d
     assert (noise_power == 0.0) == (ebn0_db == float("inf"))
     ghat = engine.ghat_for_point(0, noise_power)
     w = engine.zf_for_point(0, ebn0_db, noise_power)
-    # Full, short, full on one engine, so stale buffer contents would show;
-    # then a block longer than a chunk, which grows the buffers.
-    for chunk, n in enumerate((CHUNK_SYMBOLS, 1001, CHUNK_SYMBOLS, CHUNK_SYMBOLS + 5)):
+    # Full, short, full on one engine, so stale buffer contents would show.
+    for chunk, n in enumerate((CHUNK_SYMBOLS, 1001, CHUNK_SYMBOLS)):
         draw = np.random.default_rng([5, chunk])
         sym0 = draw.integers(0, 16, n)
         sym1 = sym0 if relation == "identical" else draw.integers(0, 16, n)
@@ -243,7 +260,7 @@ def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_d
             sym0.astype(np.uint8), sym1.astype(np.uint8), np.random.default_rng([9, chunk]), noise_power, w
         )
         assert np.array_equal(payload[0], want[0]) and np.array_equal(payload[1], want[1])
-        buffers = engine._buffers(n)
+        buffers = engine._buffers()
         for rx in got:
             for buf in (buffers.tx, buffers.y, buffers.work):
                 assert not np.shares_memory(rx, buf)
@@ -265,6 +282,57 @@ def test_zf_matrix_runs_once_per_grid_point(monkeypatch, tmp_path):
     src.write_bytes(np.random.default_rng(1).bytes(20_000))  # 3 chunks
     run_file_loopback(src, tmp_path / "out.bin", cfg, threads=2)
     assert len(calls) == 4
+
+
+def test_a_sweep_starts_one_worker_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "futures", SimpleNamespace(ThreadPoolExecutor=CountingPool))
+    cfg = small_config(ebn0_grid_db=(6.0, 8.0, 10.0), bits_per_point=300_000)  # 3 chunks a point
+    run_ber_sweep(cfg, threads=2)
+    assert len(pools) == 1
+
+
+def test_pilot_estimate_error_comes_before_any_chunk(monkeypatch):
+    monkeypatch.setattr(LinkEngine, "detect_chunk", lambda *args: pytest.fail("a chunk ran"))
+    # Only the second point's noisy estimate exceeds the limit (cond(G) = 1).
+    cfg = small_config(csi="pilot", ebn0_grid_db=(20.0, -10.0), zf_condition_limit=1.5)
+    with pytest.raises(campaign.PilotEstimateError, match="Eb/N0 -10 dB"):
+        run_ber_sweep(cfg, threads=2)
+
+
+@pytest.mark.parametrize(
+    "overrides, counts",
+    [
+        ({"ebn0_grid_db": (4.0, 8.0)}, [(8627, 8119), (1354, 1343)]),
+        (
+            {"fidelity": "B", "coupling": True, "csi": "pilot", "ebn0_grid_db": (6.0, 12.0)},
+            [(9412, 8817), (1075, 1068)],
+        ),
+        (
+            {
+                "fidelity": "B",
+                "coupling": True,
+                "stream_relation": "identical",
+                "csi": "perfect",
+                "ebn0_grid_db": (6.0, 12.0),
+            },
+            [(7615, 7163), (734, 726)],
+        ),
+    ],
+    ids=["A-calibrated", "B-pilot-independent", "B-identical-perfect"],
+)
+def test_sweep_error_counts_are_frozen(overrides, counts):
+    # Two chunks a point, the second one short.  A change to the seed
+    # substreams, the chunk split or the kernel's arithmetic moves these.
+    result = run_ber_sweep(small_config(bits_per_point=150_000, **overrides), threads=2)
+    assert [(r.bit_errors, r.symbol_errors) for r in result.records] == counts
+    assert [r.bits_sent for r in result.records] == [150_000, 150_000]
 
 
 def test_map_chunks_keeps_order_and_runs_one_chunk_inline():
