@@ -11,13 +11,18 @@ same worker pool; loopback feeds it payload symbols instead of drawn ones.
 Fidelity A runs the symbol-domain model (closed-form equivalent baseband
 through the aggregate 2x2 stream channel).  Fidelity B runs the waveform
 domain: every distinct pair of stream symbols is pushed through the full
-control-path pipeline once per campaign (256 pairs x M samples), the
-single-bin correlator reduces each pair to its received symbol, and chunks
-then index that table.  The table shortcut is exact because the channel and
-the correlator are linear; a test pins it against the direct per-symbol
-waveform path.  Receiver noise enters after the correlator with the
-correlator-output variance, which is distributionally identical to
-per-sample noise at M times that power.
+control-path pipeline once per campaign, the single-bin correlator reduces
+each pair to its received symbol, and chunks then index that table.  The
+per-polarization stages (ramp phase, inverse curve, DAC) run once per
+distinct symbol, 16 rows x M samples per polarization; the stages from the
+voltage coupling on run once per pair, 256 rows x M samples.  The table
+shortcut is exact because the channel and the correlator are linear; a test
+pins it against the direct per-symbol waveform path.  Receiver noise enters
+after the correlator with the correlator-output variance, which is
+distributionally identical to per-sample noise at M times that power.
+A control path that leaves the float range (a non-finite received symbol,
+or an overflow, division by zero or invalid value on the way) is a
+:class:`ConfigError`, never a table.
 """
 
 from __future__ import annotations
@@ -201,8 +206,10 @@ class LinkEngine:
 
         # Per-constellation-point ramp parameters and closed-form symbols.
         self.params16 = qam_to_tm_table(CONSTELLATION16, config.symbol_period_s)
-        self.table_a = np.array(
-            [closed_form_value(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in self.params16]
+        self.table_a = closed_form_value(
+            np.array([p.delta_phi for p in self.params16]),
+            np.array([p.t_shift_s for p in self.params16]),
+            config.symbol_period_s,
         )
 
         self.lut = _named_lut(config)
@@ -216,9 +223,20 @@ class LinkEngine:
             )
             if self.lut is None:
                 self.lut = default_lut()
-            # A curve too narrow to realize every ramp phase is bad input too.
+            # A curve too narrow to realize every ramp phase is bad input too,
+            # and so are curves and settings the control path cannot carry
+            # through floats: a non-finite table would only yield a made-up BER.
             try:
-                self.table_b0, self.table_b1 = self._pair_harmonic_tables()
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    self.table_b0, self.table_b1 = self._pair_harmonic_tables()
+                    if not (np.isfinite(self.table_b0).all() and np.isfinite(self.table_b1).all()):
+                        raise FloatingPointError("a received symbol is not finite")
+            except FloatingPointError as exc:
+                raise ConfigError(
+                    "lut_csv" if config.lut_csv else "hardware",
+                    f"the control path leaves the float range with these transfer curves "
+                    f"and hardware settings ({exc})",
+                ) from exc
             except ValueError as exc:
                 raise ConfigError("lut_csv", str(exc)) from exc
 

@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -147,6 +148,18 @@ class CampaignConfig:
             )
         if self.samples_per_symbol < 2:
             raise ConfigError("samples_per_symbol", "must be at least 2")
+        # The CSV header carries the throughput.  The ramp samples a symbol at
+        # spacing Ts / samples_per_symbol; below the smallest normal float its
+        # phases lose precision, then turn NaN.
+        if not (
+            math.isfinite(self.throughput_bps)
+            and self.symbol_period_s / self.samples_per_symbol >= sys.float_info.min
+        ):
+            raise ConfigError(
+                "symbol_rate_sps",
+                f"rate {self.symbol_rate_sps!r} is too large: the throughput or the sample "
+                f"spacing 1/(rate * samples_per_symbol) leaves the float range",
+            )
         if self.pilot_length < 2 or self.pilot_length % 2 != 0:
             raise ConfigError("pilot_length", "must be an even number >= 2")
         if self.coupling and self.fidelity != "B":

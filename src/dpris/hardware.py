@@ -53,6 +53,8 @@ class PhaseVoltageLut:
             p = np.array(self.phases[pol], dtype=float)
             if v.ndim != 1 or v.size < 2 or v.shape != p.shape:
                 raise ValueError("each polarization needs matching 1-d tables with >= 2 points")
+            if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+                raise ValueError(f"voltages and phases for polarization {int(pol)} must be finite")
             if not np.all(np.diff(v) > 0):
                 raise ValueError(f"voltages for polarization {int(pol)} must be strictly increasing")
             if not np.all(np.diff(p) > 0):
@@ -156,6 +158,12 @@ class HardwareConfig:
             raise ValueError("dac_bits must be >= 1 or None for ideal")
         if self.amplitude_ripple_db < 0:
             raise ValueError("amplitude_ripple_db must be non-negative")
+        try:  # the largest gain reflection_amplitude can apply
+            10.0 ** (0.5 * self.amplitude_ripple_db / 20.0)
+        except OverflowError:
+            raise ValueError(
+                f"amplitude_ripple_db {self.amplitude_ripple_db!r} overflows the reflection amplitude"
+            ) from None
         if not 0.0 < self.base_reflection_amplitude <= 1.0:
             raise ValueError("base_reflection_amplitude must lie in (0, 1]")
 
@@ -263,27 +271,38 @@ def distort_reflection(
     base amplitude with ripple.  With coupling off, an ideal DAC and zero
     ripple this reduces to ``base_amplitude * waveform(params)`` exactly up
     to curve interpolation rounding.
+
+    The stages before coupling see one polarization alone, so they run once
+    per distinct symbol of each stream (16 rows for a 16-QAM stream, however
+    long), and their rows are then gathered into symbol order.  Coupling and
+    every later stage run once per symbol pair.  Every stage is elementwise
+    along its row, so a gathered row is the same IEEE result as one computed
+    in place.
     """
     if len(stream0_params) != len(stream1_params):
         raise ValueError("streams must carry the same number of symbols")
     if samples < 2:
         raise ValueError("samples must be at least 2")
 
-    def intended_voltages(params_seq, pol):
-        # One row per symbol; the arithmetic is elementwise, so each row is
-        # the same IEEE result as a per-symbol ramp_phase call.
-        rows = np.array([(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in params_seq])
-        delta_phi, t_shift, period = rows.reshape(-1, 3).T[:, :, None]  # (n, 1) columns
+    def dac_voltages(params_seq, pol):
+        # Distinct params keyed by value, in first-seen order; each symbol
+        # keeps the index of its row.
+        rows: dict = {}
+        index = np.array([rows.setdefault(p, len(rows)) for p in params_seq], dtype=np.intp)
+        ramps = np.array([(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in rows])
+        delta_phi, t_shift, period = ramps.reshape(-1, 3).T[:, :, None]  # (k, 1) columns
         t = np.arange(samples) * (period / samples)
-        return phase_to_voltage(ramp_phase(delta_phi, t_shift, period, t), pol, lut)
+        volts = phase_to_voltage(ramp_phase(delta_phi, t_shift, period, t), pol, lut)
+        lo, hi = lut.voltage_span(pol)
+        return quantize_dac(volts, hw.dac_bits, lo, hi)[index]
 
-    v0 = intended_voltages(stream0_params, Polarization.POL0)
-    v1 = intended_voltages(stream1_params, Polarization.POL1)
+    v0, v1 = apply_coupling(
+        dac_voltages(stream0_params, Polarization.POL0),
+        dac_voltages(stream1_params, Polarization.POL1),
+        hw.isolation_db,
+    )
     lo0, hi0 = lut.voltage_span(Polarization.POL0)
     lo1, hi1 = lut.voltage_span(Polarization.POL1)
-    v0 = quantize_dac(v0, hw.dac_bits, lo0, hi0)
-    v1 = quantize_dac(v1, hw.dac_bits, lo1, hi1)
-    v0, v1 = apply_coupling(v0, v1, hw.isolation_db)
     clipped0 = lut.count_out_of_range(v0, Polarization.POL0)
     clipped1 = lut.count_out_of_range(v1, Polarization.POL1)
     v0 = np.clip(v0, lo0, hi0)

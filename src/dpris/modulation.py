@@ -218,11 +218,14 @@ def harmonic_exact(params: TmSymbolParams, order: int) -> HarmonicCoefficient:
 def qam_to_tm_table(targets, symbol_period_s: float) -> tuple[TmSymbolParams, ...]:
     """Invert the closed form: find (delta_phi, t_shift) hitting each QAM target.
 
-    Each amplitude is recovered by bisecting the strictly increasing harmonic
-    amplitude on [1e-12, 2*pi], all targets at once as numpy lanes, for at
-    most 200 steps.  The loop stops early once every lane's midpoint equals
-    its lo or its hi (adjacent doubles): from there every further step leaves
-    the final midpoint unchanged, so the result is the full 200-step one.
+    An amplitude of 1 or more maps to delta_phi = 2*pi.  Every distinct
+    amplitude below 1 is recovered by bisecting the strictly increasing
+    harmonic amplitude on [1e-12, 2*pi], one numpy lane each (16-QAM has two
+    such rings), for at most 200 steps.  The loop stops early once every
+    lane's midpoint equals its lo or its hi (adjacent doubles): from there
+    every further step leaves the final midpoint unchanged, so the result is
+    the full 200-step one.  Lanes never interact, so each target's result is
+    the one a single-target call gives.
     Amplitudes come from Python's ``abs(complex(t))`` on purpose: ``np.abs``
     differs by one ulp on the 16-QAM middle ring, which moves delta_phi.
     The time shift then follows per point in closed form from the phase
@@ -237,16 +240,19 @@ def qam_to_tm_table(targets, symbol_period_s: float) -> tuple[TmSymbolParams, ..
             )
         if amp > 1.0 + 1e-12:
             raise ValueError(f"target amplitude {amp} exceeds the reachable maximum 1")
-    lo = np.full(amps.shape, 1e-12)
-    hi = np.full(amps.shape, TWO_PI)
+    inner = amps < 1.0
+    lanes, lane_of = np.unique(amps[inner], return_inverse=True)
+    lo = np.full(lanes.shape, 1e-12)
+    hi = np.full(lanes.shape, TWO_PI)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break
-        below = ramp_harmonic_amplitude(mid) < amps
+        below = ramp_harmonic_amplitude(mid) < lanes
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    delta_phis = np.where(amps >= 1.0, TWO_PI, 0.5 * (lo + hi))
+    delta_phis = np.full(amps.shape, TWO_PI)
+    delta_phis[inner] = (0.5 * (lo + hi))[lane_of]
     out = []
     for point, delta_phi in zip(points, delta_phis.tolist()):
         theta = np.angle(point)

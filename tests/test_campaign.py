@@ -134,6 +134,7 @@ def test_config_type_and_range_errors_carry_paths():
         pytest.param({"bits_per_point": 20_000.5}, id="bits_per_point-fraction"),
         pytest.param({"seed": "x"}, id="seed-string"),
         pytest.param({"symbol_rate_sps": 1e-310}, id="symbol_rate_sps-period-overflow"),
+        pytest.param({"symbol_rate_sps": 1e308}, id="symbol_rate_sps-sample-spacing-underflow"),
     ],
     ids=lambda bad: next(iter(bad)) if len(bad) == 1 else "coupling-fidelity-a",
 )
@@ -443,6 +444,48 @@ def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, command, fidelity, rows, co
     assert not (tmp_path / "o.csv").exists()
     err = capsys.readouterr().err
     assert ("lut_csv" in err) if code == 2 else err.startswith("i/o error:")
+
+
+INF_VOLTAGE_LUT = ["0,0,0", "0,inf,360", "1,0,0", "1,20,360"]
+# A 1e-300 V span over 1000 DAC bits: the quantizer step underflows to zero,
+# so the control path divides by zero.
+TINY_SPAN_LUT = ["0,0,0", "0,1e-300,360", "1,0,0", "1,20,360"]
+
+
+@pytest.mark.parametrize(
+    "overrides, rows, key",
+    [
+        ({"hardware": {"amplitude_ripple_db": 1e300}}, None, "amplitude_ripple_db"),
+        ({"hardware": {"amplitude_ripple_db": 1e300}, "csi": "perfect"}, None, "amplitude_ripple_db"),
+        ({"symbol_rate_sps": 1e308}, None, "symbol_rate_sps"),
+        ({"symbol_rate_sps": 1e308, "csi": "perfect"}, None, "symbol_rate_sps"),
+        ({}, INF_VOLTAGE_LUT, "lut_csv"),
+        ({"fidelity": "A"}, INF_VOLTAGE_LUT, "lut_csv"),
+        ({"hardware": {"dac_bits": 1000}, "csi": "perfect"}, TINY_SPAN_LUT, "lut_csv"),
+    ],
+    ids=[
+        "ripple",
+        "ripple-perfect-csi",
+        "rate",
+        "rate-perfect-csi",
+        "inf-voltage-lut",
+        "inf-voltage-lut-fidelity-a",
+        "control-path-divides-by-zero",
+    ],
+)
+def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, overrides, rows, key):
+    cfg = {"fidelity": "B", "ebn0_grid_db": [10.0], "bits_per_point": 20000, **overrides}
+    if rows is not None:
+        lut = tmp_path / "curves.csv"
+        lut.write_text("\n".join(["polarization,voltage_volts,phase_degrees", *rows]) + "\n")
+        cfg["lut_csv"] = str(lut)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.csv"
+    assert main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
 
 
 # -- determinism ---------------------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dpris.campaign import LinkEngine
+from dpris.config import CampaignConfig
 from dpris.hardware import (
     DEFAULT_VOLTAGE_RANGE,
     HardwareConfig,
@@ -20,7 +22,14 @@ from dpris.hardware import (
     voltage_to_phase,
 )
 from dpris.model import Polarization
-from dpris.modulation import CONSTELLATION16, TWO_PI, qam_to_tm, ramp_phase, waveform
+from dpris.modulation import (
+    CONSTELLATION16,
+    TWO_PI,
+    TmSymbolParams,
+    qam_to_tm,
+    ramp_phase,
+    waveform,
+)
 from dpris.receiver import extract_harmonic
 
 TS = 4e-7
@@ -323,6 +332,51 @@ def test_distortion_bit_identical_to_per_row_loop(hw):
         assert np.array_equal(result.wave0, wave0)
         assert np.array_equal(result.wave1, wave1)
         assert (result.clipped0, result.clipped1) == (clipped0, clipped1)
+
+
+@pytest.mark.parametrize(
+    "hw",
+    [HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0), ideal_hardware()],
+    ids=["coupled-dac6-ripple", "ideal"],
+)
+def test_distortion_of_repeated_params_bit_identical_to_per_row_loop(hw):
+    # Each stream repeats its params out of order, and a shift of -0.0 sits
+    # next to an equal-valued one of 0.0: per-symbol stages computed once per
+    # distinct value must still land on every row unchanged.
+    a, b, c = (qam_to_tm(CONSTELLATION16[i], TS) for i in (0, 5, 10))
+    zero = TmSymbolParams(delta_phi=TWO_PI, t_shift_s=0.0, symbol_period_s=TS)
+    neg_zero = TmSymbolParams(delta_phi=TWO_PI, t_shift_s=-0.0, symbol_period_s=TS)
+    params0 = [a, b, zero, neg_zero, a, c, b, neg_zero, a]
+    params1 = [neg_zero, c, c, a, zero, b, neg_zero, a, zero]
+    result = distort_reflection(params0, params1, default_lut(), hw, 64)
+    wave0, clipped0, wave1, clipped1 = reference_distort_reflection(
+        params0, params1, default_lut(), hw, 64
+    )
+    assert np.array_equal(result.wave0, wave0)
+    assert np.array_equal(result.wave1, wave1)
+    assert (result.clipped0, result.clipped1) == (clipped0, clipped1)
+
+
+@pytest.mark.parametrize(
+    "coupling, hw",
+    [
+        (True, HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0)),
+        (False, HardwareConfig()),
+    ],
+    ids=["coupled-dac6-ripple", "coupling-off"],
+)
+def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw):
+    cfg = CampaignConfig(fidelity="B", coupling=coupling, hardware=hw)
+    engine = LinkEngine(cfg)
+    pair0 = [qam_to_tm(CONSTELLATION16[i], cfg.symbol_period_s) for i in range(16) for _ in range(16)]
+    pair1 = [qam_to_tm(CONSTELLATION16[j], cfg.symbol_period_s) for _ in range(16) for j in range(16)]
+    wave0, _, wave1, _ = reference_distort_reflection(
+        pair0, pair1, default_lut(), engine.hw_active, cfg.samples_per_symbol
+    )
+    m = cfg.samples_per_symbol
+    probe = np.exp(1j * TWO_PI * np.arange(m) / m) / m  # the single-bin correlator
+    assert np.array_equal(engine.table_b0, (wave0 @ probe).reshape(16, 16))
+    assert np.array_equal(engine.table_b1, (wave1 @ probe).reshape(16, 16))
 
 
 def test_distortion_rejects_mismatched_streams():

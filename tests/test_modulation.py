@@ -305,6 +305,20 @@ def test_qam_to_tm_bit_identical_to_fixed_step_bisection():
             assert (params.delta_phi, params.t_shift_s) == reference_qam_to_tm(target, ts), target
 
 
+def test_qam_to_tm_table_lanes_bit_identical_to_fixed_step_bisection():
+    # One call bisects each distinct amplitude below 1 once; repeated
+    # amplitudes at other phases, the rings of 16-QAM and the targets at or
+    # past amplitude 1 must all come out as the one-target reference.
+    rng = np.random.default_rng(2021)
+    randoms = rng.uniform(0.0, 1.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+    repeated = 0.4 * np.exp(1j * np.array([-3.0, -1.0, 0.0, 2.0, 3.0]))
+    targets = [*CONSTELLATION16, *randoms, *repeated, 1.0, 1.0 + 1e-13, 1e-9, *CONSTELLATION16[::3]]
+    for ts in (TS, 1e-6):
+        table = qam_to_tm_table(targets, ts)
+        for target, params in zip(targets, table, strict=True):
+            assert (params.delta_phi, params.t_shift_s) == reference_qam_to_tm(target, ts), target
+
+
 def test_qam_to_tm_table_matches_pointwise_calls():
     table = qam_to_tm_table(CONSTELLATION16, TS)
     assert table == tuple(qam_to_tm(point, TS) for point in CONSTELLATION16)
