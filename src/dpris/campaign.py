@@ -264,9 +264,8 @@ class LinkEngine:
         params0 = [self.params16[i] for i in range(16) for _ in range(16)]
         params1 = [self.params16[j] for _ in range(16) for j in range(16)]
         result = distort_reflection(params0, params1, self.lut, self.hw_active, m)
-        probe = np.exp(1j * TWO_PI * np.arange(m) / m) / m
-        t0 = (result.wave0 @ probe).reshape(16, 16)
-        t1 = (result.wave1 @ probe).reshape(16, 16)
+        t0 = extract_harmonic(result.wave0, order=-1).reshape(16, 16)
+        t1 = extract_harmonic(result.wave1, order=-1).reshape(16, 16)
         return t0, t1
 
     def tx_symbols(

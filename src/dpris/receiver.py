@@ -12,14 +12,16 @@ error counts typical of the high-SNR end of a sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .modulation import CONSTELLATION16, QAM16_SCALE, TWO_PI
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 # Orthogonal pilot construction: stream 0 cycles the four unit-amplitude
 # corner points, stream 1 is the same sequence with alternating sign (a sign
@@ -92,18 +94,21 @@ def wilson_interval_halfwidth(errors: int, trials: int) -> float:
     return (z / denom) * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
 
-def extract_harmonic(rx_waveform, order: int = -1) -> complex:
+def extract_harmonic(rx_waveform, order: int = -1) -> complex | np.ndarray:
     """Single-bin correlator over one symbol period of M samples.
 
     For the data-bearing order -1 this is (1/M) * sum rx[m] * e^{+j2*pi*m/M};
     the estimate converges to the exact Fourier coefficient as O(1/M).
+    ``rx_waveform`` may be one period or a (n, M) block of periods.  The
+    probe carries the 1/M, the rounding order the fidelity-B pair tables
+    are pinned to.
     """
     rx = np.asarray(rx_waveform, dtype=np.complex128)
     m = rx.shape[-1]
     if m < 2:
         raise ValueError("waveform must span at least 2 samples")
-    probe = np.exp(-1j * TWO_PI * order * np.arange(m) / m)
-    return rx @ probe / m
+    probe = np.exp(-1j * TWO_PI * order * np.arange(m) / m) / m
+    return rx @ probe
 
 
 def estimate_channel(pilot: PilotBlock, observations) -> np.ndarray:
@@ -189,7 +194,7 @@ def theoretical_ber_16qam(ebn0_db) -> float | np.ndarray:
     a = np.sqrt(0.8 * gamma)
 
     def q(x):
-        return 0.5 * erfc(x / np.sqrt(2.0))
+        return 0.5 * _erfc(x / np.sqrt(2.0))
 
     out = 0.25 * (3.0 * q(a) + 2.0 * q(3.0 * a) - q(5.0 * a))
     return float(out) if out.ndim == 0 else out

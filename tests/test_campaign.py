@@ -33,7 +33,7 @@ from dpris.config import (
     config_hash,
     load_config,
 )
-from dpris.channel import awgn
+from dpris.channel import MAX_CELLS, awgn
 from dpris.model import received_reduced
 from dpris.modulation import (
     CONSTELLATION16,
@@ -197,7 +197,8 @@ def test_throughput_reports_twenty_megabits():
 
 
 def test_pair_table_matches_direct_waveform_route():
-    # the 256-pair shortcut must be the same math as the per-symbol pipeline
+    # the 256-pair shortcut must be the same math as the per-symbol pipeline,
+    # through the same correlator, so the two routes agree bit for bit
     from dpris.hardware import HardwareConfig
 
     variants = (
@@ -216,7 +217,7 @@ def test_pair_table_matches_direct_waveform_route():
         sym1 = rng.integers(0, 16, 200)
         table = engine.tx_symbols(sym0, sym1, "B")
         direct = engine.waveform_tx_symbols(sym0, sym1)
-        assert np.max(np.abs(table - direct)) < 1e-12
+        assert np.array_equal(table, direct)
 
 
 def test_engine_params16_match_pointwise_qam_to_tm():
@@ -450,6 +451,8 @@ INF_VOLTAGE_LUT = ["0,0,0", "0,inf,360", "1,0,0", "1,20,360"]
 # A 1e-300 V span over 1000 DAC bits: the quantizer step underflows to zero,
 # so the control path divides by zero.
 TINY_SPAN_LUT = ["0,0,0", "0,1e-300,360", "1,0,0", "1,20,360"]
+# Finite voltages whose span, 2e308 V, overflows when subtracted.
+OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
 
 
 @pytest.mark.parametrize(
@@ -462,6 +465,8 @@ TINY_SPAN_LUT = ["0,0,0", "0,1e-300,360", "1,0,0", "1,20,360"]
         ({}, INF_VOLTAGE_LUT, "lut_csv"),
         ({"fidelity": "A"}, INF_VOLTAGE_LUT, "lut_csv"),
         ({"hardware": {"dac_bits": 1000}, "csi": "perfect"}, TINY_SPAN_LUT, "lut_csv"),
+        ({"hardware": {"dac_bits": 2000}}, None, "hardware"),
+        ({}, OVERFLOWING_SPAN_LUT, "lut_csv"),
     ],
     ids=[
         "ripple",
@@ -471,6 +476,8 @@ TINY_SPAN_LUT = ["0,0,0", "0,1e-300,360", "1,0,0", "1,20,360"]
         "inf-voltage-lut",
         "inf-voltage-lut-fidelity-a",
         "control-path-divides-by-zero",
+        "dac-levels-overflow",
+        "lut-span-overflows",
     ],
 )
 def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, overrides, rows, key):
@@ -797,6 +804,16 @@ def test_oracle_case_counts_are_bounded(tmp_path, capsys):
     path.write_text('{"oracle": {"harmonic_cases": 10000000000000}}')
     assert main(["oracle-check", "--config", str(path)]) == 2
     assert "harmonic_cases" in capsys.readouterr().err
+
+
+def test_cell_grid_is_bounded():
+    cfg = config_from_dict({"geometry": {"cells_x": 1000, "cells_y": 1000}})
+    assert cfg.geometry.n_cells == MAX_CELLS
+    # Checked before anything is built: a 1e9 x 1e9 grid would exhaust memory.
+    for cells_x, cells_y in ((1001, 1000), (10**9, 10**9)):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"geometry": {"cells_x": cells_x, "cells_y": cells_y}})
+        assert err.value.path == "geometry"
 
 
 def test_cli_ber_sweep_requires_out():

@@ -358,15 +358,17 @@ def test_distortion_of_repeated_params_bit_identical_to_per_row_loop(hw):
 
 
 @pytest.mark.parametrize(
-    "coupling, hw",
+    "coupling, hw, samples",
     [
-        (True, HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0)),
-        (False, HardwareConfig()),
+        (True, HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0), 64),
+        (False, HardwareConfig(), 64),
+        # Not a power of two: dividing by M before or after the sum rounds differently.
+        (True, HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0), 50),
     ],
-    ids=["coupled-dac6-ripple", "coupling-off"],
+    ids=["coupled-dac6-ripple", "coupling-off", "coupled-dac6-ripple-m50"],
 )
-def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw):
-    cfg = CampaignConfig(fidelity="B", coupling=coupling, hardware=hw)
+def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw, samples):
+    cfg = CampaignConfig(fidelity="B", coupling=coupling, hardware=hw, samples_per_symbol=samples)
     engine = LinkEngine(cfg)
     pair0 = [qam_to_tm(CONSTELLATION16[i], cfg.symbol_period_s) for i in range(16) for _ in range(16)]
     pair1 = [qam_to_tm(CONSTELLATION16[j], cfg.symbol_period_s) for _ in range(16) for j in range(16)]

@@ -1,9 +1,15 @@
 """Receiver chain: correlator, estimation, equalization, demapping, BER math."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dpris.campaign import _ber_record, _error_counts
+import dpris
+from dpris.campaign import _ber_record, _error_counts, _fmt
 from dpris.modulation import (
     CONSTELLATION16,
     TWO_PI,
@@ -223,6 +229,50 @@ def test_slicer_scratch_matches_reference_on_thresholds():
 def test_theory_limits():
     assert theoretical_ber_16qam(60.0) < 1e-30
     assert abs(theoretical_ber_16qam(-60.0) - 0.5) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "ebn0_db, cell",
+    [
+        (4.0, "0.0586237372834"),
+        (6.0, "0.0278713278452"),
+        (8.0, "0.00924721374147"),
+        (10.0, "0.00175415061789"),
+        (12.0, "0.000138658688813"),
+        (14.0, "2.76320800169e-06"),
+        (16.0, "6.25020082774e-09"),
+        # Deep-tail cells where the last digit depends on the erfc: each equals
+        # the three-term sum with erfc taken to 60 digits at the same arguments.
+        (23.19, "1.41593861755e-38"),
+        (28.68, "7.99097200605e-131"),
+        (31.89, "3.10016807075e-271"),
+        (32.5, "9.55757177916e-312"),  # a subnormal, not flushed to 0
+    ],
+)
+def test_theory_csv_cells_pinned(ebn0_db, cell):
+    assert _fmt(theoretical_ber_16qam(ebn0_db)) == cell
+
+
+def test_package_imports_and_theory_curve_need_no_scipy():
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import dpris\n"
+        "for mod in pkgutil.iter_modules(dpris.__path__):\n"
+        "    importlib.import_module('dpris.' + mod.name)\n"
+        "from dpris.receiver import theoretical_ber_16qam\n"
+        "assert isinstance(theoretical_ber_16qam(8.0), float)\n"
+        "assert theoretical_ber_16qam([4.0, 8.0]).shape == (2,)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(dpris.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_theory_monotone_decreasing():
