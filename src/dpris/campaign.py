@@ -27,6 +27,7 @@ or an overflow, division by zero or invalid value on the way) is a
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -45,7 +46,7 @@ from .config import (
     config_hash,
 )
 from .hardware import HardwareConfig, PhaseVoltageLut, default_lut, distort_reflection, load_lut_csv
-from .model import ChannelSet, ReflectionVector, attenuation_from, received_full, received_reduced
+from .model import ChannelSet, Polarization, ReflectionVector, attenuation_from, received_full, received_reduced
 from .modulation import (
     CONSTELLATION16,
     QAM16_SYMBOL_ENERGY,
@@ -176,14 +177,25 @@ def _named_lut(config: CampaignConfig) -> PhaseVoltageLut | None:
 
     Every command calls this, even where the curves go unused, so a bad path
     never passes silently: an unreadable file stays an OSError, and a
-    malformed one is a :class:`ConfigError` on ``lut_csv``.
+    malformed one is a :class:`ConfigError` on ``lut_csv``.  So is a curve
+    whose phases do not span [0, 2*pi] (with the 1e-12 rad slack of
+    :func:`phase_to_voltage`): some ramp phase would have no bias voltage.
     """
     if not config.lut_csv:
         return None
     try:
-        return load_lut_csv(config.lut_csv)
+        lut = load_lut_csv(config.lut_csv)
     except ValueError as exc:
         raise ConfigError("lut_csv", str(exc)) from exc
+    for pol in Polarization:
+        lo, hi = lut.phase_span(pol)
+        if not (lo - 1e-12 <= 0.0 and hi + 1e-12 >= TWO_PI):
+            raise ConfigError(
+                "lut_csv",
+                f"phases of polarization {int(pol)} span [{lo:.6f}, {hi:.6f}] rad, "
+                f"which does not cover [0, 2*pi]",
+            )
+    return lut
 
 
 class LinkEngine:
@@ -223,9 +235,9 @@ class LinkEngine:
             )
             if self.lut is None:
                 self.lut = default_lut()
-            # A curve too narrow to realize every ramp phase is bad input too,
-            # and so are curves and settings the control path cannot carry
-            # through floats: a non-finite table would only yield a made-up BER.
+            # Curves and settings the control path cannot carry through
+            # floats are bad input: a non-finite table would only yield a
+            # made-up BER.
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     self.table_b0, self.table_b1 = self._pair_harmonic_tables()
@@ -237,8 +249,6 @@ class LinkEngine:
                     f"the control path leaves the float range with these transfer curves "
                     f"and hardware settings ({exc})",
                 ) from exc
-            except ValueError as exc:
-                raise ConfigError("lut_csv", str(exc)) from exc
 
         # The pilot block as it arrives without noise, through the active fidelity.
         pilot_tx = self.tx_symbols(*map(demap_indices, self.pilot.symbols), config.fidelity)
@@ -341,6 +351,24 @@ class LinkEngine:
     def noise_power(self, ebn0_db: float) -> float:
         return noise_power_for_ebn0(self.g, ebn0_db, QAM16_SYMBOL_ENERGY, BITS_PER_SYMBOL)
 
+    def _checked_noise_power(self, ebn0_db: float, path: str) -> float:
+        """:meth:`noise_power`, or a :class:`ConfigError` on the config key
+        ``path`` unless it is finite and positive.  An infinite Eb/N0, which
+        only the Python API can pass, keeps its noiseless link."""
+        try:
+            noise_power = self.noise_power(ebn0_db)
+        except OverflowError:  # 10^(Eb/N0 / 10) overflowed: the noise power rounds to 0
+            noise_power = 0.0
+        except ZeroDivisionError:  # 10^(Eb/N0 / 10) underflowed to 0
+            noise_power = math.inf
+        if not (0.0 < noise_power < math.inf or ebn0_db == math.inf):
+            raise ConfigError(
+                path,
+                f"Eb/N0 {ebn0_db!r} dB needs a noise power of {noise_power!r} W, "
+                f"which is not a finite positive float",
+            )
+        return noise_power
+
     def detect_chunk(
         self,
         sym0: np.ndarray,
@@ -385,7 +413,9 @@ class LinkEngine:
         """
         n_symbols = -(-n_bits // (STREAMS * BITS_PER_SYMBOL))
         n_chunks = -(-n_symbols // CHUNK_SYMBOLS)
-        noise_powers = [self.noise_power(ebn0) for ebn0 in ebn0_grid_db]
+        noise_powers = [
+            self._checked_noise_power(ebn0, f"ebn0_grid_db[{p}]") for p, ebn0 in enumerate(ebn0_grid_db)
+        ]
         ws = [self.zf_for_point(p, ebn0, noise_powers[p]) for p, ebn0 in enumerate(ebn0_grid_db)]
         identical = self.cfg.stream_relation == "identical"
 
@@ -729,12 +759,12 @@ def run_file_loopback(
         raise OSError(f"cannot read {input_path}: {exc}") from exc
 
     engine = LinkEngine(replace(config, fidelity="B"))
+    noise_power = engine._checked_noise_power(config.loopback_ebn0_db, "loopback_ebn0_db")
     if len(payload) == 0:
         with _open_output(output_path, force, binary=True):
             pass
         return LoopbackResult(bytes_in=0, bytes_out=0, record=None)
 
-    noise_power = engine.noise_power(config.loopback_ebn0_db)
     w = engine.zf_for_point(0, config.loopback_ebn0_db, noise_power)
 
     # Stream q carries bytes q, q + 2, ...; stream 1 is zero-padded to the

@@ -7,10 +7,12 @@ bench-scale scenario with one command.  Every JSON value is checked against
 the annotation of the dataclass field it sets, in the root and every
 section; violations are reported with their full key path and exit the CLI
 with code 2.  Every dataclass checks its own ranges and cross-field rules in
-``__post_init__``, and ``CampaignConfig`` also runs the annotation checks
-over its fields and each section's, so a config built in Python, directly or
+``__post_init__``.  ``CampaignConfig.__post_init__`` is the one pass over
+the root: it runs the annotation checks over its fields and builds each
+section from its JSON object, so a config built in Python, directly or
 through ``dataclasses.replace``, is held to the same rules as one loaded
-from JSON.
+from JSON, and the JSON loader only rejects unknown keys before handing the
+object over.
 """
 
 from __future__ import annotations
@@ -189,14 +191,13 @@ _NONE_SPELLINGS = {
 _SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_value(val, tp, path: str, nested: bool = False):
+def _check_value(val, tp, path: str):
     """Check one JSON value against a field annotation; return the field value.
 
     A section may also be given as an instance of its dataclass, whose
-    fields are then checked as a JSON object's would be.  A number inside an
-    optional or a tuple annotated ``float`` becomes a float, while a bare
-    ``float`` field keeps a JSON integer as given; both rules keep existing
-    config hashes stable.
+    fields are then checked as a JSON object's would be.  A number checked
+    against ``float`` is stored as a float, so a float field spelled as a
+    JSON integer hashes as its float spelling.
     """
     if tp in _SCALAR_NAMES:
         accepted = (int, float) if tp is float else tp
@@ -210,7 +211,7 @@ def _check_value(val, tp, path: str, nested: bool = False):
             as_float = math.inf
         if not math.isfinite(as_float):
             raise ConfigError(path, f"must be finite, got {val!r}")
-        return as_float if nested else val
+        return as_float
     if is_dataclass(tp):
         if isinstance(val, tp):
             val = {name: getattr(val, name) for name in _field_types(tp)}
@@ -220,17 +221,14 @@ def _check_value(val, tp, path: str, nested: bool = False):
         if val is None or val == _NONE_SPELLINGS.get(path):
             return None
         inner = next(a for a in args if a is not type(None))
-        return _check_value(val, inner, path, nested=True)
+        return _check_value(val, inner, path)
     # The one annotation left is a tuple.
     if not isinstance(val, (list, tuple)):
         raise ConfigError(path, f"expected a list, got {val!r}")
     item_types = args[:1] * len(val) if args[-1] is Ellipsis else args
     if len(item_types) != len(val):
         raise ConfigError(path, f"expected {len(item_types)} entries, got {len(val)}")
-    return tuple(
-        _check_value(v, t, f"{path}[{i}]", nested=True)
-        for i, (v, t) in enumerate(zip(val, item_types))
-    )
+    return tuple(_check_value(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(val, item_types)))
 
 
 @functools.cache
@@ -240,36 +238,40 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _merge(cls, raw, path: str):
-    """Instance of dataclass ``cls``: its defaults overridden by the JSON object ``raw``.
-
-    Every key is checked against the field annotations, recursing into
-    nested dataclasses; errors carry the key path.
-    """
+def _known_fields(cls, raw, path: str) -> dict:
+    """Field annotations of dataclass ``cls``, once every key of the JSON object ``raw`` names one."""
     if not isinstance(raw, dict):
         raise ConfigError(path or "<root>", f"expected an object, got {type(raw).__name__}")
     field_types = _field_types(cls)
-    values = {}
-    for key, val in raw.items():
-        key_path = f"{path}.{key}" if path else key
+    for key in raw:
         if key not in field_types:
-            raise ConfigError(key_path, "unknown key")
-        values[key] = _check_value(val, field_types[key], key_path)
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+    return field_types
+
+
+def _merge(cls, raw, path: str):
+    """Section ``cls`` at ``path``: its defaults overridden by the JSON object ``raw``.
+
+    Every key is checked against the field annotations; errors carry the
+    key path.
+    """
+    field_types = _known_fields(cls, raw, path)
+    values = {key: _check_value(val, field_types[key], f"{path}.{key}") for key, val in raw.items()}
     try:
         return cls(**values)
-    except ConfigError:  # already names its key
-        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(path or "<root>", str(exc)) from exc
+        raise ConfigError(path, str(exc)) from exc
 
 
 def config_from_dict(raw: dict) -> CampaignConfig:
     """Build a validated config from a parsed JSON object.
 
     Unknown keys are rejected with their path so typos surface instead of
-    silently falling back to defaults.
+    silently falling back to defaults; every value is then checked once, by
+    :class:`CampaignConfig`.
     """
-    return _merge(CampaignConfig, raw, "")
+    _known_fields(CampaignConfig, raw, "")
+    return CampaignConfig(**raw)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> CampaignConfig:

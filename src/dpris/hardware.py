@@ -15,6 +15,7 @@ presented as measured data.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,14 +165,18 @@ class HardwareConfig:
             )
         if self.amplitude_ripple_db < 0:
             raise ValueError("amplitude_ripple_db must be non-negative")
-        try:  # the largest gain reflection_amplitude can apply
-            10.0 ** (0.5 * self.amplitude_ripple_db / 20.0)
-        except OverflowError:
-            raise ValueError(
-                f"amplitude_ripple_db {self.amplitude_ripple_db!r} overflows the reflection amplitude"
-            ) from None
         if not 0.0 < self.base_reflection_amplitude <= 1.0:
             raise ValueError("base_reflection_amplitude must lie in (0, 1]")
+        # A passive cell reflects at most what it receives: the ripple peak,
+        # base * 10^(ripple/40), must not exceed 1.  Compared in dB, so no
+        # ripple can overflow the check.
+        max_ripple_db = -40.0 * math.log10(self.base_reflection_amplitude)
+        if not self.amplitude_ripple_db <= max_ripple_db:
+            raise ValueError(
+                f"amplitude_ripple_db {self.amplitude_ripple_db!r} lifts the reflection amplitude "
+                f"above 1; base_reflection_amplitude {self.base_reflection_amplitude!r} allows "
+                f"at most {max_ripple_db:.6g} dB"
+            )
 
 
 def ideal_hardware() -> HardwareConfig:

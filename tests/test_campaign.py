@@ -158,9 +158,38 @@ def test_python_built_values_are_stored_as_json_would_store_them():
     assert built.ebn0_grid_db == (4.0, 6.0)
     assert config_hash(built) == config_hash(config_from_dict({"ebn0_grid_db": [4, 6]}))
     assert config_hash(CampaignConfig()) == config_hash(config_from_dict({})) == "9803877346666a6b"
+    # One float rule: a float field spelled as a JSON integer stores a float,
+    # at the root and in a section, so equal configs hash equally.
+    for as_int, as_float in (
+        ({"carrier_power_watts": 1}, {}),
+        ({"hardware": {"isolation_db": 16}}, {}),
+        ({"loopback_ebn0_db": 12}, {"loopback_ebn0_db": 12.0}),
+    ):
+        assert config_hash(config_from_dict(as_int)) == config_hash(config_from_dict(as_float))
     with pytest.raises(ConfigError) as err:
         CampaignConfig(geometry=replace(CampaignConfig().geometry, cells_x=2.5))
     assert err.value.path == "geometry.cells_x"
+
+
+def test_each_json_section_is_built_once_per_load(tmp_path, monkeypatch):
+    sections = {
+        "geometry": {"cells_x": 4},
+        "channel": {"rng_seed": 3},
+        "hardware": {"dac_bits": 8},
+        "oracle": {"harmonic_cases": 5},
+        "waveform_export": {"samples": 8},
+    }
+    classes = [type(getattr(CampaignConfig(), name)) for name in sections]
+    built = []
+    for cls in classes:
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, init=cls.__post_init__: (built.append(type(self)), init(self))[1]
+        )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(sections))
+    cfg = load_config(str(path))
+    assert sorted(built, key=str) == sorted(classes, key=str)
+    assert cfg.geometry.cells_x == 4 and cfg.waveform_export.samples == 8
 
 
 def test_dac_bits_accepts_ideal_string():
@@ -400,13 +429,14 @@ def test_custom_lut_csv_feeds_fidelity_b(tmp_path):
 
 
 BAD_ROW_LUT = ["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"]
+# Polarization 0 spans only half a turn: the ramp phases cannot be realized.
+HALF_TURN_LUT = ["0,0,0", "0,20,180", "1,0,0", "1,20,360"]
 
 
 @pytest.mark.parametrize(
     "command, fidelity, rows, code",
     [
-        # polarization 0 spans only half a turn: the ramp phases cannot be realized
-        ("ber-sweep", "B", ["0,0,0", "0,20,180", "1,0,0", "1,20,360"], 2),
+        ("ber-sweep", "B", HALF_TURN_LUT, 2),
         ("ber-sweep", "B", BAD_ROW_LUT, 2),
         ("ber-sweep", "B", None, 4),  # no file at all: an I/O error, not a config error
         # fidelity A never uses the curves, but a named LUT is still checked
@@ -417,6 +447,10 @@ BAD_ROW_LUT = ["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"]
         ("oracle-check", "A", None, 4),
         ("export-waveform", "A", BAD_ROW_LUT, 2),
         ("export-waveform", "A", None, 4),
+        # the span is checked at load, whether or not the command uses the curves
+        ("ber-sweep", "A", HALF_TURN_LUT, 2),
+        ("oracle-check", "A", HALF_TURN_LUT, 2),
+        ("export-waveform", "A", HALF_TURN_LUT, 2),
     ],
     ids=[
         "narrow",
@@ -428,6 +462,9 @@ BAD_ROW_LUT = ["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"]
         "missing-oracle-check",
         "bad-row-export-waveform",
         "missing-export-waveform",
+        "narrow-fidelity-a",
+        "narrow-oracle-check",
+        "narrow-export-waveform",
     ],
 )
 def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, command, fidelity, rows, code):
@@ -456,17 +493,28 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
 
 
 @pytest.mark.parametrize(
-    "overrides, rows, key",
+    "command, overrides, rows, key",
     [
-        ({"hardware": {"amplitude_ripple_db": 1e300}}, None, "amplitude_ripple_db"),
-        ({"hardware": {"amplitude_ripple_db": 1e300}, "csi": "perfect"}, None, "amplitude_ripple_db"),
-        ({"symbol_rate_sps": 1e308}, None, "symbol_rate_sps"),
-        ({"symbol_rate_sps": 1e308, "csi": "perfect"}, None, "symbol_rate_sps"),
-        ({}, INF_VOLTAGE_LUT, "lut_csv"),
-        ({"fidelity": "A"}, INF_VOLTAGE_LUT, "lut_csv"),
-        ({"hardware": {"dac_bits": 1000}, "csi": "perfect"}, TINY_SPAN_LUT, "lut_csv"),
-        ({"hardware": {"dac_bits": 2000}}, None, "hardware"),
-        ({}, OVERFLOWING_SPAN_LUT, "lut_csv"),
+        ("ber-sweep", {"hardware": {"amplitude_ripple_db": 1e300}}, None, "amplitude_ripple_db"),
+        ("ber-sweep", {"hardware": {"amplitude_ripple_db": 1e300}, "csi": "perfect"}, None, "amplitude_ripple_db"),
+        ("ber-sweep", {"symbol_rate_sps": 1e308}, None, "symbol_rate_sps"),
+        ("ber-sweep", {"symbol_rate_sps": 1e308, "csi": "perfect"}, None, "symbol_rate_sps"),
+        ("ber-sweep", {}, INF_VOLTAGE_LUT, "lut_csv"),
+        ("ber-sweep", {"fidelity": "A"}, INF_VOLTAGE_LUT, "lut_csv"),
+        ("ber-sweep", {"hardware": {"dac_bits": 1000}, "csi": "perfect"}, TINY_SPAN_LUT, "lut_csv"),
+        ("ber-sweep", {"hardware": {"dac_bits": 2000}}, None, "hardware"),
+        ("ber-sweep", {}, OVERFLOWING_SPAN_LUT, "lut_csv"),
+        # Noise powers: 10^(Eb/N0 / 10) overflows, or underflows to zero, or
+        # a huge carrier power makes the noise power at -60 dB infinite.
+        ("ber-sweep", {"ebn0_grid_db": [1e308]}, None, "ebn0_grid_db[0]"),
+        ("ber-sweep", {"ebn0_grid_db": [-1e308]}, None, "ebn0_grid_db[0]"),
+        (
+            "ber-sweep",
+            {"fidelity": "A", "carrier_power_watts": 1e308, "ebn0_grid_db": [-60, 10], "bits_per_point": 10000},
+            None,
+            "ebn0_grid_db[0]",
+        ),
+        ("file-loopback", {"loopback_ebn0_db": 1e308}, None, "loopback_ebn0_db"),
     ],
     ids=[
         "ripple",
@@ -478,9 +526,13 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         "control-path-divides-by-zero",
         "dac-levels-overflow",
         "lut-span-overflows",
+        "ebn0-noise-power-underflows",
+        "ebn0-noise-power-overflows",
+        "carrier-noise-power-overflows",
+        "loopback-ebn0-noise-power-underflows",
     ],
 )
-def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, overrides, rows, key):
+def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, command, overrides, rows, key):
     cfg = {"fidelity": "B", "ebn0_grid_db": [10.0], "bits_per_point": 20000, **overrides}
     if rows is not None:
         lut = tmp_path / "curves.csv"
@@ -489,7 +541,12 @@ def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, o
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o.csv"
-    assert main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 2
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "file-loopback":
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(bytes(range(256)))
+        argv.insert(1, str(payload))
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not out.exists()
@@ -760,6 +817,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text('{"oracle": {"harmonic_cases": true}}')
     assert main(["oracle-check", "--config", str(bad)]) == 2
     assert "oracle.harmonic_cases" in capsys.readouterr().err
+    # A ripple that fits in a float but lifts the amplitude of a passive cell above 1.
+    bad.write_text('{"fidelity": "B", "hardware": {"amplitude_ripple_db": 12000}}')
+    assert main(["ber-sweep", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: hardware:") and "amplitude_ripple_db" in err
 
 
 def test_cli_pilot_estimate_error_names_the_point(tmp_path, capsys):

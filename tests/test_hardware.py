@@ -400,3 +400,28 @@ def test_ideal_hardware_is_transparent():
         flat = HardwareConfig(isolation_db=16.0, amplitude_ripple_db=0.0, base_reflection_amplitude=base)
         for pol in Polarization:
             assert np.array_equal(reflection_amplitude(v, pol, lut, flat), np.full(v.shape, base))
+
+
+@pytest.mark.parametrize(
+    "base, ripple_db, allowed",
+    [
+        (0.84, 1.0, True),  # the default: peak 0.890
+        (1.0, 0.0, True),  # ideal_hardware()
+        (0.84, 3.0288, True),  # just below -40 log10(0.84) = 3.02883 dB
+        (0.84, 3.03, False),
+        (1.0, 1e-9, False),
+        (1.0, 1.0, False),
+        (0.84, 12000.0, False),
+        (1e-300, 1e300, False),
+    ],
+)
+def test_ripple_may_not_lift_a_passive_cell_above_unit_amplitude(base, ripple_db, allowed):
+    if not allowed:
+        with pytest.raises(ValueError, match="amplitude_ripple_db"):
+            HardwareConfig(amplitude_ripple_db=ripple_db, base_reflection_amplitude=base)
+        return
+    hw = HardwareConfig(amplitude_ripple_db=ripple_db, base_reflection_amplitude=base)
+    v = np.linspace(*DEFAULT_VOLTAGE_RANGE, 4097)  # holds the ripple's peak, 5 V
+    for pol in Polarization:
+        peak = np.max(reflection_amplitude(v, pol, default_lut(), hw))
+        assert peak == pytest.approx(base * 10.0 ** (ripple_db / 40.0), abs=1e-12) and peak <= 1.0
