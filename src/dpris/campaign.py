@@ -45,7 +45,14 @@ from .config import (
     STREAMS,
     config_hash,
 )
-from .hardware import HardwareConfig, PhaseVoltageLut, default_lut, distort_reflection, load_lut_csv
+from .hardware import (
+    HardwareConfig,
+    PhaseVoltageLut,
+    default_lut,
+    distort_reflection,
+    load_lut_csv,
+    phase_to_voltage,
+)
 from .model import ChannelSet, Polarization, ReflectionVector, attenuation_from, received_full, received_reduced
 from .modulation import (
     CONSTELLATION16,
@@ -178,23 +185,17 @@ def _named_lut(config: CampaignConfig) -> PhaseVoltageLut | None:
     Every command calls this, even where the curves go unused, so a bad path
     never passes silently: an unreadable file stays an OSError, and a
     malformed one is a :class:`ConfigError` on ``lut_csv``.  So is a curve
-    whose phases do not span [0, 2*pi] (with the 1e-12 rad slack of
-    :func:`phase_to_voltage`): some ramp phase would have no bias voltage.
+    on which :func:`phase_to_voltage` cannot realize both ends of [0, 2*pi):
+    some ramp phase would have no bias voltage.
     """
     if not config.lut_csv:
         return None
     try:
         lut = load_lut_csv(config.lut_csv)
+        for pol in Polarization:
+            phase_to_voltage(np.array([0.0, np.nextafter(TWO_PI, 0.0)]), pol, lut)
     except ValueError as exc:
         raise ConfigError("lut_csv", str(exc)) from exc
-    for pol in Polarization:
-        lo, hi = lut.phase_span(pol)
-        if not (lo - 1e-12 <= 0.0 and hi + 1e-12 >= TWO_PI):
-            raise ConfigError(
-                "lut_csv",
-                f"phases of polarization {int(pol)} span [{lo:.6f}, {hi:.6f}] rad, "
-                f"which does not cover [0, 2*pi]",
-            )
     return lut
 
 
