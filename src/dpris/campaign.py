@@ -20,13 +20,14 @@ shortcut is exact because the channel and the correlator are linear; a test
 pins it against the direct per-symbol waveform path.  Receiver noise enters
 after the correlator with the correlator-output variance, which is
 distributionally identical to per-sample noise at M times that power.
-A control path that leaves the float range (a non-finite received symbol,
-or an overflow, division by zero or invalid value on the way) is a
-:class:`ConfigError`, never a table.
+A channel or control path that leaves the float range (a non-finite G or
+received symbol, or an overflow, division by zero or invalid value on the
+way) is a :class:`ConfigError`, never a table.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -199,6 +200,29 @@ def _named_lut(config: CampaignConfig) -> PhaseVoltageLut | None:
     return lut
 
 
+@contextlib.contextmanager
+def _float_range_guard(path: str, what: str):
+    """Turn a link build that leaves the float range into a :class:`ConfigError` on ``path``.
+
+    The enclosed block runs with numpy's overflow, division-by-zero and
+    invalid-value warnings raised as errors and passes its results through
+    :func:`_finite`.  Input the link cannot carry through floats is bad
+    input: a NaN or Inf there would only yield a made-up BER.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(path, f"{what} ({exc})") from exc
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, once every entry is finite; inside :func:`_float_range_guard`."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError("a result is not finite")
+    return values
+
+
 class LinkEngine:
     """Precomputed link state shared by every chunk of a campaign.
 
@@ -212,9 +236,14 @@ class LinkEngine:
         geometry = config.geometry
         if geometry.k_rx != 1:
             raise ConfigError("geometry.rx_positions_m", "BER campaigns drive the 2x2 link (one receive antenna per polarization)")
-        self.channels = channel_set_from(geometry, config.channel, config.carrier_power_watts)
-        self.e = attenuation_from(self.channels)
-        self.g = effective_stream_channel(self.channels.h2, self.e, config.carrier_power_watts)
+        with _float_range_guard(
+            "geometry", "the channel leaves the float range with these distances and this carrier"
+        ):
+            self.channels = channel_set_from(geometry, config.channel, config.carrier_power_watts)
+            self.e = attenuation_from(self.channels)
+            self.g = _finite(
+                effective_stream_channel(self.channels.h2, self.e, config.carrier_power_watts)
+            )
         self.pilot = default_pilot_block(config.pilot_length)
 
         # Per-constellation-point ramp parameters and closed-form symbols.
@@ -236,20 +265,16 @@ class LinkEngine:
             )
             if self.lut is None:
                 self.lut = default_lut()
-            # Curves and settings the control path cannot carry through
-            # floats are bad input: a non-finite table would only yield a
-            # made-up BER.
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    self.table_b0, self.table_b1 = self._pair_harmonic_tables()
-                    if not (np.isfinite(self.table_b0).all() and np.isfinite(self.table_b1).all()):
-                        raise FloatingPointError("a received symbol is not finite")
-            except FloatingPointError as exc:
-                raise ConfigError(
-                    "lut_csv" if config.lut_csv else "hardware",
-                    f"the control path leaves the float range with these transfer curves "
-                    f"and hardware settings ({exc})",
-                ) from exc
+            # The control-path distortion of a symbol period depends only on
+            # the two symbols driving the polarizations, so the 256 pairs
+            # enumerate every waveform the campaign can produce.
+            pairs = np.arange(256)
+            with _float_range_guard(
+                "lut_csv" if config.lut_csv else "hardware",
+                "the control path leaves the float range with these transfer curves and hardware settings",
+            ):
+                tables = _finite(self.waveform_tx_symbols(pairs // 16, pairs % 16))
+            self.table_b0, self.table_b1 = tables.reshape(2, 16, 16)
 
         # The pilot block as it arrives without noise, through the active fidelity.
         pilot_tx = self.tx_symbols(*map(demap_indices, self.pilot.symbols), config.fidelity)
@@ -263,21 +288,6 @@ class LinkEngine:
         return buffers
 
     # -- transmitted equivalent symbols ------------------------------------
-
-    def _pair_harmonic_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Received-equivalent symbol for every (stream0, stream1) pair.
-
-        The control-path distortion of a symbol period depends only on the
-        two symbols driving the polarizations, so the 256 pairs enumerate
-        every waveform the campaign can produce.
-        """
-        m = self.cfg.samples_per_symbol
-        params0 = [self.params16[i] for i in range(16) for _ in range(16)]
-        params1 = [self.params16[j] for _ in range(16) for j in range(16)]
-        result = distort_reflection(params0, params1, self.lut, self.hw_active, m)
-        t0 = extract_harmonic(result.wave0, order=-1).reshape(16, 16)
-        t1 = extract_harmonic(result.wave1, order=-1).reshape(16, 16)
-        return t0, t1
 
     def tx_symbols(
         self,
@@ -309,7 +319,11 @@ class LinkEngine:
         return out
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
-        """Direct per-symbol waveform route (no pair table); test oracle."""
+        """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
+        straight through the control path and the single-bin correlator.
+
+        Fidelity B's pair tables are this route over all 256 pairs.
+        """
         params0 = [self.params16[i] for i in sym0]
         params1 = [self.params16[j] for j in sym1]
         result = distort_reflection(

@@ -116,20 +116,24 @@ def load_lut_csv(path) -> PhaseVoltageLut:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"polarization", "voltage_volts", "phase_degrees"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"LUT CSV must have columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for i, row in enumerate(reader):
-            try:
-                pol = int(row["polarization"])
-                volt = float(row["voltage_volts"])
-                phase = float(row["phase_degrees"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad LUT row {i + 2}: {row}") from exc
-            if pol not in (0, 1):
-                raise ValueError(f"polarization must be 0 or 1, got {pol} at row {i + 2}")
-            rows[pol].append((volt, np.deg2rad(phase)))
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise ValueError(
+                    f"LUT CSV must have columns {sorted(required)}, got {reader.fieldnames}"
+                )
+            for i, row in enumerate(reader):
+                try:
+                    pol = int(row["polarization"])
+                    volt = float(row["voltage_volts"])
+                    phase = float(row["phase_degrees"])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"bad LUT row {i + 2}: {row}") from exc
+                if pol not in (0, 1):
+                    raise ValueError(f"polarization must be 0 or 1, got {pol} at row {i + 2}")
+                rows[pol].append((volt, np.deg2rad(phase)))
+        # The csv module's own errors (a field over its size limit) are malformed input too.
+        except csv.Error as exc:
+            raise ValueError(f"malformed LUT CSV at line {reader.line_num}: {exc}") from exc
     tables = []
     for pol in (0, 1):
         if len(rows[pol]) < 2:

@@ -4,12 +4,13 @@ import json
 import subprocess
 import sys
 from concurrent import futures
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpris import campaign
 from dpris.campaign import (
@@ -190,6 +191,48 @@ def test_each_json_section_is_built_once_per_load(tmp_path, monkeypatch):
     cfg = load_config(str(path))
     assert sorted(built, key=str) == sorted(classes, key=str)
     assert cfg.geometry.cells_x == 4 and cfg.waveform_export.samples == 8
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # json.loads also yields NaN and +-Infinity
+    | st.sampled_from(["", "x", "ideal", "inf", "A", "B", "identical", "pilot", "iid_rayleigh"])
+)
+_JSON_VALUES = (
+    _JSON_SCALARS
+    | st.lists(_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3), max_size=3)
+    | st.dictionaries(st.text("abxy_", max_size=3), _JSON_SCALARS, max_size=2)
+)
+
+
+def _json_objects(cls):
+    """JSON objects holding any subset of the fields of dataclass ``cls``, each
+    set to its default (a section's: such an object of its own fields) or to
+    any JSON value, so that some draws get past the first field they set."""
+
+    values = {
+        f.name: _json_objects(type(f.default)) | _JSON_VALUES
+        if is_dataclass(f.default)
+        else st.just(json.loads(json.dumps(f.default))) | _JSON_VALUES
+        for f in fields(cls)
+    }
+    return st.lists(st.sampled_from(sorted(values)), unique=True, max_size=5).flatmap(
+        lambda keys: st.fixed_dictionaries({key: values[key] for key in keys})
+    )
+
+
+@given(_json_objects(CampaignConfig))
+@example(None)
+@example([{"seed": 1}])
+@settings(max_examples=200, deadline=None)
+def test_any_json_value_is_a_config_or_a_config_error(raw):
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert len(config_hash(config)) == 16
 
 
 def test_dac_bits_accepts_ideal_string():
@@ -431,6 +474,8 @@ def test_custom_lut_csv_feeds_fidelity_b(tmp_path):
 BAD_ROW_LUT = ["0,0,0", "0,x,180", "0,20,360", "1,0,0", "1,20,360"]
 # Polarization 0 spans only half a turn: the ramp phases cannot be realized.
 HALF_TURN_LUT = ["0,0,0", "0,20,180", "1,0,0", "1,20,360"]
+# A field longer than the csv module's 131,072-character limit.
+LONG_FIELD_LUT = ["0,0,0", "0," + "1" * 200_000 + ",0"]
 
 
 @pytest.mark.parametrize(
@@ -451,6 +496,7 @@ HALF_TURN_LUT = ["0,0,0", "0,20,180", "1,0,0", "1,20,360"]
         ("ber-sweep", "A", HALF_TURN_LUT, 2),
         ("oracle-check", "A", HALF_TURN_LUT, 2),
         ("export-waveform", "A", HALF_TURN_LUT, 2),
+        ("ber-sweep", "B", LONG_FIELD_LUT, 2),
     ],
     ids=[
         "narrow",
@@ -465,6 +511,7 @@ HALF_TURN_LUT = ["0,0,0", "0,20,180", "1,0,0", "1,20,360"]
         "narrow-fidelity-a",
         "narrow-oracle-check",
         "narrow-export-waveform",
+        "field-over-csv-limit",
     ],
 )
 def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, command, fidelity, rows, code):
@@ -482,6 +529,33 @@ def test_cli_bad_lut_csv_exit_code(tmp_path, capsys, command, fidelity, rows, co
     assert not (tmp_path / "o.csv").exists()
     err = capsys.readouterr().err
     assert ("lut_csv" in err) if code == 2 else err.startswith("i/o error:")
+
+
+_LUT_NUMBERS = (
+    st.sampled_from(["0", "20", "360", "-1", "1e308", "-1e308", "1e-320", "inf", "nan"])
+    | st.floats().map(repr)
+    | st.integers(-400, 400).map(str)
+)
+# Any text of CSV and number characters, or the column header and rows of a
+# polarization and two numbers.  A fixed alphabet keeps hypothesis from
+# building its Unicode tables, about 2 s on a fresh checkout.
+_LUT_TEXTS = st.text(',"\r\n 0123456789.eE+-infaxyé\x00') | st.lists(
+    st.tuples(st.sampled_from(["0", "1"]), _LUT_NUMBERS, _LUT_NUMBERS), max_size=8
+).map(lambda rows: "\n".join(["polarization,voltage_volts,phase_degrees", *map(",".join, rows)]) + "\n")
+
+
+@given(_LUT_TEXTS)
+@example("polarization,voltage_volts,phase_degrees\n0,0,0\n0,20,360\n1,0,0\n1,20,360\n")
+@settings(max_examples=200, deadline=None)
+def test_any_lut_csv_text_is_curves_or_a_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-curves.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        lut = campaign._named_lut(CampaignConfig(lut_csv=str(path)))
+    except ConfigError:
+        return
+    for pol in (0, 1):
+        assert np.all(np.isfinite(lut.voltages[pol])) and np.all(np.isfinite(lut.phases[pol]))
 
 
 INF_VOLTAGE_LUT = ["0,0,0", "0,inf,360", "1,0,0", "1,20,360"]
@@ -515,6 +589,13 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
             "ebn0_grid_db[0]",
         ),
         ("file-loopback", {"loopback_ebn0_db": 1e308}, None, "loopback_ebn0_db"),
+        # Geometries whose channel leaves the float range: a wavelength that
+        # overflows, cell distances whose squares overflow, a feed distance
+        # whose square underflows, so the path loss divides by zero.
+        ("ber-sweep", {"geometry": {"carrier_frequency_hz": 1e-300}}, None, "geometry"),
+        ("ber-sweep", {"geometry": {"pitch_x_m": 1e200}}, None, "geometry"),
+        ("file-loopback", {"geometry": {"pitch_x_m": 1e200}}, None, "geometry"),
+        ("ber-sweep", {"geometry": {"cells_x": 1, "cells_y": 1, "feed_distance_m": 1e-320}}, None, "geometry"),
     ],
     ids=[
         "ripple",
@@ -530,6 +611,10 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         "ebn0-noise-power-overflows",
         "carrier-noise-power-overflows",
         "loopback-ebn0-noise-power-underflows",
+        "wavelength-overflows",
+        "cell-distance-overflows",
+        "loopback-cell-distance-overflows",
+        "path-loss-divides-by-zero",
     ],
 )
 def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, command, overrides, rows, key):
