@@ -13,9 +13,15 @@ From the two coupled curves it then reports where each crosses BER 1e-4 and
 the extra Eb/N0 relative to the theoretical curve.  With the synthetic
 default transfer curves the absolute dB numbers are illustrative; the
 robust observation is the ordering: independent streams pay more than
-identical streams, and both pay something.  The exit status is 1 when that
-ordering does not hold, and 2 on a configuration error such as --bits
-below 10,000.
+identical streams, and both pay something.
+
+Exit status:
+
+  0  the ordering holds
+  1  the ordering does not hold
+  2  configuration error, such as --bits below 10,000 or --threads below 1
+  4  I/O error, such as an output CSV that already exists without --force;
+     existing outputs are refused before the first sweep runs
 """
 
 import argparse
@@ -25,8 +31,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dpris.campaign import coupling_penalty_report, run_ber_sweep, write_ber_csv
+from dpris.campaign import (
+    coupling_penalty_report,
+    refuse_existing_output,
+    run_ber_sweep,
+    write_ber_csv,
+)
 from dpris.config import CampaignConfig, ConfigError
+
+CSV_NAMES = ("ber_fidelity_a.csv", "ber_coupled_independent.csv", "ber_coupled_identical.csv")
 
 
 def main() -> int:
@@ -39,6 +52,8 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         base = CampaignConfig(seed=args.seed, bits_per_point=args.bits)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -47,7 +62,14 @@ def main() -> int:
         base, fidelity="B", coupling=True, ebn0_grid_db=tuple(float(x) for x in range(8, 30, 2))
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        if not args.force:
+            for name in CSV_NAMES:
+                refuse_existing_output(out_dir / name)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 4
 
     def write(name, cfg, result):
         write_ber_csv(result, cfg, out_dir / name, force=args.force)
@@ -58,14 +80,10 @@ def main() -> int:
                 f"(+-{record.wilson_interval_halfwidth:.1e})  theory {theory:.3e}"
             )
 
-    write("ber_fidelity_a.csv", base, run_ber_sweep(base, threads=args.threads))
+    write(CSV_NAMES[0], base, run_ber_sweep(base, threads=args.threads))
     report = coupling_penalty_report(coupled, threads=args.threads)
-    write("ber_coupled_independent.csv", coupled, report.result_independent)
-    write(
-        "ber_coupled_identical.csv",
-        replace(coupled, stream_relation="identical"),
-        report.result_identical,
-    )
+    write(CSV_NAMES[1], coupled, report.result_independent)
+    write(CSV_NAMES[2], replace(coupled, stream_relation="identical"), report.result_identical)
 
     print(f"theoretical 16-QAM curve reaches 1e-4 at {report.theory_crossing_db:.2f} dB")
     print(

@@ -21,8 +21,9 @@ pins it against the direct per-symbol waveform path.  Receiver noise enters
 after the correlator with the correlator-output variance, which is
 distributionally identical to per-sample noise at M times that power.
 A channel or control path that leaves the float range (a non-finite G or
-received symbol, or an overflow, division by zero or invalid value on the
-way) is a :class:`ConfigError`, never a table.
+received symbol, a G whose mean row energy underflows to 0, or an overflow,
+division by zero or invalid value on the way) is a :class:`ConfigError`,
+never a table.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .channel import awgn, channel_set_from, effective_stream_channel, noise_power_for_ebn0
+from .channel import (
+    awgn,
+    channel_set_from,
+    effective_stream_channel,
+    mean_row_energy,
+    noise_power_for_ebn0,
+)
 from .config import (
     BITS_PER_SYMBOL,
     CampaignConfig,
@@ -244,6 +251,16 @@ class LinkEngine:
             self.g = _finite(
                 effective_stream_channel(self.channels.h2, self.e, config.carrier_power_watts)
             )
+            # The SNR reference scales every noise power by this energy: at 0
+            # no Eb/N0 is realizable, so the geometry or carrier is at fault.
+            row_energy = mean_row_energy(self.g)
+            if not 0.0 < row_energy < math.inf:
+                unscaled = effective_stream_channel(self.channels.h2, self.e)
+                raise ConfigError(
+                    "carrier_power_watts" if unscaled.any() else "geometry",
+                    f"the channel's mean row energy {row_energy!r} is not a finite positive float, "
+                    "so no Eb/N0 has a noise power",
+                )
         self.pilot = default_pilot_block(config.pilot_length)
 
         # Per-constellation-point ramp parameters and closed-form symbols.
@@ -781,33 +798,33 @@ def run_file_loopback(
         return LoopbackResult(bytes_in=0, bytes_out=0, record=None)
 
     w = engine.zf_for_point(0, config.loopback_ebn0_db, noise_power)
-
-    # Stream q carries bytes q, q + 2, ...; stream 1 is zero-padded to the
-    # length of stream 0 (one byte shorter for odd payloads).
     data = np.frombuffer(payload, dtype=np.uint8)
-    sym0 = bytes_to_symbol_indices(data[0::2])
-    sym1 = np.zeros_like(sym0)
-    n1 = 2 * (len(payload) // 2)
-    sym1[:n1] = bytes_to_symbol_indices(data[1::2])
-    rx0 = np.empty_like(sym0)
-    rx1 = np.empty_like(sym0)
+    out = np.empty(data.size, dtype=np.uint8)
 
     def job(chunk_idx):
+        # Chunk c carries payload bytes [c, c + 1) * CHUNK_SYMBOLS: stream q
+        # takes bytes q, q + 2, ... of the block, and stream 1 is zero-padded
+        # to the length of stream 0 (one byte shorter on an odd last block).
         part = slice(chunk_idx * CHUNK_SYMBOLS, (chunk_idx + 1) * CHUNK_SYMBOLS)
+        block = data[part]
+        sym0 = bytes_to_symbol_indices(block[0::2])
+        sym1 = np.zeros_like(sym0)
+        n1 = 2 * (block.size // 2)
+        sym1[:n1] = bytes_to_symbol_indices(block[1::2])
         rng = _point_rng(config.seed, 0, 1 + chunk_idx)
-        rx0[part], rx1[part] = engine.detect_chunk(sym0[part], sym1[part], rng, noise_power, w)
+        rx0, rx1 = engine.detect_chunk(sym0, sym1, rng, noise_power, w)
+        received = out[part]
+        received[0::2] = symbol_indices_to_bytes(rx0)
+        received[1::2] = symbol_indices_to_bytes(rx1[:n1])
+        return (*_error_counts(rx0, rx1[:n1], sym0, sym1[:n1]), sym0.size + n1)
 
-    _map_chunks(job, -(-sym0.size // CHUNK_SYMBOLS), threads)
-    bit_errors, symbol_errors = _error_counts(rx0, rx1[:n1], sym0, sym1[:n1])
-
-    out = np.empty(len(payload), dtype=np.uint8)
-    out[0::2] = symbol_indices_to_bytes(rx0)
-    out[1::2] = symbol_indices_to_bytes(rx1[:n1])
+    counts = _map_chunks(job, -(-data.size // CHUNK_SYMBOLS), threads)
+    bit_errors, symbol_errors, symbols = map(sum, zip(*counts))
     with _open_output(output_path, force, binary=True) as fh:
-        fh.write(out.tobytes())
+        fh.write(out)
 
     record = _ber_record(
-        config.loopback_ebn0_db, BITS_PER_SYMBOL * (sym0.size + n1), bit_errors, symbol_errors
+        config.loopback_ebn0_db, BITS_PER_SYMBOL * symbols, bit_errors, symbol_errors
     )
     return LoopbackResult(bytes_in=len(payload), bytes_out=out.size, record=record)
 

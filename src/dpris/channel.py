@@ -253,6 +253,11 @@ def awgn(
     return out
 
 
+def mean_row_energy(g: np.ndarray) -> float:
+    """Mean over the receive ports of each row's energy, sum_q |G[k, q]|^2."""
+    return float(np.mean(np.sum(np.abs(np.asarray(g)) ** 2, axis=1)))
+
+
 def noise_power_for_ebn0(
     g: np.ndarray, ebn0_db: float, symbol_energy: float, bits_per_symbol: int
 ) -> float:
@@ -265,6 +270,5 @@ def noise_power_for_ebn0(
     """
     if np.isinf(ebn0_db):
         return 0.0
-    row_energy = float(np.mean(np.sum(np.abs(np.asarray(g)) ** 2, axis=1)))
     gamma = 10.0 ** (ebn0_db / 10.0)
-    return row_energy * symbol_energy / (bits_per_symbol * gamma)
+    return mean_row_energy(g) * symbol_energy / (bits_per_symbol * gamma)

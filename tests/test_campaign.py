@@ -1,8 +1,11 @@
 """Campaign plumbing: config schema, engine routes, CLI, loopback, export."""
 
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from concurrent import futures
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -596,6 +599,12 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         ("ber-sweep", {"geometry": {"pitch_x_m": 1e200}}, None, "geometry"),
         ("file-loopback", {"geometry": {"pitch_x_m": 1e200}}, None, "geometry"),
         ("ber-sweep", {"geometry": {"cells_x": 1, "cells_y": 1, "feed_distance_m": 1e-320}}, None, "geometry"),
+        # Channels whose gain underflows, so that no Eb/N0 has a noise power:
+        # the path loss at 1e300 Hz rounds G to zero, and so does sqrt(1e-320 W).
+        ("ber-sweep", {"geometry": {"carrier_frequency_hz": 1e300}}, None, "geometry"),
+        ("file-loopback", {"geometry": {"carrier_frequency_hz": 1e300}}, None, "geometry"),
+        ("ber-sweep", {"fidelity": "A", "carrier_power_watts": 1e-320}, None, "carrier_power_watts"),
+        ("file-loopback", {"fidelity": "A", "carrier_power_watts": 1e-320}, None, "carrier_power_watts"),
     ],
     ids=[
         "ripple",
@@ -615,6 +624,10 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         "cell-distance-overflows",
         "loopback-cell-distance-overflows",
         "path-loss-divides-by-zero",
+        "path-loss-underflows-g",
+        "loopback-path-loss-underflows-g",
+        "carrier-power-underflows-g",
+        "loopback-carrier-power-underflows-g",
     ],
 )
 def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, command, overrides, rows, key):
@@ -854,6 +867,55 @@ def test_file_loopback_coupled_low_snr_corrupts(tmp_path):
     assert result.record.bits_sent == 8 * len(payload)
 
 
+# Payload np.random.default_rng(size).bytes(size), seed 4, 6 dB.  The sizes
+# end inside a chunk (16384 payload bytes), on its end and just past it, and
+# two of them on an odd byte.  size: (bits sent, bit errors, symbol errors,
+# output sha256), recorded from the whole-payload loopback.
+LOOPBACK_PINS = {
+    3: (24, 1, 1, "e7035cb41bc308de1b013fcde2f12ed76604974b0cc3888bb31fd34e06583883"),
+    16384: (131072, 6196, 5921, "1af6d4fa18aa446ec37d0005fc4db09252d6cafa4f71261d85e9eff8d3186eb2"),
+    16385: (131080, 6247, 5951, "527d14db195611b7cd20c180dfdc8048cce22445d5ef72668972f54da36955a1"),
+    40001: (320008, 15199, 14487, "f8c90f239cdfc570c90e5f367b3cc0e2a32429915736affffe51eb5f3a1e0d63"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("size", sorted(LOOPBACK_PINS))
+def test_file_loopback_output_is_pinned(tmp_path, size, threads):
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "out.bin"
+    src.write_bytes(np.random.default_rng(size).bytes(size))
+    cfg = config_from_dict({"seed": 4, "loopback_ebn0_db": 6.0})
+    record = run_file_loopback(src, dst, cfg, threads=threads).record
+    bits, bit_errors, symbol_errors, sha = LOOPBACK_PINS[size]
+    assert (record.bits_sent, record.bit_errors, record.symbol_errors) == (bits, bit_errors, symbol_errors)
+    assert hashlib.sha256(dst.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_file_loopback_memory_grows_about_two_bytes_per_payload_byte(tmp_path, threads):
+    # The payload and the output are the only payload-sized arrays; every
+    # other array is one chunk's, so the traced peak grows by about 2 B per
+    # extra payload byte.
+    src = tmp_path / "in.bin"
+    dst = tmp_path / "out.bin"
+    cfg = small_config(loopback_ebn0_db=6.0)
+    src.write_bytes(bytes(range(256)))
+    run_file_loopback(src, dst, cfg, threads=threads, force=True)  # first-call allocations
+    sizes = (256 * 1024, 2 * 1024 * 1024)
+    peaks = []
+    for size in sizes:
+        src.write_bytes(np.random.default_rng(size).bytes(size))
+        tracemalloc.start()
+        try:
+            run_file_loopback(src, dst, cfg, threads=threads, force=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_byte = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert per_byte < 3.0, f"traced peak grows {per_byte:.2f} B per payload byte"
+
+
 def test_file_loopback_overwrite_refused(tmp_path):
     src = tmp_path / "in.bin"
     dst = tmp_path / "out.bin"
@@ -1052,8 +1114,19 @@ def test_cli_entrypoint_runs_as_module():
     assert "ber-sweep" in proc.stdout
 
 
+DEFAULT_CAMPAIGN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_default_campaign.py"
+
+
+@pytest.fixture(scope="module")
+def default_campaign():
+    spec = importlib.util.spec_from_file_location("run_default_campaign", DEFAULT_CAMPAIGN_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_default_campaign_script_writes_curves_and_penalty(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_default_campaign.py"
+    script = DEFAULT_CAMPAIGN_SCRIPT
     proc = subprocess.run(
         [sys.executable, str(script), "--out-dir", str(tmp_path), "--bits", "20000", "--threads", "1"],
         capture_output=True,
@@ -1080,3 +1153,34 @@ def test_default_campaign_script_writes_curves_and_penalty(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: bits_per_point: must be at least 10000")
     assert not bad_dir.exists()
+
+
+def test_default_campaign_script_refuses_existing_output_before_any_sweep(
+    tmp_path, monkeypatch, capsys, default_campaign
+):
+    kept = tmp_path / "ber_coupled_identical.csv"
+    kept.write_text("keep")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a sweep ran although an output is refused")
+
+    monkeypatch.setattr(default_campaign, "run_ber_sweep", must_not_run)
+    monkeypatch.setattr(default_campaign, "coupling_penalty_report", must_not_run)
+    monkeypatch.setattr(sys, "argv", ["run_default_campaign.py", "--out-dir", str(tmp_path)])
+    assert default_campaign.main() == 4
+    assert capsys.readouterr().err.startswith("i/o error: refusing to overwrite")
+    assert kept.read_text() == "keep"
+    assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_default_campaign_script_rejects_threads_below_one(
+    tmp_path, monkeypatch, capsys, default_campaign, threads
+):
+    out_dir = tmp_path / "res"
+    monkeypatch.setattr(
+        sys, "argv", ["run_default_campaign.py", "--out-dir", str(out_dir), "--threads", threads]
+    )
+    assert default_campaign.main() == 2
+    assert capsys.readouterr().err.startswith("config error: --threads: must be at least 1")
+    assert not out_dir.exists()
