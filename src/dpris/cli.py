@@ -1,19 +1,24 @@
 """Command-line front end.
 
-Subcommands: ber-sweep, oracle-check, file-loopback, export-waveform.
+Subcommands: ber-sweep, oracle-check, file-loopback, export-waveform,
+coupling-penalty.
 Exit codes: 0 success, 2 configuration error (or a noisy pilot estimate too
-ill-conditioned to equalize), 3 oracle failure, 4 I/O error.
+ill-conditioned to equalize), 3 a failed gate (an oracle suite, or the
+coupling-penalty ordering), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .campaign import (
     PilotEstimateError,
+    coupling_penalty_report,
     export_waveform,
     refuse_existing_output,
     run_ber_sweep,
@@ -28,6 +33,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 EXIT_IO = 4
+
+PENALTY_CSVS = ("ber_fidelity_a.csv", "ber_coupled_independent.csv", "ber_coupled_identical.csv")
+# The coupled sweeps' grid, 8 to 28 dB: both coupled curves cross BER 1e-4 inside it.
+PENALTY_GRID_DB = tuple(float(x) for x in range(8, 30, 2))
 
 
 def _add_common(parser: argparse.ArgumentParser, output: bool = True, threads: bool = True):
@@ -49,18 +58,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber-sweep", help="Monte Carlo BER sweep over the Eb/N0 grid")
     _add_common(p)
+    p.set_defaults(handler=_cmd_ber_sweep)
 
     # --threads is accepted for a uniform command line; the suites run serially.
     p = sub.add_parser("oracle-check", help="run the analytic self-check suites")
     _add_common(p, output=False)
+    p.set_defaults(handler=_cmd_oracle_check)
 
     p = sub.add_parser("file-loopback", help="transmit a file through the fidelity-B link")
     p.add_argument("input", metavar="INPUT", help="file to transmit")
     _add_common(p)
+    p.set_defaults(handler=_cmd_file_loopback)
 
     p = sub.add_parser("export-waveform", help="export one modulation waveform as CSV")
     _add_common(p, threads=False)
+    p.set_defaults(handler=_cmd_export_waveform)
+
+    p = sub.add_parser(
+        "coupling-penalty", help="clean and coupled BER curves and the coupling's SNR penalty"
+    )
+    _add_common(p, output=False)
+    p.add_argument(
+        "--out-dir", metavar="DIR", default="results", help="directory of the three CSVs (default results)"
+    )
+    p.add_argument("--force", action="store_true", help="allow overwriting outputs")
+    p.set_defaults(handler=_cmd_coupling_penalty)
     return parser
+
+
+def _outputs(args) -> list:
+    """The files the command writes."""
+    if args.command == "coupling-penalty":
+        return [os.path.join(args.out_dir, name) for name in PENALTY_CSVS]
+    return [args.out] if "out" in vars(args) else []
 
 
 def main(argv=None) -> int:
@@ -70,22 +100,19 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     overrides = {"seed": args.seed} if args.seed is not None else {}
     try:
+        if vars(args).get("threads", 1) < 1:
+            raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         config = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if "out" in vars(args) and not args.force:
-            refuse_existing_output(args.out)
-        if args.command == "ber-sweep":
-            return _cmd_ber_sweep(args, config)
-        if args.command == "oracle-check":
-            return _cmd_oracle_check(args, config)
-        if args.command == "file-loopback":
-            return _cmd_file_loopback(args, config)
-        if args.command == "export-waveform":
-            return _cmd_export_waveform(args, config)
+        # Refused before the run, so a refused overwrite costs no run time.
+        if "force" in vars(args) and not args.force:
+            for path in _outputs(args):
+                refuse_existing_output(path)
+        return args.handler(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -98,14 +125,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError(f"unhandled command {args.command}")
 
 
-def _cmd_ber_sweep(args, config) -> int:
-    result = run_ber_sweep(config, threads=max(1, args.threads))
-    write_ber_csv(result, config, args.out, force=args.force)
+def _write_sweep(args, config, result, path) -> None:
+    """Write one sweep's CSV and print its report."""
+    write_ber_csv(result, config, path, force=args.force)
     print(
-        f"ber-sweep: {len(result.records)} points, config_hash={result.config_hash}, "
+        f"{args.command}: {len(result.records)} points, config_hash={result.config_hash}, "
         f"throughput {result.throughput_bps / 1e6:g} Mbps, wall {result.wall_time_s:.2f} s"
     )
     for record, theory in zip(result.records, result.theoretical):
@@ -114,7 +140,11 @@ def _cmd_ber_sweep(args, config) -> int:
             f"(+-{record.wilson_interval_halfwidth:.1e}), theory {theory:.3e}, "
             f"{record.bit_errors}/{record.bits_sent} bits"
         )
-    print(f"wrote {args.out}")
+    print(f"wrote {path}")
+
+
+def _cmd_ber_sweep(args, config) -> int:
+    _write_sweep(args, config, run_ber_sweep(config, threads=args.threads), args.out)
     return EXIT_OK
 
 
@@ -129,9 +159,7 @@ def _cmd_oracle_check(args, config) -> int:
 
 
 def _cmd_file_loopback(args, config) -> int:
-    result = run_file_loopback(
-        args.input, args.out, config, threads=max(1, args.threads), force=args.force
-    )
+    result = run_file_loopback(args.input, args.out, config, threads=args.threads, force=args.force)
     print(f"file-loopback: {result.bytes_in} bytes in, {result.bytes_out} bytes out")
     if result.record is None:
         print("empty input, nothing transmitted")
@@ -156,6 +184,33 @@ def _cmd_export_waveform(args, config) -> int:
     print(f"closed-form order -1: {export.closed_form_minus1:.9f}")
     print(f"window energy (<= 1): {export.window_energy:.9f}")
     return EXIT_OK
+
+
+def _cmd_coupling_penalty(args, config) -> int:
+    """The config's sweep at fidelity A without coupling, then both coupled
+    sweeps and their SNR penalty at BER 1e-4; exits 3 unless independent
+    streams pay more than identical ones and both pay something."""
+    clean = replace(config, fidelity="A", coupling=False)
+    coupled = replace(config, fidelity="B", coupling=True, ebn0_grid_db=PENALTY_GRID_DB)
+    paths = _outputs(args)
+    os.makedirs(args.out_dir, exist_ok=True)
+    _write_sweep(args, clean, run_ber_sweep(clean, threads=args.threads), paths[0])
+    report = coupling_penalty_report(coupled, threads=args.threads)
+    _write_sweep(args, replace(coupled, stream_relation="independent"), report.result_independent, paths[1])
+    _write_sweep(args, replace(coupled, stream_relation="identical"), report.result_identical, paths[2])
+
+    print(f"theoretical 16-QAM curve reaches 1e-4 at {report.theory_crossing_db:.2f} dB")
+    print(
+        f"independent streams: crossing {report.crossing_independent_db:.2f} dB, "
+        f"penalty {report.penalty_independent_db:.2f} dB"
+    )
+    print(
+        f"identical streams:   crossing {report.crossing_identical_db:.2f} dB, "
+        f"penalty {report.penalty_identical_db:.2f} dB"
+    )
+    ordering = report.penalty_independent_db > report.penalty_identical_db > 0.0
+    print(f"ordering independent > identical > 0: {ordering}")
+    return EXIT_OK if ordering else EXIT_ORACLE
 
 
 def entrypoint() -> None:

@@ -51,6 +51,19 @@ class ConfigError(ValueError):
 # million cases of each suite already take minutes.
 MAX_ORACLE_CASES = 1_000_000
 
+# Size caps, each measured on 2 vCPUs (peak RSS of the one call that builds
+# the arrays; every array grows linearly with the input).  The fidelity-B
+# engine builds its 256-pair waveform table at 109 MiB at 4,096 samples per
+# symbol, 325 MiB (0.9 s) at 16,384 and 613 MiB at 32,768.
+MAX_SAMPLES_PER_SYMBOL = 16_384
+# An engine with 100,000 pilot symbols peaks at 77 MiB, with 1,000,000 at 448 MiB.
+MAX_PILOT_LENGTH = 100_000
+# export-waveform writes 1,000,000 samples at 81 MiB in 3.4 s, 10,000,000 at
+# 416 MiB in 34 s; it prints one line per harmonic order, 200,001 lines at
+# a span of 100,000 (51 MiB, 1.4 s) and 2,000,001 at 1,000,000 (159 MiB, 12 s).
+MAX_EXPORT_SAMPLES = 1_000_000
+MAX_HARMONIC_SPAN = 100_000
+
 
 @dataclass(frozen=True)
 class OracleCheckConfig:
@@ -77,10 +90,12 @@ class WaveformExportConfig:
             raise ValueError("delta_phi_rad must lie in (0, 2*pi]")
         if not 0.0 <= self.t_shift_fraction < 1.0:
             raise ValueError("t_shift_fraction must lie in [0, 1)")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
-        if self.harmonic_span < 1:
-            raise ValueError("harmonic_span must be at least 1")
+        if not 2 <= self.samples <= MAX_EXPORT_SAMPLES:
+            raise ValueError(f"samples must lie in [2, {MAX_EXPORT_SAMPLES}], got {self.samples}")
+        if not 1 <= self.harmonic_span <= MAX_HARMONIC_SPAN:
+            raise ValueError(
+                f"harmonic_span must lie in [1, {MAX_HARMONIC_SPAN}], got {self.harmonic_span}"
+            )
 
 
 @dataclass(frozen=True)
@@ -148,8 +163,11 @@ class CampaignConfig:
                 "symbol_rate_sps",
                 f"symbol period 1/{self.symbol_rate_sps!r} s overflows; the rate is too small",
             )
-        if self.samples_per_symbol < 2:
-            raise ConfigError("samples_per_symbol", "must be at least 2")
+        if not 2 <= self.samples_per_symbol <= MAX_SAMPLES_PER_SYMBOL:
+            raise ConfigError(
+                "samples_per_symbol",
+                f"must lie in [2, {MAX_SAMPLES_PER_SYMBOL}], got {self.samples_per_symbol}",
+            )
         # The CSV header carries the throughput.  The ramp samples a symbol at
         # spacing Ts / samples_per_symbol; below the smallest normal float its
         # phases lose precision, then turn NaN.
@@ -162,8 +180,11 @@ class CampaignConfig:
                 f"rate {self.symbol_rate_sps!r} is too large: the throughput or the sample "
                 f"spacing 1/(rate * samples_per_symbol) leaves the float range",
             )
-        if self.pilot_length < 2 or self.pilot_length % 2 != 0:
-            raise ConfigError("pilot_length", "must be an even number >= 2")
+        if not 2 <= self.pilot_length <= MAX_PILOT_LENGTH or self.pilot_length % 2 != 0:
+            raise ConfigError(
+                "pilot_length",
+                f"must be an even number in [2, {MAX_PILOT_LENGTH}], got {self.pilot_length}",
+            )
         if self.coupling and self.fidelity != "B":
             raise ConfigError(
                 "coupling", "voltage coupling is a waveform-level impairment; requires fidelity B"

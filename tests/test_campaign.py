@@ -1,7 +1,6 @@
 """Campaign plumbing: config schema, engine routes, CLI, loopback, export."""
 
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -30,7 +29,11 @@ from dpris.campaign import (
 )
 from dpris.cli import main
 from dpris.config import (
+    MAX_EXPORT_SAMPLES,
+    MAX_HARMONIC_SPAN,
     MAX_ORACLE_CASES,
+    MAX_PILOT_LENGTH,
+    MAX_SAMPLES_PER_SYMBOL,
     CampaignConfig,
     ConfigError,
     config_from_dict,
@@ -139,6 +142,8 @@ def test_config_type_and_range_errors_carry_paths():
         pytest.param({"seed": "x"}, id="seed-string"),
         pytest.param({"symbol_rate_sps": 1e-310}, id="symbol_rate_sps-period-overflow"),
         pytest.param({"symbol_rate_sps": 1e308}, id="symbol_rate_sps-sample-spacing-underflow"),
+        pytest.param({"samples_per_symbol": MAX_SAMPLES_PER_SYMBOL + 1}, id="samples_per_symbol-above-cap"),
+        pytest.param({"pilot_length": MAX_PILOT_LENGTH + 2}, id="pilot_length-above-cap"),
     ],
     ids=lambda bad: next(iter(bad)) if len(bad) == 1 else "coupling-fidelity-a",
 )
@@ -1025,6 +1030,33 @@ def test_cell_grid_is_bounded():
         assert err.value.path == "geometry"
 
 
+@pytest.mark.parametrize(
+    "command, section, key, cap, huge",
+    [
+        ("ber-sweep", None, "samples_per_symbol", MAX_SAMPLES_PER_SYMBOL, 10**15),
+        ("export-waveform", "waveform_export", "samples", MAX_EXPORT_SAMPLES, 10**15),
+        ("export-waveform", "waveform_export", "harmonic_span", MAX_HARMONIC_SPAN, 10**15),
+        ("ber-sweep", None, "pilot_length", MAX_PILOT_LENGTH, 10**10),
+    ],
+    ids=["samples_per_symbol", "waveform_export.samples", "waveform_export.harmonic_span", "pilot_length"],
+)
+def test_cli_size_inputs_are_bounded(tmp_path, capsys, command, section, key, cap, huge):
+    def setting(value):
+        return {key: value} if section is None else {section: {key: value}}
+
+    path = f"{section}: {key}" if section else key  # a section error names the field
+    assert config_from_dict(setting(cap))
+    with pytest.raises(ConfigError, match=f"^{path}"):
+        config_from_dict(setting(cap + 2))
+    # Uncapped, each value ends in a numpy or Python MemoryError.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fidelity": "B", **setting(huge)}))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}")
+    assert not out.exists()
+
+
 def test_cli_ber_sweep_requires_out():
     assert main(["ber-sweep"]) == 2
 
@@ -1114,73 +1146,114 @@ def test_cli_entrypoint_runs_as_module():
     assert "ber-sweep" in proc.stdout
 
 
-DEFAULT_CAMPAIGN_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_default_campaign.py"
+# sha256 of the three CSVs and the four penalty lines at {"bits_per_point": 20000},
+# as written by the experiment's earlier stand-alone script.
+PENALTY_PINS = {
+    1: (
+        {
+            "ber_fidelity_a.csv": "372107449ac5b065eef1443e6dc5ffd7e4fca43edfcd2c5851375436856e17f6",
+            "ber_coupled_independent.csv": "8c5772916647855c9f603c6dac511620ab37000bc736bae0155cf603b0054d40",
+            "ber_coupled_identical.csv": "2cc33cece7d5dd5a5fa1c4b6969c49c6902848f0f1d95d4279a9debd960f687f",
+        },
+        [
+            "theoretical 16-QAM curve reaches 1e-4 at 12.20 dB",
+            "independent streams: crossing 22.74 dB, penalty 10.53 dB",
+            "identical streams:   crossing 17.04 dB, penalty 4.84 dB",
+            "ordering independent > identical > 0: True",
+        ],
+    ),
+    7: (
+        {
+            "ber_fidelity_a.csv": "aeba6768445f81bad8dccc47539b466760990fa47a8e8e1068e9a061fd892c05",
+            "ber_coupled_independent.csv": "1169081be9cd2830538b83321d6c862460a990ecfd7793a7256d9b03f24c64ff",
+            "ber_coupled_identical.csv": "dcb18eaae12e81c434a29fef8a2adc6df7b17a40c6d11cd95b9011e05846bb08",
+        },
+        [
+            "theoretical 16-QAM curve reaches 1e-4 at 12.20 dB",
+            "independent streams: crossing 24.00 dB, penalty 11.80 dB",
+            "identical streams:   crossing 18.00 dB, penalty 5.80 dB",
+            "ordering independent > identical > 0: True",
+        ],
+    ),
+}
 
 
-@pytest.fixture(scope="module")
-def default_campaign():
-    spec = importlib.util.spec_from_file_location("run_default_campaign", DEFAULT_CAMPAIGN_SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _bits_config(tmp_path, bits=20000):
+    path = tmp_path / "bits.json"
+    path.write_text(json.dumps({"bits_per_point": bits}))
+    return str(path)
 
 
-def test_default_campaign_script_writes_curves_and_penalty(tmp_path):
-    script = DEFAULT_CAMPAIGN_SCRIPT
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out-dir", str(tmp_path), "--bits", "20000", "--threads", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "ber_coupled_identical.csv",
-        "ber_coupled_independent.csv",
-        "ber_fidelity_a.csv",
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_coupling_penalty_writes_curves_and_penalty(tmp_path, capsys, seed, threads):
+    out_dir = tmp_path / "res"
+    argv = ["coupling-penalty", "--config", _bits_config(tmp_path), "--seed", str(seed)]
+    assert main([*argv, "--threads", threads, "--out-dir", str(out_dir)]) == 0
+    digests, lines = PENALTY_PINS[seed]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()} == digests
+    out = capsys.readouterr().out.splitlines()
+    assert out[-4:] == lines
+    # Each sweep is reported as ber-sweep reports its one.
+    assert [line for line in out if line.startswith("wrote ")] == [
+        f"wrote {out_dir / name}" for name in digests
     ]
-    assert "theoretical 16-QAM curve reaches 1e-4 at" in proc.stdout
-    assert "independent streams: crossing" in proc.stdout
-    assert "identical streams:   crossing" in proc.stdout
-    assert "ordering independent > identical > 0: True" in proc.stdout
-
-    # too few bits a point: a config error before any sweep runs or CSV is written
-    bad_dir = tmp_path / "bad"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out-dir", str(bad_dir), "--bits", "5", "--threads", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("config error: bits_per_point: must be at least 10000")
-    assert not bad_dir.exists()
 
 
-def test_default_campaign_script_refuses_existing_output_before_any_sweep(
-    tmp_path, monkeypatch, capsys, default_campaign
-):
+def test_coupling_penalty_config_error_creates_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "res"
+    argv = ["coupling-penalty", "--config", _bits_config(tmp_path, bits=5), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: bits_per_point: must be at least 10000")
+    assert not out_dir.exists()
+
+
+def test_coupling_penalty_refuses_existing_output_before_any_sweep(tmp_path, monkeypatch, capsys):
+    import dpris.cli as cli
+
     kept = tmp_path / "ber_coupled_identical.csv"
     kept.write_text("keep")
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a sweep ran although an output is refused")
 
-    monkeypatch.setattr(default_campaign, "run_ber_sweep", must_not_run)
-    monkeypatch.setattr(default_campaign, "coupling_penalty_report", must_not_run)
-    monkeypatch.setattr(sys, "argv", ["run_default_campaign.py", "--out-dir", str(tmp_path)])
-    assert default_campaign.main() == 4
+    monkeypatch.setattr(cli, "run_ber_sweep", must_not_run)
+    monkeypatch.setattr(cli, "coupling_penalty_report", must_not_run)
+    assert main(["coupling-penalty", "--out-dir", str(tmp_path)]) == 4
     assert capsys.readouterr().err.startswith("i/o error: refusing to overwrite")
     assert kept.read_text() == "keep"
     assert [p.name for p in tmp_path.iterdir()] == [kept.name]
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_default_campaign_script_rejects_threads_below_one(
-    tmp_path, monkeypatch, capsys, default_campaign, threads
-):
+def test_coupling_penalty_failed_ordering_exits_3_and_keeps_the_curves(tmp_path, monkeypatch, capsys):
+    import dpris.cli as cli
+
+    def reversed_penalties(config, threads):
+        report = campaign.coupling_penalty_report(config, threads)
+        return replace(
+            report,
+            penalty_independent_db=report.penalty_identical_db,
+            penalty_identical_db=report.penalty_independent_db,
+        )
+
+    monkeypatch.setattr(cli, "coupling_penalty_report", reversed_penalties)
     out_dir = tmp_path / "res"
-    monkeypatch.setattr(
-        sys, "argv", ["run_default_campaign.py", "--out-dir", str(out_dir), "--threads", threads]
-    )
-    assert default_campaign.main() == 2
-    assert capsys.readouterr().err.startswith("config error: --threads: must be at least 1")
-    assert not out_dir.exists()
+    argv = ["coupling-penalty", "--config", _bits_config(tmp_path, bits=10000), "--out-dir", str(out_dir)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out.endswith("ordering independent > identical > 0: False\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(PENALTY_PINS[1][0])
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["ber-sweep", "file-loopback", "oracle-check", "coupling-penalty"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
+    out = tmp_path / "out"
+    argv = {
+        "ber-sweep": ["ber-sweep", "--out", str(out)],
+        "file-loopback": ["file-loopback", __file__, "--out", str(out)],
+        "oracle-check": ["oracle-check"],
+        "coupling-penalty": ["coupling-penalty", "--out-dir", str(out)],
+    }[command]
+    assert main([*argv, "--threads", threads]) == 2
+    assert capsys.readouterr().err == f"config error: --threads: must be at least 1, got {threads}\n"
+    assert list(tmp_path.iterdir()) == []
