@@ -10,6 +10,7 @@ coupling-penalty ordering), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -93,8 +94,14 @@ def _outputs(args) -> list:
     return [args.out] if "out" in vars(args) else []
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: it holds no per-call state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if "out" in vars(args) and args.out is None:
         print(f"config error: {args.command} needs --out PATH", file=sys.stderr)
         return EXIT_CONFIG
@@ -103,11 +110,6 @@ def main(argv=None) -> int:
         if vars(args).get("threads", 1) < 1:
             raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         config = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         # Refused before the run, so a refused overwrite costs no run time.
         if "force" in vars(args) and not args.force:
             for path in _outputs(args):

@@ -296,14 +296,16 @@ def config_from_dict(raw: dict) -> CampaignConfig:
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> CampaignConfig:
-    """Load the JSON config file (or defaults) and apply CLI overrides."""
+    """Load the JSON config file (or defaults) and apply CLI overrides.
+
+    A file that cannot be read stays an OSError, like any other unreadable
+    input; one that cannot be parsed is a ConfigError.
+    """
     raw: dict = {}
     if path is not None:
         try:
             with open(path, "rb") as fh:
                 raw = json.loads(fh.read().decode("utf-8"))
-        except OSError as exc:
-            raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
         # ValueError covers malformed JSON, bytes that are not UTF-8 and
         # over-long integers; RecursionError covers nesting too deep to parse.
         except (ValueError, RecursionError) as exc:

@@ -63,7 +63,13 @@ def wrap_phase(phase):
 
 
 def unnormalized_sinc(u):
-    """sin(u)/u with the removable singularity filled in: sinc(0) = 1."""
+    """sin(u)/u with the removable singularity filled in: sinc(0) = 1.
+
+    A float takes a scalar lane: one ``np.sin`` on the float and the same
+    IEEE division as an array lane, so both give the same bits.
+    """
+    if isinstance(u, float):
+        return float(np.sin(u) / u) if abs(u) > 0 else 1.0
     u = np.asarray(u, dtype=float)
     out = np.ones_like(u)
     nz = np.abs(u) > 0
@@ -147,8 +153,10 @@ def ramp_harmonic_amplitude(delta_phi):
     """Amplitude of the -1st harmonic: |sinc(delta_phi/2 - pi)|.
 
     Strictly increasing on (0, 2*pi] from 0 to 1, which makes the inverse
-    mapping in :func:`qam_to_tm` a plain bisection.
+    mapping in :func:`qam_to_tm` a plain bisection.  A float gives a float.
     """
+    if isinstance(delta_phi, float):
+        return abs(unnormalized_sinc(delta_phi / 2.0 - np.pi))
     return np.abs(unnormalized_sinc(np.asarray(delta_phi) / 2.0 - np.pi))
 
 
@@ -214,20 +222,24 @@ def qam_to_tm_table(targets, symbol_period_s: float) -> tuple[TmSymbolParams, ..
     """Invert the closed form: find (delta_phi, t_shift) hitting each QAM target.
 
     An amplitude of 1 or more maps to delta_phi = 2*pi.  Every distinct
-    amplitude below 1 is recovered by bisecting the strictly increasing
-    harmonic amplitude on [1e-12, 2*pi], one numpy lane each (16-QAM has two
-    such rings), for at most 200 steps.  The loop stops early once every
-    lane's midpoint equals its lo or its hi (adjacent doubles): from there
-    every further step leaves the final midpoint unchanged, so the result is
-    the full 200-step one.  Lanes never interact, so each target's result is
-    the one a single-target call gives.
+    amplitude below 1 (16-QAM has two such rings) is recovered by bisecting
+    the strictly increasing harmonic amplitude on [1e-12, 2*pi], for at most
+    200 steps, as a loop on Python floats: a ring takes about 55 steps, too
+    few for numpy's per-call cost to pay off.  The loop stops early once
+    the midpoint equals lo or hi (adjacent doubles): from there every further
+    step leaves the final midpoint unchanged, so the result is the full
+    200-step one, and each target's result is the one a single-target call
+    gives.  The amplitude still comes from ``np.sin``, through the scalar
+    lane of :func:`unnormalized_sinc`, not from ``math.sin``: the C
+    library's sine need not round as numpy's does, and one sine keeps the
+    result bit-identical to an array evaluation.
     Amplitudes come from Python's ``abs(complex(t))`` on purpose: ``np.abs``
     differs by one ulp on the 16-QAM middle ring, which moves delta_phi.
-    The time shift then follows per point in closed form from the phase
-    relation and is wrapped into [0, Ts).
+    The time shifts then follow in closed form from the phase relation, in
+    one array expression, and are wrapped into [0, Ts).
     """
     points = [complex(t) for t in targets]
-    amps = np.array([abs(p) for p in points])
+    amps = [abs(p) for p in points]
     for amp in amps:
         if amp == 0.0:
             raise ValueError(
@@ -235,35 +247,27 @@ def qam_to_tm_table(targets, symbol_period_s: float) -> tuple[TmSymbolParams, ..
             )
         if amp > 1.0 + 1e-12:
             raise ValueError(f"target amplitude {amp} exceeds the reachable maximum 1")
-    inner = amps < 1.0
-    lanes, lane_of = np.unique(amps[inner], return_inverse=True)
-    lo = np.full(lanes.shape, 1e-12)
-    hi = np.full(lanes.shape, TWO_PI)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        below = ramp_harmonic_amplitude(mid) < lanes
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    delta_phis = np.full(amps.shape, TWO_PI)
-    delta_phis[inner] = (0.5 * (lo + hi))[lane_of]
-    out = []
-    for point, delta_phi in zip(points, delta_phis.tolist()):
-        theta = np.angle(point)
-        t_shift = (
-            (_zero_shift_phase(delta_phi) - theta) / TWO_PI * symbol_period_s
-        ) % symbol_period_s
-        if t_shift >= symbol_period_s:  # fold the t == Ts rounding corner
-            t_shift = 0.0
-        out.append(
-            TmSymbolParams(
-                delta_phi=float(delta_phi),
-                t_shift_s=float(t_shift),
-                symbol_period_s=symbol_period_s,
-            )
-        )
-    return tuple(out)
+    ring_drops = {}
+    for amp in {amp for amp in amps if amp < 1.0}:
+        lo, hi = 1e-12, TWO_PI
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if ramp_harmonic_amplitude(mid) < amp:
+                lo = mid
+            else:
+                hi = mid
+        ring_drops[amp] = 0.5 * (lo + hi)
+    delta_phis = np.array([ring_drops.get(amp, TWO_PI) for amp in amps])
+    t_shifts = (
+        (_zero_shift_phase(delta_phis) - np.angle(points)) / TWO_PI * symbol_period_s
+    ) % symbol_period_s
+    t_shifts[t_shifts >= symbol_period_s] = 0.0  # fold the t == Ts rounding corner
+    return tuple(
+        TmSymbolParams(delta_phi=delta_phi, t_shift_s=t_shift, symbol_period_s=symbol_period_s)
+        for delta_phi, t_shift in zip(delta_phis.tolist(), t_shifts.tolist())
+    )
 
 
 def qam_to_tm(target, symbol_period_s: float) -> TmSymbolParams:

@@ -1008,6 +1008,19 @@ def test_cli_unparsable_config_file_is_a_config_error(tmp_path, capsys, content)
     assert capsys.readouterr().err.startswith(f"config error: <file>: invalid JSON in {path}")
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_cli_unreadable_config_file_is_an_io_error(tmp_path, capsys, kind):
+    # Like an unreadable payload or lut_csv, exit 4, before any output exists.
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    out = tmp_path / "o.csv"
+    assert main(["ber-sweep", "--config", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(path) in err
+    assert not out.exists()
+
+
 def test_oracle_case_counts_are_bounded(tmp_path, capsys):
     cases = {"harmonic_cases": MAX_ORACLE_CASES, "parseval_cases": 1, "model_identity_cases": 1}
     assert config_from_dict({"oracle": cases}).oracle.harmonic_cases == MAX_ORACLE_CASES
@@ -1111,6 +1124,33 @@ def test_cli_refused_overwrite_fails_before_running(monkeypatch, tmp_path, capsy
         err = capsys.readouterr().err
         assert f"refusing to overwrite {out} (pass --force to allow)" in err
         assert out.read_bytes() == b"keep"
+
+
+def test_cli_parser_is_built_once_and_parses_each_call_afresh(monkeypatch, tmp_path, capsys):
+    import dpris.cli as cli
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    cli._parser.cache_clear()
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"ebn0_grid_db": [8.0], "bits_per_point": 20000}))
+    sweep, wave = tmp_path / "sweep.csv", tmp_path / "wave.csv"
+    sweep.write_bytes(b"old")
+    wave.write_bytes(b"keep")
+    argv = ["ber-sweep", "--config", str(cfgfile), "--out", str(sweep), "--seed", "3", "--threads", "2"]
+    assert main([*argv, "--force"]) == 0
+    assert sweep.read_bytes() != b"old"
+    # --force of the first call must not carry over to the second.
+    assert main(["export-waveform", "--out", str(wave)]) == 4
+    assert f"refusing to overwrite {wave}" in capsys.readouterr().err
+    assert wave.read_bytes() == b"keep"
+    assert len(builds) == 1
 
 
 def test_cli_loopback_and_export(tmp_path):

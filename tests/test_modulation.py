@@ -245,6 +245,17 @@ def test_time_shift_rotates_harmonic(delta_phi, base_frac, delta_frac):
     assert abs(b - rotated) < 1e-9
 
 
+def test_float_lane_matches_array_lanes_bit_for_bit():
+    # A float takes the scalar lane of the sinc; it must give the array's bits.
+    rng = np.random.default_rng(15)
+    u = [0.0, -0.0, 5e-324, -np.pi, np.pi, *rng.uniform(-TWO_PI, TWO_PI, 2000)]
+    lanes = [unnormalized_sinc(x) for x in u]
+    assert all(type(x) is float for x in lanes)
+    assert lanes == unnormalized_sinc(np.array(u)).tolist()
+    drops = [1e-12, np.pi, TWO_PI, *rng.uniform(0.0, TWO_PI, 2000)]
+    assert [ramp_harmonic_amplitude(x) for x in drops] == ramp_harmonic_amplitude(np.array(drops)).tolist()
+
+
 def test_amplitude_strictly_increasing():
     grid = np.linspace(1e-4, TWO_PI, 4001)
     amps = ramp_harmonic_amplitude(grid)
@@ -288,7 +299,11 @@ def test_qam_to_tm_round_trip_constellation():
 
 
 def reference_qam_to_tm(target, ts):
-    """The fixed 200-step scalar bisection, one target at a time."""
+    """The fixed 200-step bisection, one target at a time.
+
+    The amplitude is evaluated on a one-element array, not on a float, so the
+    reference stays independent of the scalar lane the table bisects on.
+    """
     point = complex(target)
     amp = abs(point)
     if amp >= 1.0:
@@ -297,7 +312,7 @@ def reference_qam_to_tm(target, ts):
         lo, hi = 1e-12, TWO_PI
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if ramp_harmonic_amplitude(mid) < amp:
+            if ramp_harmonic_amplitude(np.array([mid]))[0] < amp:
                 lo = mid
             else:
                 hi = mid
@@ -321,11 +336,17 @@ def test_qam_to_tm_bit_identical_to_fixed_step_bisection():
 def test_qam_to_tm_table_lanes_bit_identical_to_fixed_step_bisection():
     # One call bisects each distinct amplitude below 1 once; repeated
     # amplitudes at other phases, the rings of 16-QAM and the targets at or
-    # past amplitude 1 must all come out as the one-target reference.
+    # past amplitude 1 must all come out as the one-target reference, and so
+    # must the adjacent doubles on both sides of the two inner rings.
     rng = np.random.default_rng(2021)
     randoms = rng.uniform(0.0, 1.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
     repeated = 0.4 * np.exp(1j * np.array([-3.0, -1.0, 0.0, 2.0, 3.0]))
-    targets = [*CONSTELLATION16, *randoms, *repeated, 1.0, 1.0 + 1e-13, 1e-9, *CONSTELLATION16[::3]]
+    rings = sorted({abs(complex(p)) for p in CONSTELLATION16} - {1.0})
+    assert len(rings) == 2
+    neighbours = [np.nextafter(ring, way) for ring in rings for way in (0.0, 1.0)]
+    targets = [
+        *CONSTELLATION16, *randoms, *repeated, 1.0, 1.0 + 1e-13, 1e-9, *CONSTELLATION16[::3], *neighbours
+    ]
     for ts in (TS, 1e-6):
         table = qam_to_tm_table(targets, ts)
         for target, params in zip(targets, table, strict=True):
