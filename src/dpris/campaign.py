@@ -15,7 +15,8 @@ control-path pipeline once per campaign, the single-bin correlator reduces
 each pair to its received symbol, and chunks then index that table.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
 distinct symbol, 16 rows x M samples per polarization; the stages from the
-voltage coupling on run once per pair, 256 rows x M samples.  The table
+voltage coupling on run once per pair, 256 rows x M samples, unless the
+coupling factor is exactly 0, when they too run on the 16 rows.  The table
 shortcut is exact because the channel and the correlator are linear; a test
 pins it against the direct per-symbol waveform path.  Receiver noise enters
 after the correlator with the correlator-output variance, which is
@@ -494,26 +495,42 @@ def refuse_existing_output(path) -> None:
     """Raise the overwrite refusal at once if ``path`` exists.
 
     Lets a command fail before it spends a whole run on an output it may not
-    write.  The write itself still opens with exclusive creation, so a file
-    that appears after this check is not overwritten either.
+    write.  The write itself still refuses an existing name when it puts the
+    file in place, so a file that appears after this check is not
+    overwritten either.
     """
     if os.path.lexists(path):
         raise _overwrite_refused(path)
 
 
+@contextlib.contextmanager
 def _open_output(path, force: bool, binary: bool = False):
-    """Open an output file; without ``force`` an existing file is never touched.
+    """Write an output file atomically; without ``force`` an existing file is never touched.
 
-    Exclusive creation checks and creates in one step, so no file can appear
-    between the check and the open.
+    The body writes to a temporary file beside ``path``, which takes the
+    final name only once the body has returned: by ``os.replace`` with
+    ``force``, else by ``os.link``, which like exclusive creation checks and
+    creates in one step, so a file that appeared meanwhile is not
+    overwritten either.  A write that fails or is interrupted leaves no
+    file, or the old one, and no temporary file.
     """
     if path is None:
         raise ValueError("output path required")
-    mode = ("w" if force else "x") + ("b" if binary else "")
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        return open(path, mode, newline=None if binary else "")
+        with open(tmp, "xb" if binary else "x", newline=None if binary else "") as fh:
+            yield fh
+        (os.replace if force else os.link)(tmp, path)
     except FileExistsError as exc:
         raise _overwrite_refused(path) from exc
+    except OSError as exc:
+        # Named after the output, not the temporary file.
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def write_ber_csv(result: CampaignResult, config: CampaignConfig, path, force: bool = False):

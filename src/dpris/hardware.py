@@ -15,6 +15,7 @@ presented as measured data.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,17 +80,22 @@ class PhaseVoltageLut:
         p = self.phases[pol]
         return float(p[0]), float(p[-1])
 
-    def count_out_of_range(self, volts, pol: Polarization) -> int:
+    def count_out_of_range(self, volts, pol: Polarization, axis=None):
+        """Voltages beyond the rails: an int, or counts along ``axis``."""
         lo, hi = self.voltage_span(pol)
         v = np.asarray(volts, dtype=float)
-        return int(np.count_nonzero((v < lo) | (v > hi)))
+        counts = np.count_nonzero((v < lo) | (v > hi), axis=axis)
+        return int(counts) if axis is None else counts
 
 
+@functools.cache
 def default_lut() -> PhaseVoltageLut:
     """Synthetic default transfer curves over 0..20 V.
 
     Normalized tanh shapes spanning exactly [0, 2*pi] so every ramp phase is
-    realizable.  Synthetic stand-ins for unpublished measured curves.
+    realizable.  Synthetic stand-ins for unpublished measured curves.  Built
+    once per process: every call returns the same object, whose arrays are
+    read-only.
     """
     v_lo, v_hi = DEFAULT_VOLTAGE_RANGE
     grid = np.linspace(v_lo, v_hi, _DEFAULT_LUT_POINTS)
@@ -288,44 +294,54 @@ def distort_reflection(
     to curve interpolation rounding.
 
     The stages before coupling see one polarization alone, so they run once
-    per distinct symbol of each stream (16 rows for a 16-QAM stream, however
-    long), and their rows are then gathered into symbol order.  Coupling and
-    every later stage run once per symbol pair.  Every stage is elementwise
-    along its row, so a gathered row is the same IEEE result as one computed
-    in place.
+    per distinct symbol of each stream, and their rows are then gathered into
+    symbol order.  Symbols are told apart by object identity, so a stream
+    drawn from a 16-entry params table needs 16 rows, however long it is.
+    Coupling and every later stage run once per symbol pair, unless the
+    coupling factor kappa is exactly 0 (coupling off, or an isolation so high
+    that kappa underflows): then each polarization depends on its own symbol
+    alone, and every stage runs once per distinct symbol.  Every stage is
+    elementwise along its row, so a gathered row is the same IEEE result as
+    one computed in place.
     """
     if len(stream0_params) != len(stream1_params):
         raise ValueError("streams must carry the same number of symbols")
     if samples < 2:
         raise ValueError("samples must be at least 2")
 
-    def dac_voltages(params_seq, pol):
-        # Distinct params keyed by value, in first-seen order; each symbol
-        # keeps the index of its row.
-        rows: dict = {}
-        index = np.array([rows.setdefault(p, len(rows)) for p in params_seq], dtype=np.intp)
-        ramps = np.array([(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in rows])
+    def dac_rows(params_seq, pol):
+        # One row per distinct params object, in first-seen order, and each
+        # symbol's row among them.
+        distinct = dict(zip(map(id, params_seq), params_seq))
+        row_of = dict(zip(distinct, range(len(distinct))))
+        index = np.fromiter(
+            map(row_of.__getitem__, map(id, params_seq)), dtype=np.intp, count=len(params_seq)
+        )
+        ramps = np.array([(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in distinct.values()])
         delta_phi, t_shift, period = ramps.reshape(-1, 3).T[:, :, None]  # (k, 1) columns
         t = np.arange(samples) * (period / samples)
         volts = phase_to_voltage(ramp_phase(delta_phi, t_shift, period, t), pol, lut)
         lo, hi = lut.voltage_span(pol)
-        return quantize_dac(volts, hw.dac_bits, lo, hi)[index]
+        return quantize_dac(volts, hw.dac_bits, lo, hi), index
 
-    v0, v1 = apply_coupling(
-        dac_voltages(stream0_params, Polarization.POL0),
-        dac_voltages(stream1_params, Polarization.POL1),
-        hw.isolation_db,
-    )
-    lo0, hi0 = lut.voltage_span(Polarization.POL0)
-    lo1, hi1 = lut.voltage_span(Polarization.POL1)
-    clipped0 = lut.count_out_of_range(v0, Polarization.POL0)
-    clipped1 = lut.count_out_of_range(v1, Polarization.POL1)
-    v0 = np.clip(v0, lo0, hi0)
-    v1 = np.clip(v1, lo1, hi1)
-    wave0 = reflection_amplitude(v0, Polarization.POL0, lut, hw) * np.exp(
-        1j * voltage_to_phase(v0, Polarization.POL0, lut)
-    )
-    wave1 = reflection_amplitude(v1, Polarization.POL1, lut, hw) * np.exp(
-        1j * voltage_to_phase(v1, Polarization.POL1, lut)
-    )
+    def reflect(v, pol, index):
+        # Rail clipping (in place: v is a temporary of this call), forward
+        # curve and amplitude on the rows of v; symbol i takes row index[i],
+        # or row i when index is None.
+        row_clips = lut.count_out_of_range(v, pol, axis=-1)
+        if index is None:
+            clipped = int(row_clips.sum())
+        else:
+            clipped = int(np.bincount(index, minlength=len(v)) @ row_clips)
+        np.clip(v, *lut.voltage_span(pol), out=v)
+        wave = reflection_amplitude(v, pol, lut, hw) * np.exp(1j * voltage_to_phase(v, pol, lut))
+        return (wave if index is None else wave[index]), clipped
+
+    v0, index0 = dac_rows(stream0_params, Polarization.POL0)
+    v1, index1 = dac_rows(stream1_params, Polarization.POL1)
+    if coupling_factor(hw.isolation_db) != 0.0:
+        v0, v1 = apply_coupling(v0[index0], v1[index1], hw.isolation_db)
+        index0 = index1 = None
+    wave0, clipped0 = reflect(v0, Polarization.POL0, index0)
+    wave1, clipped1 = reflect(v1, Polarization.POL1, index1)
     return DistortionResult(wave0=wave0, wave1=wave1, clipped0=clipped0, clipped1=clipped1)

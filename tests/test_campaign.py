@@ -1,5 +1,6 @@
 """Campaign plumbing: config schema, engine routes, CLI, loopback, export."""
 
+import errno
 import hashlib
 import json
 import subprocess
@@ -702,6 +703,52 @@ def test_csv_overwrite_refused_without_force(tmp_path):
     with pytest.raises(FileExistsError):
         write_ber_csv(result, cfg, out)
     write_ber_csv(result, cfg, out, force=True)
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]  # no temporary file left
+
+
+class _FullDiskWriter:
+    """A file whose first write stores half its data, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("old", [None, b"old output\n"], ids=["new-file", "forced-over-old-file"])
+@pytest.mark.parametrize("output", ["csv", "loopback-payload"])
+def test_write_failing_midway_leaves_no_file_or_the_old_one(monkeypatch, tmp_path, output, old):
+    cfg = small_config(ebn0_grid_db=(10.0,))
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(range(256)) * 8)
+    out = tmp_path / "out"
+    if old is not None:
+        out.write_bytes(old)
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullDiskWriter(fh) if "x" in mode or "w" in mode else fh
+
+    result = run_ber_sweep(cfg) if output == "csv" else None
+    monkeypatch.setattr(campaign, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        if output == "csv":
+            write_ber_csv(result, cfg, out, force=old is not None)
+        else:
+            run_file_loopback(src, out, cfg, force=old is not None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["in.bin"] + ([] if old is None else ["out"])
+    )
+    if old is not None:
+        assert out.read_bytes() == old
 
 
 # -- oracle check ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dpris import hardware
 from dpris.campaign import LinkEngine
 from dpris.config import CampaignConfig
 from dpris.hardware import (
@@ -55,6 +56,17 @@ def test_default_lut_monotone_and_full_span():
         assert np.all(np.diff(lut.phases[pol]) > 0)
         lo, hi = lut.phase_span(pol)
         assert lo == 0.0 and abs(hi - TWO_PI) < 1e-12
+
+
+def test_default_lut_is_built_once_with_read_only_curves():
+    lut = default_lut()
+    assert default_lut() is lut
+    fresh = default_lut.__wrapped__()
+    for cached, built in ((lut.voltages, fresh.voltages), (lut.phases, fresh.phases)):
+        for pol in (P0, P1):
+            assert np.array_equal(cached[pol], built[pol])
+            with pytest.raises(ValueError, match="read-only"):
+                cached[pol][0] = 1.0
 
 
 def test_phase_to_voltage_at_breakpoint():
@@ -314,15 +326,45 @@ def reference_distort_reflection(stream0_params, stream1_params, lut, hw, sample
     return out
 
 
-@pytest.mark.parametrize(
-    "hw",
-    [HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0), ideal_hardware()],
-    ids=["coupled-dac6-ripple", "ideal"],
-)
-def test_distortion_bit_identical_to_per_row_loop(hw):
-    lut = default_lut()
-    pair0 = [qam_to_tm(CONSTELLATION16[i], TS) for i in range(16) for _ in range(16)]
-    pair1 = [qam_to_tm(CONSTELLATION16[j], TS) for _ in range(16) for j in range(16)]
+def rail_overshoot_lut():
+    """Default curves on 0..3.9 V rails: a 2-bit DAC's top level, 3 * (3.9 / 3),
+    rounds to just above 3.9 V, so samples clip even without coupling."""
+    phases = default_lut().phases
+    volts = np.linspace(0.0, 3.9, phases[P0].size)
+    return PhaseVoltageLut(voltages=(volts, volts), phases=phases)
+
+
+# (hardware, curves, whether the streams of the two tests below clip on both polarizations)
+DISTORTION_CASES = [
+    pytest.param(
+        HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0),
+        default_lut(),
+        True,
+        id="coupled-dac6-ripple",
+    ),
+    pytest.param(ideal_hardware(), default_lut(), False, id="ideal"),
+    pytest.param(
+        HardwareConfig(isolation_db=float("inf"), dac_bits=6, amplitude_ripple_db=1.0),
+        default_lut(),
+        False,
+        id="uncoupled-dac6-ripple",
+    ),
+    pytest.param(
+        HardwareConfig(isolation_db=float("inf"), dac_bits=2, amplitude_ripple_db=1.0),
+        rail_overshoot_lut(),
+        True,
+        id="uncoupled-dac2-rail-overshoot",
+    ),
+]
+
+
+@pytest.mark.parametrize("hw, lut, clips", DISTORTION_CASES)
+def test_distortion_bit_identical_to_per_row_loop(hw, lut, clips):
+    # The pair streams share 16 params objects, as LinkEngine's do; the mixed
+    # streams hold a new object per symbol.
+    table = [qam_to_tm(p, TS) for p in CONSTELLATION16]
+    pair0 = [table[i] for i in range(16) for _ in range(16)]
+    pair1 = [table[j] for _ in range(16) for j in range(16)]
     # rows with two different symbol periods exercise the per-row time axis
     mixed0 = park_params(40, 11) + [qam_to_tm(p, 2 * TS) for p in CONSTELLATION16]
     mixed1 = park_params(40, 12) + [qam_to_tm(p, 2 * TS) for p in CONSTELLATION16[::-1]]
@@ -332,29 +374,27 @@ def test_distortion_bit_identical_to_per_row_loop(hw):
         assert np.array_equal(result.wave0, wave0)
         assert np.array_equal(result.wave1, wave1)
         assert (result.clipped0, result.clipped1) == (clipped0, clipped1)
+        if params0 is pair0:
+            assert (clipped0 > 0 and clipped1 > 0) == clips
 
 
-@pytest.mark.parametrize(
-    "hw",
-    [HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0), ideal_hardware()],
-    ids=["coupled-dac6-ripple", "ideal"],
-)
-def test_distortion_of_repeated_params_bit_identical_to_per_row_loop(hw):
+@pytest.mark.parametrize("hw, lut, clips", DISTORTION_CASES)
+def test_distortion_of_repeated_params_bit_identical_to_per_row_loop(hw, lut, clips):
     # Each stream repeats its params out of order, and a shift of -0.0 sits
-    # next to an equal-valued one of 0.0: per-symbol stages computed once per
-    # distinct value must still land on every row unchanged.
+    # next to an equal-valued one of 0.0: stages computed once per distinct
+    # params must still land on every row unchanged, and each clip count
+    # must weigh a row by how often it occurs.
     a, b, c = (qam_to_tm(CONSTELLATION16[i], TS) for i in (0, 5, 10))
     zero = TmSymbolParams(delta_phi=TWO_PI, t_shift_s=0.0, symbol_period_s=TS)
     neg_zero = TmSymbolParams(delta_phi=TWO_PI, t_shift_s=-0.0, symbol_period_s=TS)
     params0 = [a, b, zero, neg_zero, a, c, b, neg_zero, a]
     params1 = [neg_zero, c, c, a, zero, b, neg_zero, a, zero]
-    result = distort_reflection(params0, params1, default_lut(), hw, 64)
-    wave0, clipped0, wave1, clipped1 = reference_distort_reflection(
-        params0, params1, default_lut(), hw, 64
-    )
+    result = distort_reflection(params0, params1, lut, hw, 64)
+    wave0, clipped0, wave1, clipped1 = reference_distort_reflection(params0, params1, lut, hw, 64)
     assert np.array_equal(result.wave0, wave0)
     assert np.array_equal(result.wave1, wave1)
     assert (result.clipped0, result.clipped1) == (clipped0, clipped1)
+    assert (clipped0 > 0 and clipped1 > 0) == clips
 
 
 @pytest.mark.parametrize(
@@ -379,6 +419,35 @@ def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw, sa
     probe = np.exp(1j * TWO_PI * np.arange(m) / m) / m  # the single-bin correlator
     assert np.array_equal(engine.table_b0, (wave0 @ probe).reshape(16, 16))
     assert np.array_equal(engine.table_b1, (wave1 @ probe).reshape(16, 16))
+
+
+@pytest.mark.parametrize(
+    "coupling, isolation_db, rows",
+    [(False, 16.0, 16), (True, 16.0, 256), (True, 7000.0, 16)],
+    ids=["coupling-off", "coupled", "coupled-kappa-underflows"],
+)
+def test_engine_forward_curve_runs_once_per_symbol_unless_coupled(
+    monkeypatch, coupling, isolation_db, rows
+):
+    shapes = []
+
+    def spy(v, pol, lut):
+        shapes.append(np.shape(v))
+        return voltage_to_phase(v, pol, lut)
+
+    monkeypatch.setattr(hardware, "voltage_to_phase", spy)
+    hw = HardwareConfig(isolation_db=isolation_db)
+    LinkEngine(CampaignConfig(fidelity="B", coupling=coupling, hardware=hw))
+    assert shapes == [(rows, 64)] * 2
+
+
+def test_isolation_whose_coupling_factor_underflows_builds_the_uncoupled_tables():
+    assert coupling_factor(7000.0) == 0.0
+    hw = HardwareConfig(isolation_db=7000.0, dac_bits=6)
+    high = LinkEngine(CampaignConfig(fidelity="B", coupling=True, hardware=hw))
+    off = LinkEngine(CampaignConfig(fidelity="B", coupling=False, hardware=hw))
+    assert np.array_equal(high.table_b0, off.table_b0)
+    assert np.array_equal(high.table_b1, off.table_b1)
 
 
 def test_distortion_rejects_mismatched_streams():
