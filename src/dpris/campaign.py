@@ -10,13 +10,17 @@ same worker pool; loopback feeds it payload symbols instead of drawn ones.
 
 Fidelity A runs the symbol-domain model (closed-form equivalent baseband
 through the aggregate 2x2 stream channel).  Fidelity B runs the waveform
-domain: every distinct pair of stream symbols is pushed through the full
-control-path pipeline once per campaign, the single-bin correlator reduces
-each pair to its received symbol, and chunks then index that table.  The
+domain: every pair of stream symbols a campaign sends is pushed through the
+full control-path pipeline once per campaign, the single-bin correlator
+reduces each pair to its received symbol, and chunks then index that table.
+Independent streams send all 256 pairs; identical streams send the 16
+pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2) once it has four
+or more symbols, so their engine builds 18 pairs and the full table only
+when something asks for it.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
 distinct symbol, 16 rows x M samples per polarization; the stages from the
-voltage coupling on run once per pair, 256 rows x M samples, unless the
-coupling factor is exactly 0, when they too run on the 16 rows.  The table
+voltage coupling on run once per pair, unless the coupling factor is
+exactly 0, when they and the correlator too run on the 16 rows.  The table
 shortcut is exact because the channel and the correlator are linear; a test
 pins it against the direct per-symbol waveform path.  Receiver noise enters
 after the correlator with the correlator-output variance, which is
@@ -24,7 +28,8 @@ distributionally identical to per-sample noise at M times that power.
 A channel or control path that leaves the float range (a non-finite G or
 received symbol, a G whose mean row energy underflows to 0, or an overflow,
 division by zero or invalid value on the way) is a :class:`ConfigError`,
-never a table.
+never a table; an identical-stream engine checks the pairs it does not
+send when its full table is first built.
 """
 
 from __future__ import annotations
@@ -274,7 +279,10 @@ class LinkEngine:
 
         self.lut = _named_lut(config)
         self.hw_active: HardwareConfig | None = None
-        self.table_b0 = self.table_b1 = None
+        self._tables_b = (None, None)
+        self._tables_lock = threading.Lock()
+        self._diagonal_b = None
+        pilot0, pilot1 = map(demap_indices, self.pilot.symbols)
         if config.fidelity == "B":
             self.hw_active = (
                 config.hardware
@@ -284,18 +292,23 @@ class LinkEngine:
             if self.lut is None:
                 self.lut = default_lut()
             # The control-path distortion of a symbol period depends only on
-            # the two symbols driving the polarizations, so the 256 pairs
-            # enumerate every waveform the campaign can produce.
-            pairs = np.arange(256)
-            with _float_range_guard(
-                "lut_csv" if config.lut_csv else "hardware",
-                "the control path leaves the float range with these transfer curves and hardware settings",
-            ):
-                tables = _finite(self.waveform_tx_symbols(pairs // 16, pairs % 16))
-            self.table_b0, self.table_b1 = tables.reshape(2, 16, 16)
-
+            # the two symbols driving the polarizations, so the pairs a run
+            # sends enumerate every waveform it can produce: all 256 for
+            # independent streams; for identical ones the 16 pairs (s, s)
+            # and the pilot's.  The full tables of an identical-stream
+            # engine are built at their first use.
+            sent = np.full((16, 16), config.stream_relation == "independent")
+            np.fill_diagonal(sent, True)
+            sent[pilot0, pilot1] = True
+            rows = self._control_path_rows(*np.nonzero(sent))
+            row_of = np.zeros((16, 16), dtype=np.intp)
+            row_of[sent] = np.arange(rows.shape[1])
+            self._diagonal_b = rows[:, row_of.diagonal()]
+            self._tables_b = rows.reshape(STREAMS, 16, 16) if sent.all() else None
+            pilot_tx = rows[:, row_of[pilot0, pilot1]]
+        else:
+            pilot_tx = self.tx_symbols(pilot0, pilot1, "A")
         # The pilot block as it arrives without noise, through the active fidelity.
-        pilot_tx = self.tx_symbols(*map(demap_indices, self.pilot.symbols), config.fidelity)
         self._pilot_rx = self.g @ pilot_tx
 
     def _buffers(self) -> _ChunkBuffers:
@@ -306,6 +319,34 @@ class LinkEngine:
         return buffers
 
     # -- transmitted equivalent symbols ------------------------------------
+
+    @property
+    def table_b0(self) -> np.ndarray | None:
+        """Fidelity B's received symbol of polarization 0 for each pair, [sym0, sym1]; None at fidelity A."""
+        return self._pair_tables()[0]
+
+    @property
+    def table_b1(self) -> np.ndarray | None:
+        """Fidelity B's received symbol of polarization 1 for each pair, [sym0, sym1]; None at fidelity A."""
+        return self._pair_tables()[1]
+
+    def _pair_tables(self):
+        # An identical-stream engine builds its full tables here, at their
+        # first use, once even when the chunks of several threads ask.
+        with self._tables_lock:
+            if self._tables_b is None:
+                pairs = np.arange(256)
+                rows = self._control_path_rows(pairs // 16, pairs % 16)
+                self._tables_b = rows.reshape(STREAMS, 16, 16)
+            return self._tables_b
+
+    def _control_path_rows(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
+        """:meth:`waveform_tx_symbols`, or a :class:`ConfigError` if it leaves the float range."""
+        with _float_range_guard(
+            "lut_csv" if self.cfg.lut_csv else "hardware",
+            "the control path leaves the float range with these transfer curves and hardware settings",
+        ):
+            return _finite(self.waveform_tx_symbols(sym0, sym1))
 
     def tx_symbols(
         self,
@@ -320,36 +361,47 @@ class LinkEngine:
         Symbol indices are 4-bit values, 0..15.  ``out`` (complex128,
         C-contiguous, (2, n)) receives the symbols and ``scratch`` (int64,
         n entries) holds fidelity B's pair-table indices; each is allocated
-        when omitted.
+        when omitted.  At fidelity B, the same array passed as both streams
+        (identical streams) reads the 16 pairs (s, s) built with the engine;
+        any other pair of arrays reads the full pair tables, which an
+        identical-stream engine builds at this first use.  Only then does
+        such an engine check the rest of the control path's range, so a
+        :class:`ConfigError` may come from here.
         """
         n = sym0.size
         if out is None:
             out = np.empty((STREAMS, n), dtype=np.complex128)
-        # mode="clip" writes straight into out; "raise" would buffer a copy.
         if fidelity == "A":
-            np.take(self.table_a, sym0, out=out[0], mode="clip")
-            np.take(self.table_a, sym1, out=out[1], mode="clip")
-            return out
-        pair = np.multiply(sym0, 16, out=scratch)
-        pair += sym1
-        np.take(self.table_b0, pair, out=out[0], mode="clip")
-        np.take(self.table_b1, pair, out=out[1], mode="clip")
+            tables, index0, index1 = (self.table_a, self.table_a), sym0, sym1
+        elif sym1 is sym0:
+            tables, index0, index1 = self._diagonal_b, sym0, sym0
+        else:
+            pair = np.multiply(sym0, 16, out=scratch)
+            pair += sym1
+            tables, index0, index1 = self._pair_tables(), pair, pair
+        # mode="clip" writes straight into out; "raise" would buffer a copy.
+        np.take(tables[0], index0, out=out[0], mode="clip")
+        np.take(tables[1], index1, out=out[1], mode="clip")
         return out
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
         straight through the control path and the single-bin correlator.
 
-        Fidelity B's pair tables are this route over all 256 pairs.
+        Fidelity B's pair tables are this route over the pairs a run sends.
+        The correlator runs on the control path's distinct rows, and its
+        outputs are then gathered into pair order.
         """
         params0 = [self.params16[i] for i in sym0]
         params1 = [self.params16[j] for j in sym1]
         result = distort_reflection(
             params0, params1, self.lut, self.hw_active, self.cfg.samples_per_symbol
         )
-        return np.stack(
-            [extract_harmonic(result.wave0, order=-1), extract_harmonic(result.wave1, order=-1)]
-        )
+        out = np.empty((STREAMS, len(params0)), dtype=np.complex128)
+        for q, (rows, index) in enumerate(((result.rows0, result.index0), (result.rows1, result.index1))):
+            symbols = extract_harmonic(rows, order=-1)
+            out[q] = symbols if index is None else symbols[index]
+        return out
 
     # -- receiver state -----------------------------------------------------
 
@@ -807,7 +859,8 @@ def run_file_loopback(
     except OSError as exc:
         raise OSError(f"cannot read {input_path}: {exc}") from exc
 
-    engine = LinkEngine(replace(config, fidelity="B"))
+    # The two payload streams differ, so the engine builds all 256 pairs up front.
+    engine = LinkEngine(replace(config, fidelity="B", stream_relation="independent"))
     noise_power = engine._checked_noise_power(config.loopback_ebn0_db, "loopback_ebn0_db")
     if len(payload) == 0:
         with _open_output(output_path, force, binary=True):

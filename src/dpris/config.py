@@ -52,10 +52,13 @@ class ConfigError(ValueError):
 MAX_ORACLE_CASES = 1_000_000
 
 # Size caps, each measured on 2 vCPUs (peak RSS of the one call that builds
-# the arrays; every array grows linearly with the input).  The coupled
-# fidelity-B engine builds its 256-pair waveform table at 109 MiB at 4,096
-# samples per symbol, 325 MiB (0.7-1.0 s) at 16,384 and 613 MiB at 32,768;
-# uncoupled, it peaks at 72 MiB at 4,096 and 179 MiB (0.1 s) at 16,384.
+# the arrays; every array grows linearly with the input).  A coupled
+# fidelity-B engine with independent streams builds its 256-pair waveform
+# table at 108 MiB at 4,096 samples per symbol, 324 MiB (0.7-1.0 s) at
+# 16,384 and 613 MiB at 32,768; with identical streams (18 pairs) or
+# uncoupled (16 rows per polarization), it peaks at 42 MiB at 4,096 and
+# 56-58 MiB at 16,384.  An identical-stream engine's full table, built at
+# its first use, peaks as the independent one does.
 MAX_SAMPLES_PER_SYMBOL = 16_384
 # An engine with 100,000 pilot symbols peaks at 77 MiB, with 1,000,000 at 448 MiB.
 MAX_PILOT_LENGTH = 100_000

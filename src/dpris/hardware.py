@@ -274,12 +274,28 @@ def reflection_amplitude(v, pol: Polarization, lut: PhaseVoltageLut, hw: Hardwar
 
 @dataclass(frozen=True)
 class DistortionResult:
-    """Realized per-polarization reflection waveforms plus clip diagnostics."""
+    """Realized per-polarization reflection waveforms plus clip diagnostics.
 
-    wave0: np.ndarray            # (n_symbols, samples) complex
-    wave1: np.ndarray
+    Each polarization's waveforms are held as rows plus the row of each
+    symbol: with ``index0`` None, ``rows0`` holds one row per symbol; else
+    symbol i's waveform is ``rows0[index0[i]]``.  ``wave0`` and ``wave1``
+    gather the (n_symbols, samples) waveforms.
+    """
+
+    rows0: np.ndarray            # (n_rows, samples) complex
+    index0: np.ndarray | None    # (n_symbols,) rows of rows0, or None
+    rows1: np.ndarray
+    index1: np.ndarray | None
     clipped0: int                # post-coupling samples beyond the voltage rails
     clipped1: int
+
+    @property
+    def wave0(self) -> np.ndarray:
+        return self.rows0 if self.index0 is None else self.rows0[self.index0]
+
+    @property
+    def wave1(self) -> np.ndarray:
+        return self.rows1 if self.index1 is None else self.rows1[self.index1]
 
 
 def distort_reflection(
@@ -300,7 +316,8 @@ def distort_reflection(
     Coupling and every later stage run once per symbol pair, unless the
     coupling factor kappa is exactly 0 (coupling off, or an isolation so high
     that kappa underflows): then each polarization depends on its own symbol
-    alone, and every stage runs once per distinct symbol.  Every stage is
+    alone, every stage runs once per distinct symbol, and the result keeps
+    those rows and each symbol's index into them.  Every stage is
     elementwise along its row, so a gathered row is the same IEEE result as
     one computed in place.
     """
@@ -335,13 +352,13 @@ def distort_reflection(
             clipped = int(np.bincount(index, minlength=len(v)) @ row_clips)
         np.clip(v, *lut.voltage_span(pol), out=v)
         wave = reflection_amplitude(v, pol, lut, hw) * np.exp(1j * voltage_to_phase(v, pol, lut))
-        return (wave if index is None else wave[index]), clipped
+        return wave, clipped
 
     v0, index0 = dac_rows(stream0_params, Polarization.POL0)
     v1, index1 = dac_rows(stream1_params, Polarization.POL1)
     if coupling_factor(hw.isolation_db) != 0.0:
         v0, v1 = apply_coupling(v0[index0], v1[index1], hw.isolation_db)
         index0 = index1 = None
-    wave0, clipped0 = reflect(v0, Polarization.POL0, index0)
-    wave1, clipped1 = reflect(v1, Polarization.POL1, index1)
-    return DistortionResult(wave0=wave0, wave1=wave1, clipped0=clipped0, clipped1=clipped1)
+    rows0, clipped0 = reflect(v0, Polarization.POL0, index0)
+    rows1, clipped1 = reflect(v1, Polarization.POL1, index1)
+    return DistortionResult(rows0, index0, rows1, index1, clipped0, clipped1)

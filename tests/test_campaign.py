@@ -301,6 +301,41 @@ def test_pair_table_matches_direct_waveform_route():
         assert np.array_equal(table, direct)
 
 
+def test_identical_stream_engine_checks_its_full_table_at_first_use(monkeypatch):
+    # Built with the engine, the 18 sent pairs are finite; a full table that
+    # leaves the float range is the same config error when first asked for.
+    engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical"))
+    monkeypatch.setattr(campaign, "extract_harmonic", lambda rows, order: np.full(len(rows), np.inf + 0j))
+    s = np.arange(16)
+    assert np.isfinite(engine.tx_symbols(s, s, "B")).all()
+    for ask in (lambda: engine.table_b0, lambda: engine.tx_symbols(s, s.copy(), "B")):
+        with pytest.raises(ConfigError, match="hardware: the control path leaves the float range"):
+            ask()
+
+
+def test_identical_stream_engine_builds_its_full_table_once_under_racing_threads(monkeypatch):
+    builds = []
+    real = campaign.distort_reflection
+
+    def spy(params0, *args):
+        builds.append(len(params0))
+        return real(params0, *args)
+
+    monkeypatch.setattr(campaign, "distort_reflection", spy)
+    engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical"))
+    sym0, sym1 = np.random.default_rng(8).integers(0, 16, (2, 1000))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with futures.ThreadPoolExecutor(max_workers=8) as pool:
+            jobs = [pool.submit(engine.tx_symbols, sym0, sym1, "B") for _ in range(16)]
+            results = [job.result(timeout=60) for job in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [18, 256]
+    assert all(np.array_equal(r, results[0]) for r in results)
+
+
 def test_engine_params16_match_pointwise_qam_to_tm():
     for cfg in (small_config(), small_config(fidelity="B", coupling=True, symbol_rate_sps=1e6)):
         engine = LinkEngine(cfg)
@@ -407,8 +442,18 @@ def test_pilot_estimate_error_comes_before_any_chunk(monkeypatch):
             },
             [(7615, 7163), (734, 726)],
         ),
+        (
+            {
+                "fidelity": "B",
+                "coupling": True,
+                "stream_relation": "identical",
+                "csi": "pilot",
+                "ebn0_grid_db": (6.0, 12.0),
+            },
+            [(8019, 7604), (1058, 1055)],
+        ),
     ],
-    ids=["A-calibrated", "B-pilot-independent", "B-identical-perfect"],
+    ids=["A-calibrated", "B-pilot-independent", "B-identical-perfect", "B-identical-pilot-coupled"],
 )
 def test_sweep_error_counts_are_frozen(overrides, counts):
     # Two chunks a point, the second one short.  A change to the seed
@@ -942,6 +987,38 @@ def test_file_loopback_output_is_pinned(tmp_path, size, threads):
     bits, bit_errors, symbol_errors, sha = LOOPBACK_PINS[size]
     assert (record.bits_sent, record.bit_errors, record.symbol_errors) == (bits, bit_errors, symbol_errors)
     assert hashlib.sha256(dst.read_bytes()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_file_loopback_is_the_same_under_either_stream_relation(monkeypatch, tmp_path, capsys, threads):
+    # The payload's two streams always differ, so loopback builds all 256
+    # pairs up front, once, whatever the configured relation.
+    builds = []
+    real = campaign.distort_reflection
+
+    def spy(params0, *args):
+        builds.append(len(params0))
+        return real(params0, *args)
+
+    monkeypatch.setattr(campaign, "distort_reflection", spy)
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(300).bytes(300_000))
+    outputs = {}
+    for relation in ("independent", "identical"):
+        raw = {"seed": 4, "loopback_ebn0_db": 6.0, "fidelity": "B", "coupling": True}
+        raw["stream_relation"] = relation
+        cfgfile = tmp_path / f"{relation}.json"
+        cfgfile.write_text(json.dumps(raw))
+        dst = tmp_path / f"{relation}.bin"
+        argv = ["file-loopback", str(src), "--config", str(cfgfile), "--out", str(dst)]
+        assert main([*argv, "--threads", str(threads)]) == 0
+        stdout = capsys.readouterr().out
+        # The printed hash stays the configured one.
+        digest = config_hash(config_from_dict(raw))
+        assert f"config_hash={digest}" in stdout
+        outputs[relation] = dst.read_bytes(), stdout.replace(digest, "HASH")
+    assert outputs["identical"] == outputs["independent"]
+    assert builds == [256, 256]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

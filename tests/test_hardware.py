@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dpris import hardware
+from dpris import campaign, hardware
 from dpris.campaign import LinkEngine
 from dpris.config import CampaignConfig
 from dpris.hardware import (
@@ -31,7 +31,7 @@ from dpris.modulation import (
     ramp_phase,
     waveform,
 )
-from dpris.receiver import extract_harmonic
+from dpris.receiver import demap_indices, estimate_channel, extract_harmonic
 
 TS = 4e-7
 P0 = Polarization.POL0
@@ -397,6 +397,16 @@ def test_distortion_of_repeated_params_bit_identical_to_per_row_loop(hw, lut, cl
     assert (clipped0 > 0 and clipped1 > 0) == clips
 
 
+def per_pair_reference_tables(cfg, hw):
+    """The (2, 256) pair tables through the per-row control path and the correlator."""
+    pair0 = [qam_to_tm(CONSTELLATION16[i], cfg.symbol_period_s) for i in range(16) for _ in range(16)]
+    pair1 = [qam_to_tm(CONSTELLATION16[j], cfg.symbol_period_s) for _ in range(16) for j in range(16)]
+    wave0, _, wave1, _ = reference_distort_reflection(pair0, pair1, default_lut(), hw, cfg.samples_per_symbol)
+    m = cfg.samples_per_symbol
+    probe = np.exp(1j * TWO_PI * np.arange(m) / m) / m  # the single-bin correlator
+    return np.stack([wave0 @ probe, wave1 @ probe])
+
+
 @pytest.mark.parametrize(
     "coupling, hw, samples",
     [
@@ -410,24 +420,90 @@ def test_distortion_of_repeated_params_bit_identical_to_per_row_loop(hw, lut, cl
 def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw, samples):
     cfg = CampaignConfig(fidelity="B", coupling=coupling, hardware=hw, samples_per_symbol=samples)
     engine = LinkEngine(cfg)
-    pair0 = [qam_to_tm(CONSTELLATION16[i], cfg.symbol_period_s) for i in range(16) for _ in range(16)]
-    pair1 = [qam_to_tm(CONSTELLATION16[j], cfg.symbol_period_s) for _ in range(16) for j in range(16)]
-    wave0, _, wave1, _ = reference_distort_reflection(
-        pair0, pair1, default_lut(), engine.hw_active, cfg.samples_per_symbol
+    reference = per_pair_reference_tables(cfg, engine.hw_active)
+    assert np.array_equal(engine.table_b0, reference[0].reshape(16, 16))
+    assert np.array_equal(engine.table_b1, reference[1].reshape(16, 16))
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupled", "coupling-off"])
+def test_identical_stream_engine_builds_its_rows_bit_identical_to_the_full_table(monkeypatch, coupling):
+    hw = HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0)
+    cfg = CampaignConfig(
+        fidelity="B",
+        coupling=coupling,
+        hardware=hw,
+        samples_per_symbol=50,
+        stream_relation="identical",
+        csi="calibrated",
     )
-    m = cfg.samples_per_symbol
-    probe = np.exp(1j * TWO_PI * np.arange(m) / m) / m  # the single-bin correlator
-    assert np.array_equal(engine.table_b0, (wave0 @ probe).reshape(16, 16))
-    assert np.array_equal(engine.table_b1, (wave1 @ probe).reshape(16, 16))
+    builds = []
+
+    def spy(params0, params1, *args):
+        builds.append(len(params0))
+        return distort_reflection(params0, params1, *args)
+
+    monkeypatch.setattr(campaign, "distort_reflection", spy)
+    engine = LinkEngine(cfg)
+    reference = per_pair_reference_tables(cfg, engine.hw_active)
+    # The 16 pairs (s, s) and the pilot's (2, 8) and (8, 2).
+    assert builds == [18]
+    s = np.arange(16)
+    assert np.array_equal(engine.tx_symbols(s, s, "B"), reference[:, 17 * s])
+    pilot0, pilot1 = (demap_indices(row) for row in engine.pilot.symbols)
+    pilot_rx = engine.g @ reference[:, 16 * pilot0 + pilot1]
+    assert np.array_equal(engine.ghat_for_point(0, 0.0), estimate_channel(engine.pilot, pilot_rx))
+    assert builds == [18]
+    # The full tables, built at their first use.
+    assert np.array_equal(engine.table_b0, reference[0].reshape(16, 16))
+    assert np.array_equal(engine.table_b1, reference[1].reshape(16, 16))
+    assert builds == [18, 256]
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupled", "coupling-off"])
+def test_lazily_built_pair_tables_equal_the_eager_ones(coupling):
+    hw = HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0)
+    eager, lazy = (
+        LinkEngine(CampaignConfig(fidelity="B", coupling=coupling, hardware=hw, stream_relation=relation))
+        for relation in ("independent", "identical")
+    )
+    assert np.array_equal(lazy.table_b0, eager.table_b0)
+    assert np.array_equal(lazy.table_b1, eager.table_b1)
+
+
+@pytest.mark.parametrize("relation", ["independent", "identical"])
+def test_one_stream_passed_twice_reads_the_same_symbols_as_the_pair_tables(relation):
+    hw = HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0)
+    engine = LinkEngine(CampaignConfig(fidelity="B", coupling=True, hardware=hw, stream_relation=relation))
+    s = np.random.default_rng(3).integers(0, 16, 500)
+    assert np.array_equal(engine.tx_symbols(s, s, "B"), engine.tx_symbols(s, s.copy(), "B"))
+
+
+def test_distortion_result_gathers_uncoupled_rows_by_symbol():
+    params = park_params(5, 4)
+    stream0 = [params[i] for i in (3, 0, 3, 1)]
+    stream1 = [params[i] for i in (2, 2, 4, 2)]
+    uncoupled = HardwareConfig(isolation_db=float("inf"))
+    result = distort_reflection(stream0, stream1, default_lut(), uncoupled, 64)
+    assert (len(result.rows0), len(result.rows1)) == (3, 2)
+    assert np.array_equal(result.wave0, result.rows0[result.index0])
+    assert np.array_equal(result.wave1[[0, 1, 3]], np.repeat(result.rows1[:1], 3, axis=0))
+    coupled = distort_reflection(stream0, stream1, default_lut(), HardwareConfig(), 64)
+    assert coupled.index0 is coupled.index1 is None
+    assert coupled.wave0 is coupled.rows0 and coupled.rows0.shape == (4, 64)
 
 
 @pytest.mark.parametrize(
-    "coupling, isolation_db, rows",
-    [(False, 16.0, 16), (True, 16.0, 256), (True, 7000.0, 16)],
-    ids=["coupling-off", "coupled", "coupled-kappa-underflows"],
+    "coupling, isolation_db, relation, rows",
+    [
+        (False, 16.0, "independent", 16),
+        (True, 16.0, "independent", 256),
+        (True, 7000.0, "independent", 16),
+        (True, 16.0, "identical", 18),
+    ],
+    ids=["coupling-off", "coupled", "coupled-kappa-underflows", "coupled-identical"],
 )
 def test_engine_forward_curve_runs_once_per_symbol_unless_coupled(
-    monkeypatch, coupling, isolation_db, rows
+    monkeypatch, coupling, isolation_db, relation, rows
 ):
     shapes = []
 
@@ -437,7 +513,7 @@ def test_engine_forward_curve_runs_once_per_symbol_unless_coupled(
 
     monkeypatch.setattr(hardware, "voltage_to_phase", spy)
     hw = HardwareConfig(isolation_db=isolation_db)
-    LinkEngine(CampaignConfig(fidelity="B", coupling=coupling, hardware=hw))
+    LinkEngine(CampaignConfig(fidelity="B", coupling=coupling, hardware=hw, stream_relation=relation))
     assert shapes == [(rows, 64)] * 2
 
 
