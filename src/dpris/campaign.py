@@ -784,28 +784,48 @@ def _suite_parseval(cfg: CampaignConfig, rng) -> SuiteResult:
     )
 
 
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """Complex vector from its real parts followed by its imaginary parts."""
+    half = parts.size // 2
+    z = np.empty(half, dtype=np.complex128)
+    z.real = parts[:half]
+    z.imag = parts[half:]
+    return z
+
+
 def _suite_model_identity(cfg: CampaignConfig, rng, reduced_fn) -> SuiteResult:
+    """Full vs reduced received-signal form on random instances, case by
+    case through the public types and forms.
+
+    A case takes 5 RNG calls and reads the stream exactly as 13 smaller
+    calls would, because a draw of n values consumes the generator as
+    consecutive draws of their parts do: N, K, then one normal draw for the
+    real and then imaginary parts of H1, H2 and c, one uniform draw for P,
+    the reflection magnitudes and the phases, and one normal draw for the
+    noise.  The uniforms are scaled as ``Generator.uniform`` scales them,
+    low + (high - low) * u with no fused multiply-add.  A test pins every
+    drawn value and the final generator state against the 13-call loop.
+    """
     n = cfg.oracle.model_identity_cases
     worst = 0.0
     for _ in range(n):
         n_cells = int(rng.integers(1, 65))
         k_rx = int(rng.integers(1, 5))
-        h1 = rng.standard_normal((2 * n_cells, 2)) + 1j * rng.standard_normal((2 * n_cells, 2))
-        h2 = rng.standard_normal((2 * k_rx, 2 * n_cells)) + 1j * rng.standard_normal(
-            (2 * k_rx, 2 * n_cells)
-        )
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        m, r = 2 * n_cells, 2 * k_rx
+        normals = rng.standard_normal(4 * m + 2 * r * m + 4)
+        h1 = _complex(normals[: 4 * m]).reshape(m, 2)
+        h2 = _complex(normals[4 * m : -4]).reshape(r, m)
+        c = _complex(normals[-4:])
         c = c / np.linalg.norm(c)
-        power = float(rng.uniform(0.1, 10.0))
-        mags = rng.uniform(0.0, 1.0, 2 * n_cells)
-        phases = rng.uniform(0.0, TWO_PI, 2 * n_cells)
-        x = ReflectionVector(mags * np.exp(1j * phases))
-        noise = rng.standard_normal(2 * k_rx) + 1j * rng.standard_normal(2 * k_rx)
+        uniforms = rng.random(1 + 2 * m)
+        power = 0.1 + (10.0 - 0.1) * float(uniforms[0])
+        x = ReflectionVector(uniforms[1 : m + 1] * np.exp(TWO_PI * 1j * uniforms[m + 1 :]))
+        noise = _complex(rng.standard_normal(2 * r))
         channels = ChannelSet(h1=h1, h2=h2, c=c, carrier_power_watts=power, k_rx=k_rx)
         e = attenuation_from(channels)
         full = received_full(channels, x, noise)
         reduced = reduced_fn(channels, e, x, noise)
-        worst = max(worst, float(np.max(np.abs(full.entries - reduced.entries))))
+        worst = max(worst, *np.abs(full.entries - reduced.entries).tolist())
     passed = worst <= 1e-12
     return SuiteResult(
         name="model_identity_full_vs_reduced",

@@ -71,9 +71,7 @@ def unnormalized_sinc(u):
     if isinstance(u, float):
         return float(np.sin(u) / u) if abs(u) > 0 else 1.0
     u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    nz = np.abs(u) > 0
-    out[nz] = np.sin(u[nz]) / u[nz]
+    out = np.divide(np.sin(u), u, out=np.ones_like(u), where=np.abs(u) > 0)
     return out if out.ndim else float(out)
 
 

@@ -42,7 +42,14 @@ from dpris.config import (
     load_config,
 )
 from dpris.channel import MAX_CELLS, awgn
-from dpris.model import received_reduced
+from dpris.model import (
+    ChannelSet,
+    ReceivedVector,
+    ReflectionVector,
+    attenuation_from,
+    received_full,
+    received_reduced,
+)
 from dpris.modulation import (
     CONSTELLATION16,
     TWO_PI,
@@ -829,9 +836,30 @@ def test_oracle_check_rejects_closed_form_above_unit_amplitude():
         run_oracle_check(small_config(), closed_form_fn=inflated)
 
 
+def reference_model_cases(rng, n):
+    """The model identity suite's draws, 13 RNG calls a case (the loop the
+    suite's merged draws must reproduce): n_cells, k_rx, then H1, H2, c,
+    P, x and the noise."""
+    for _ in range(n):
+        n_cells = int(rng.integers(1, 65))
+        k_rx = int(rng.integers(1, 5))
+        h1 = rng.standard_normal((2 * n_cells, 2)) + 1j * rng.standard_normal((2 * n_cells, 2))
+        h2 = rng.standard_normal((2 * k_rx, 2 * n_cells)) + 1j * rng.standard_normal(
+            (2 * k_rx, 2 * n_cells)
+        )
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        c = c / np.linalg.norm(c)
+        power = float(rng.uniform(0.1, 10.0))
+        mags = rng.uniform(0.0, 1.0, 2 * n_cells)
+        phases = rng.uniform(0.0, TWO_PI, 2 * n_cells)
+        x = mags * np.exp(1j * phases)
+        noise = rng.standard_normal(2 * k_rx) + 1j * rng.standard_normal(2 * k_rx)
+        yield k_rx, h1, h2, c, power, x, noise
+
+
 def reference_oracle_details(cfg):
-    """The harmonic and Parseval suites case by case through the scalar
-    public functions, then the model identity suite on the same stream."""
+    """All three suites case by case through the scalar public functions,
+    on one stream drawn call by call."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0xAC, 0)))
     ts = cfg.symbol_period_s
     n = cfg.oracle.harmonic_cases
@@ -856,11 +884,17 @@ def reference_oracle_details(cfg):
         total = float(np.sum(np.abs(exact_coefficients(params, orders)) ** 2))
         lo = min(lo, total)
         hi = max(hi, total)
-    identity = campaign._suite_model_identity(cfg, rng, received_reduced)
+    worst = 0.0
+    for k_rx, h1, h2, c, power, x, noise in reference_model_cases(rng, cfg.oracle.model_identity_cases):
+        channels = ChannelSet(h1=h1, h2=h2, c=c, carrier_power_watts=power, k_rx=k_rx)
+        reflection = ReflectionVector(x)
+        full = received_full(channels, reflection, noise)
+        reduced = received_reduced(channels, attenuation_from(channels), reflection, noise)
+        worst = max(worst, float(np.max(np.abs(full.entries - reduced.entries))))
     return [
         f"max amplitude err {worst_amp:.3e}, max phase err {worst_phase:.3e} (tol 1e-9)",
         f"window sum in [{lo:.9f}, {hi:.9f}]",
-        identity.detail,
+        f"max |full - reduced| = {worst:.3e} (tol 1e-12)",
     ]
 
 
@@ -877,6 +911,50 @@ def test_oracle_blocks_match_per_case_reference_loop(seed):
     assert report.suites[0].detail == want[0]
     assert report.suites[1].detail.startswith(want[1])
     assert report.suites[2].detail == want[2]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_cases", [1, 9, 4000])
+@pytest.mark.parametrize("seed", [0, 3, 2024])
+def test_model_identity_draws_are_the_call_by_call_draws(monkeypatch, n_cases, seed):
+    # Every value the merged draws hand to the public forms, and the
+    # generator state they leave, equal those of 13 calls a case.
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    reference = reference_model_cases(reference_rng, n_cases)
+    seen = []
+
+    def checked_full(channels, x, noise):
+        k_rx, h1, h2, c, power, entries, want_noise = next(reference)
+        assert channels.k_rx == k_rx
+        assert same_bits(channels.h1, h1) and same_bits(channels.h2, h2) and same_bits(channels.c, c)
+        assert channels.carrier_power_watts.hex() == power.hex()
+        assert same_bits(x.entries, entries) and same_bits(noise, want_noise)
+        seen.append(k_rx)
+        return received_full(channels, x, noise)
+
+    monkeypatch.setattr(campaign, "received_full", checked_full)
+    cfg = config_from_dict({"seed": seed, "oracle": {"model_identity_cases": n_cases}})
+    assert campaign._suite_model_identity(cfg, rng, received_reduced).passed
+    assert len(seen) == n_cases
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_oracle_check_detects_reduced_form_off_by_one_part_in_a_billion():
+    def scaled(channels, e, x, noise):
+        return ReceivedVector(received_reduced(channels, e, x, noise).entries * (1.0 + 1e-9))
+
+    report = run_oracle_check(small_config(), reduced_fn=scaled)
+    assert not report.ok
+    assert [(s.name, s.passed) for s in report.suites] == [
+        ("harmonic_closed_form_vs_exact", True),
+        ("parseval_window_energy", True),
+        ("model_identity_full_vs_reduced", False),
+    ]
 
 
 def test_oracle_check_suite_sizes_follow_config():

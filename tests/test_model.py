@@ -90,6 +90,27 @@ def test_attenuation_rejects_bad_carrier_norm():
         attenuation_from(channels)
 
 
+# Each bound check reads "not (value <= bound)", so NaN, which compares
+# false with everything, is rejected rather than let through.
+
+
+def test_reflection_vector_rejects_nan_amplitude():
+    with pytest.raises(ValueError, match="exceeds 1"):
+        ReflectionVector([np.nan, 0.0])
+
+
+def test_channel_set_rejects_nan_carrier():
+    with pytest.raises(ValueError, match="unit norm"):
+        ChannelSet(h1=np.eye(2), h2=np.eye(2), c=[np.nan, 0.0], k_rx=1)
+
+
+def test_attenuation_rejects_nan_carrier():
+    channels = ChannelSet(h1=np.eye(2), h2=np.eye(2), c=[1.0, 0.0], k_rx=1)
+    object.__setattr__(channels, "c", np.array([np.nan + 0j, 0.0]))  # corrupt past validation
+    with pytest.raises(ValueError, match="deviates from 1"):
+        attenuation_from(channels)
+
+
 def test_received_full_identity_tiny_system():
     channels = ChannelSet(h1=np.eye(2), h2=np.eye(2), c=[1.0, 0.0], k_rx=1)
     y = received_full(channels, ReflectionVector([1.0, 1.0]), np.zeros(2))

@@ -256,6 +256,18 @@ def test_float_lane_matches_array_lanes_bit_for_bit():
     assert [ramp_harmonic_amplitude(x) for x in drops] == ramp_harmonic_amplitude(np.array(drops)).tolist()
 
 
+def test_sinc_array_lane_matches_the_masked_form_bit_for_bit():
+    # One masked divide: sin(u)/u wherever |u| > 0, 1.0 elsewhere, NaN included.
+    u = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308, np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        masked = np.ones_like(u)
+        nz = np.abs(u) > 0
+        masked[nz] = np.sin(u[nz]) / u[nz]
+        lane = unnormalized_sinc(u)
+    assert lane.tobytes() == masked.tobytes()
+    assert lane[-1] == 1.0 and np.isnan(lane[-3:-1]).all()
+
+
 def test_amplitude_strictly_increasing():
     grid = np.linspace(1e-4, TWO_PI, 4001)
     amps = ramp_harmonic_amplitude(grid)
