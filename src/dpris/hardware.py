@@ -189,16 +189,6 @@ class HardwareConfig:
             )
 
 
-def ideal_hardware() -> HardwareConfig:
-    """Impairment-free configuration: no coupling, ideal DAC, flat unit amplitude."""
-    return HardwareConfig(
-        isolation_db=float("inf"),
-        dac_bits=None,
-        amplitude_ripple_db=0.0,
-        base_reflection_amplitude=1.0,
-    )
-
-
 def coupling_factor(isolation_db: float) -> float:
     """Linear voltage coupling factor kappa = 10^(-isolation/20); inf -> 0."""
     return float(10.0 ** (-isolation_db / 20.0))

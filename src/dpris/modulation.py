@@ -14,8 +14,8 @@ This module provides:
                               at once, by closed-form integration of the
                               one linear-phase period that starts at the
                               wrap point (the oracle the closed form is
-                              checked against; :func:`harmonic_exact` for
-                              one order of one ramp)
+                              checked against; :func:`exact_coefficients`
+                              for one ramp)
 * :func:`qam_to_tm_table`     inverse mapping from target constellation
                               points to ramp parameters (:func:`qam_to_tm`
                               for one point)
@@ -208,12 +208,6 @@ def exact_coefficient_table(delta_phi, t_shift_s, symbol_period_s, orders) -> np
 def exact_coefficients(params: TmSymbolParams, orders) -> np.ndarray:
     """Exact Fourier coefficients of one ramp at ``orders``; see :func:`exact_coefficient_table`."""
     return exact_coefficient_table(params.delta_phi, params.t_shift_s, params.symbol_period_s, orders)[0]
-
-
-def harmonic_exact(params: TmSymbolParams, order: int) -> HarmonicCoefficient:
-    """Exact Fourier coefficient of the ramp waveform at any integer order."""
-    value = complex(exact_coefficients(params, np.array([float(order)]))[0])
-    return HarmonicCoefficient(order=order, value=value)
 
 
 def qam_to_tm_table(targets, symbol_period_s: float) -> tuple[TmSymbolParams, ...]:

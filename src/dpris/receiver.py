@@ -138,13 +138,42 @@ def zf_matrix(g_hat, condition_limit: float = 1e8) -> np.ndarray:
     return np.linalg.inv(g)
 
 
+def mix2(m, x, out=None, scratch=None) -> np.ndarray:
+    """The 2x2 product m @ x, row by row on numpy's complex ufuncs.
+
+    ``x`` is a 2-vector or a (2, n) block.  Output row i is
+    ``m[i, 0] * x[0] + m[i, 1] * x[1]``: two scalar-times-vector multiplies
+    and an add, with no BLAS call, so no thread pool starts under a caller's
+    own workers.  ``out`` (complex128, the shape of ``x``) receives the
+    product and ``scratch`` (complex128, n entries) holds a row's second
+    term; each is allocated when omitted.  ``out`` must not alias ``x``:
+    row 0 is written before row 1 reads ``x``.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.complex128)
+    if m.shape != (2, 2) or x.ndim not in (1, 2) or x.shape[0] != 2:
+        raise ValueError(
+            f"mix2 takes a 2x2 matrix and a 2-vector or (2, n) block, got {m.shape} and {x.shape}"
+        )
+    if out is None:
+        out = np.empty(x.shape, dtype=np.complex128)
+    if scratch is None:
+        scratch = np.empty(x.shape[1:], dtype=np.complex128)
+    # [i, ...] keeps a 2-vector's row a 0-d view that ufuncs can write into.
+    x0, x1 = x[0, ...], x[1, ...]
+    for i in range(2):
+        row = np.multiply(m[i, 0], x0, out=out[i, ...])
+        row += np.multiply(m[i, 1], x1, out=scratch)
+    return out
+
+
 def zf_equalize(g_hat, y, condition_limit: float = 1e8) -> np.ndarray:
-    """Zero-forcing stream separation: s_hat = G_hat^{-1} y.
+    """Zero-forcing stream separation: s_hat = G_hat^{-1} y, through :func:`mix2`.
 
     ``y`` may be a 2-vector or a (2, n) block of symbols.  Raises
     :class:`SingularChannelError` as :func:`zf_matrix` does.
     """
-    return zf_matrix(g_hat, condition_limit) @ np.asarray(y, dtype=np.complex128)
+    return mix2(zf_matrix(g_hat, condition_limit), y)
 
 
 def demap_indices(points) -> np.ndarray:

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -955,6 +956,20 @@ def test_oracle_check_detects_reduced_form_off_by_one_part_in_a_billion():
         ("parseval_window_energy", True),
         ("model_identity_full_vs_reduced", False),
     ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_oracle_check_fails_a_reduced_form_with_non_finite_entries(bad):
+    # Python's max(worst, nan) keeps worst, which let all-NaN entries pass
+    # with a worst error of 0.
+    def broken(channels, e, x, noise):
+        return ReceivedVector(np.full(2 * channels.k_rx, complex(bad, bad)))
+
+    report = run_oracle_check(small_config(), reduced_fn=broken)
+    assert not report.ok
+    identity = report.suites[2]
+    assert (identity.name, identity.passed) == ("model_identity_full_vs_reduced", False)
+    assert identity.detail == f"max |full - reduced| = {float(bad):.3e} (tol 1e-12)"
 
 
 def test_oracle_check_suite_sizes_follow_config():

@@ -15,7 +15,6 @@ from dpris.hardware import (
     coupling_factor,
     default_lut,
     distort_reflection,
-    ideal_hardware,
     load_lut_csv,
     phase_to_voltage,
     quantize_dac,
@@ -36,6 +35,10 @@ from dpris.receiver import demap_indices, estimate_channel, extract_harmonic
 TS = 4e-7
 P0 = Polarization.POL0
 P1 = Polarization.POL1
+# Impairment-free hardware: no coupling, ideal DAC, flat unit amplitude.
+IDEAL_HARDWARE = HardwareConfig(
+    isolation_db=float("inf"), dac_bits=None, amplitude_ripple_db=0.0, base_reflection_amplitude=1.0
+)
 
 
 def symmetric_lut():
@@ -342,7 +345,7 @@ DISTORTION_CASES = [
         True,
         id="coupled-dac6-ripple",
     ),
-    pytest.param(ideal_hardware(), default_lut(), False, id="ideal"),
+    pytest.param(IDEAL_HARDWARE, default_lut(), False, id="ideal"),
     pytest.param(
         HardwareConfig(isolation_db=float("inf"), dac_bits=6, amplitude_ripple_db=1.0),
         default_lut(),
@@ -529,11 +532,11 @@ def test_isolation_whose_coupling_factor_underflows_builds_the_uncoupled_tables(
 def test_distortion_rejects_mismatched_streams():
     lut = default_lut()
     with pytest.raises(ValueError):
-        distort_reflection(park_params(3, 1), park_params(4, 1), lut, ideal_hardware(), 64)
+        distort_reflection(park_params(3, 1), park_params(4, 1), lut, IDEAL_HARDWARE, 64)
 
 
 def test_ideal_hardware_is_transparent():
-    hw = ideal_hardware()
+    hw = IDEAL_HARDWARE
     assert coupling_factor(hw.isolation_db) == 0.0
     assert hw.amplitude_ripple_db == 0.0
     assert hw.base_reflection_amplitude == 1.0
@@ -551,7 +554,7 @@ def test_ideal_hardware_is_transparent():
     "base, ripple_db, allowed",
     [
         (0.84, 1.0, True),  # the default: peak 0.890
-        (1.0, 0.0, True),  # ideal_hardware()
+        (1.0, 0.0, True),  # IDEAL_HARDWARE
         (0.84, 3.0288, True),  # just below -40 log10(0.84) = 3.02883 dB
         (0.84, 3.03, False),
         (1.0, 1e-9, False),

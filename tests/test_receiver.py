@@ -14,7 +14,7 @@ from dpris.modulation import (
     CONSTELLATION16,
     TWO_PI,
     TmSymbolParams,
-    harmonic_exact,
+    exact_coefficients,
     symbol_indices_to_bits,
     waveform,
 )
@@ -26,6 +26,7 @@ from dpris.receiver import (
     demap_indices,
     estimate_channel,
     extract_harmonic,
+    mix2,
     slicer_demap_indices,
     theoretical_ber_16qam,
     wilson_interval_halfwidth,
@@ -66,7 +67,7 @@ def test_extract_convergence_to_exact_oracle():
         err = 0.0
         for params in cases:
             est = extract_harmonic(waveform(params, m), order=-1)
-            err = max(err, abs(est - harmonic_exact(params, -1).value))
+            err = max(err, abs(est - exact_coefficients(params, [-1.0])[0]))
         worst[m] = err
         assert err <= bounds[m], f"M={m}: {err:.3e} > {bounds[m]:.0e}"
     # O(1/M): strictly decreasing, and 64 -> 4096 improves by at least 16x
@@ -129,6 +130,34 @@ def test_estimate_channel_error_scales_inverse_with_length():
         assert abs(mean_err[length] - expected) / expected < 0.25
     assert 3.0 < mean_err[8] / mean_err[32] < 5.4
     assert 3.0 < mean_err[32] / mean_err[128] < 5.4
+
+
+# -- 2x2 mixing ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 1), (2, 16_384), (2, 0)], ids=str)
+@pytest.mark.parametrize("buffers", [False, True], ids=["allocating", "caller-buffers"])
+def test_mix2_matches_matmul(shape, buffers):
+    rng = np.random.default_rng(2024)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x_before = x.copy()
+    if buffers:
+        out = np.full(shape, np.nan + 0j)
+        scratch = np.full(shape[1:], np.nan + 0j)
+        got = mix2(m, x, out=out, scratch=scratch)
+        assert got is out
+    else:
+        got = mix2(m, x)
+    assert got.shape == shape and got.dtype == np.complex128
+    np.testing.assert_allclose(got, m @ x, rtol=1e-14, atol=0)
+    assert np.array_equal(x, x_before)
+
+
+def test_mix2_rejects_shapes_that_are_not_2x2_by_2():
+    for m, x in ((np.eye(2), np.ones(3)), (np.eye(2), np.ones((3, 4))), (np.eye(3), np.ones(2))):
+        with pytest.raises(ValueError, match="mix2"):
+            mix2(m, x)
 
 
 # -- zero forcing -------------------------------------------------------------
