@@ -10,26 +10,29 @@ same worker pool; loopback feeds it payload symbols instead of drawn ones.
 
 Fidelity A runs the symbol-domain model (closed-form equivalent baseband
 through the aggregate 2x2 stream channel).  Fidelity B runs the waveform
-domain: every pair of stream symbols a campaign sends is pushed through the
-full control-path pipeline once per campaign, the single-bin correlator
-reduces each pair to its received symbol, and chunks then index that table.
-Independent streams send all 256 pairs; identical streams send the 16
-pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2) once it has four
-or more symbols, so their engine builds 18 pairs and the full table only
-when something asks for it.  The
-per-polarization stages (ramp phase, inverse curve, DAC) run once per
-distinct symbol, 16 rows x M samples per polarization; the stages from the
-voltage coupling on run once per pair, unless the coupling factor is
-exactly 0, when they and the correlator too run on the 16 rows.  The table
-shortcut is exact because the channel and the correlator are linear; a test
-pins it against the direct per-symbol waveform path.  Receiver noise enters
-after the correlator with the correlator-output variance, which is
-distributionally identical to per-sample noise at M times that power.
+domain: pairs of stream symbols are pushed through the full control-path
+pipeline once per campaign, the single-bin correlator reduces each pair to
+its received symbol, and chunks then index those tables.  Whether the
+polarizations are coupled is decided once, by the engine: when the
+coupling factor is exactly 0, each polarization depends on its own symbol
+alone, so the engine runs the 16 pairs (s, s) and reads each stream from
+its polarization's 16 symbols, as fidelity A does.  A coupled engine runs
+the pairs a campaign sends: all 256 for independent streams; for identical
+streams the 16 pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2)
+once it has four or more symbols, so it builds 18 pairs and the full table
+only when something asks for it.  The per-polarization stages (ramp phase,
+inverse curve, DAC) run once per distinct symbol, 16 rows x M samples per
+polarization; the stages from the voltage coupling on run once per pair.
+The table shortcut is exact because the channel and the correlator are
+linear; a test pins it against the direct per-symbol waveform path.
+Receiver noise enters after the correlator with the correlator-output
+variance, which is distributionally identical to per-sample noise at M
+times that power.
 A channel or control path that leaves the float range (a non-finite G or
 received symbol, a G whose mean row energy underflows to 0, or an overflow,
 division by zero or invalid value on the way) is a :class:`ConfigError`,
-never a table; an identical-stream engine checks the pairs it does not
-send when its full table is first built.
+never a table; a coupled identical-stream engine checks the pairs it does
+not send when its full table is first built.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .config import (
 from .hardware import (
     HardwareConfig,
     PhaseVoltageLut,
+    coupling_factor,
     default_lut,
     distort_reflection,
     load_lut_csv,
@@ -281,7 +285,10 @@ class LinkEngine:
         self.hw_active: HardwareConfig | None = None
         self._tables_b = (None, None)
         self._tables_lock = threading.Lock()
-        self._diagonal_b = None
+        # Fidelity B's pairs (s, s), (2, 16): read with any two streams when
+        # uncoupled, else only with one stream passed as both.
+        self._tables16 = None
+        self._per_stream = False
         pilot0, pilot1 = slicer_demap_indices(self.pilot.symbols).reshape(STREAMS, -1)
         if config.fidelity == "B":
             self.hw_active = (
@@ -292,20 +299,27 @@ class LinkEngine:
             if self.lut is None:
                 self.lut = default_lut()
             # The control-path distortion of a symbol period depends only on
-            # the two symbols driving the polarizations, so the pairs a run
+            # the two symbols driving the polarizations.  Uncoupled, each
+            # polarization depends on its own symbol alone, so the 16 pairs
+            # (s, s) hold every received symbol.  Coupled, the pairs a run
             # sends enumerate every waveform it can produce: all 256 for
             # independent streams; for identical ones the 16 pairs (s, s)
-            # and the pilot's.  The full tables of an identical-stream
-            # engine are built at their first use.
-            sent = np.full((16, 16), config.stream_relation == "independent")
-            np.fill_diagonal(sent, True)
-            sent[pilot0, pilot1] = True
-            rows = self._control_path_rows(*np.nonzero(sent))
-            row_of = np.zeros((16, 16), dtype=np.intp)
-            row_of[sent] = np.arange(rows.shape[1])
-            self._diagonal_b = rows[:, row_of.diagonal()]
-            self._tables_b = rows.reshape(STREAMS, 16, 16) if sent.all() else None
-            pilot_tx = rows[:, row_of[pilot0, pilot1]]
+            # and the pilot's, and the full tables are built at first use.
+            self._per_stream = coupling_factor(self.hw_active.isolation_db) == 0.0
+            if self._per_stream:
+                self._tables16 = self._control_path_rows(np.arange(16), np.arange(16))
+                self._tables_b = None
+                pilot_tx = self.tx_symbols(pilot0, pilot1, "B")
+            else:
+                sent = np.full((16, 16), config.stream_relation == "independent")
+                np.fill_diagonal(sent, True)
+                sent[pilot0, pilot1] = True
+                rows = self._control_path_rows(*np.nonzero(sent))
+                row_of = np.zeros((16, 16), dtype=np.intp)
+                row_of[sent] = np.arange(rows.shape[1])
+                self._tables16 = rows[:, row_of.diagonal()]
+                self._tables_b = rows.reshape(STREAMS, 16, 16) if sent.all() else None
+                pilot_tx = rows[:, row_of[pilot0, pilot1]]
         else:
             pilot_tx = self.tx_symbols(pilot0, pilot1, "A")
         # The pilot block as it arrives without noise, through the active fidelity.
@@ -331,12 +345,15 @@ class LinkEngine:
         return self._pair_tables()[1]
 
     def _pair_tables(self):
-        # An identical-stream engine builds its full tables here, at their
-        # first use, once even when the chunks of several threads ask.
+        # Built here, at their first use, once even when the chunks of several
+        # threads ask: uncoupled, read from the pairs (s, s).
         with self._tables_lock:
             if self._tables_b is None:
-                pairs = np.arange(256)
-                rows = self._control_path_rows(pairs // 16, pairs % 16)
+                sym0, sym1 = np.divmod(np.arange(256), 16)
+                if self._per_stream:
+                    rows = self.tx_symbols(sym0, sym1, "B")
+                else:
+                    rows = self._control_path_rows(sym0, sym1)
                 self._tables_b = rows.reshape(STREAMS, 16, 16)
             return self._tables_b
 
@@ -361,47 +378,42 @@ class LinkEngine:
         Symbol indices are 4-bit values, 0..15.  ``out`` (complex128,
         C-contiguous, (2, n)) receives the symbols and ``scratch`` (int64,
         n entries) holds fidelity B's pair-table indices; each is allocated
-        when omitted.  At fidelity B, the same array passed as both streams
-        (identical streams) reads the 16 pairs (s, s) built with the engine;
-        any other pair of arrays reads the full pair tables, which an
-        identical-stream engine builds at this first use.  Only then does
-        such an engine check the rest of the control path's range, so a
+        when omitted.  At fidelity B, an uncoupled engine reads each stream
+        from its pairs (s, s), as fidelity A reads its table.  A coupled one
+        reads them only with the same array passed as both streams, and the
+        full pair tables for any other pair of arrays; an identical-stream
+        engine builds those at this first use.  Only then does such an
+        engine check the rest of the control path's range, so a
         :class:`ConfigError` may come from here.
         """
         n = sym0.size
         if out is None:
             out = np.empty((STREAMS, n), dtype=np.complex128)
         if fidelity == "A":
-            tables, index0, index1 = (self.table_a, self.table_a), sym0, sym1
-        elif sym1 is sym0:
-            tables, index0, index1 = self._diagonal_b, sym0, sym0
+            tables = self.table_a, self.table_a
+        elif self._per_stream or sym1 is sym0:
+            tables = self._tables16
         else:
             pair = np.multiply(sym0, 16, out=scratch)
             pair += sym1
-            tables, index0, index1 = self._pair_tables(), pair, pair
+            tables, sym0, sym1 = self._pair_tables(), pair, pair
         # mode="clip" writes straight into out; "raise" would buffer a copy.
-        np.take(tables[0], index0, out=out[0], mode="clip")
-        np.take(tables[1], index1, out=out[1], mode="clip")
+        np.take(tables[0], sym0, out=out[0], mode="clip")
+        np.take(tables[1], sym1, out=out[1], mode="clip")
         return out
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
         straight through the control path and the single-bin correlator.
 
-        Fidelity B's pair tables are this route over the pairs a run sends.
-        The correlator runs on the control path's distinct rows, and its
-        outputs are then gathered into pair order.
+        Fidelity B's tables are this route over the pairs a run sends.
         """
         params0 = [self.params16[i] for i in sym0]
         params1 = [self.params16[j] for j in sym1]
         result = distort_reflection(
             params0, params1, self.lut, self.hw_active, self.cfg.samples_per_symbol
         )
-        out = np.empty((STREAMS, len(params0)), dtype=np.complex128)
-        for q, (rows, index) in enumerate(((result.rows0, result.index0), (result.rows1, result.index1))):
-            symbols = extract_harmonic(rows, order=-1)
-            out[q] = symbols if index is None else symbols[index]
-        return out
+        return np.stack([extract_harmonic(result.wave0, order=-1), extract_harmonic(result.wave1, order=-1)])
 
     # -- receiver state -----------------------------------------------------
 
@@ -438,14 +450,9 @@ class LinkEngine:
 
     def _checked_noise_power(self, ebn0_db: float, path: str) -> float:
         """:meth:`noise_power`, or a :class:`ConfigError` on the config key
-        ``path`` unless it is finite and positive.  An infinite Eb/N0, which
+        ``path`` unless it is finite and positive.  An Eb/N0 of +inf, which
         only the Python API can pass, keeps its noiseless link."""
-        try:
-            noise_power = self.noise_power(ebn0_db)
-        except OverflowError:  # 10^(Eb/N0 / 10) overflowed: the noise power rounds to 0
-            noise_power = 0.0
-        except ZeroDivisionError:  # 10^(Eb/N0 / 10) underflowed to 0
-            noise_power = math.inf
+        noise_power = self.noise_power(ebn0_db)
         if not (0.0 < noise_power < math.inf or ebn0_db == math.inf):
             raise ConfigError(
                 path,

@@ -13,6 +13,7 @@ touches global RNG state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,14 @@ class Geometry:
     def __post_init__(self):
         if self.carrier_frequency_hz <= 0:
             raise ValueError("carrier_frequency_hz must be positive")
-        if self.feed_distance_m <= 0 or self.rx_distance_m <= 0:
-            raise ValueError("distances must be positive")
+        for name in ("feed_distance_m", "rx_distance_m"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.feed_polarization_angle_deg <= 90.0:
             raise ValueError("feed_polarization_angle_deg must lie in [0, 90]")
-        if self.cells_x < 1 or self.cells_y < 1:
-            raise ValueError("cell grid must be at least 1 x 1")
+        for name in ("cells_x", "cells_y"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.cells_x * self.cells_y > MAX_CELLS:
             raise ValueError(
                 f"cell grid {self.cells_x} x {self.cells_y} exceeds {MAX_CELLS} cells"
@@ -266,9 +269,14 @@ def noise_power_for_ebn0(
     The frozen SNR reference: per-port signal power is the mean row energy
     of G times the constellation symbol energy; Eb/N0 divides that by the
     bits per symbol.  At the symmetric default geometry both rows carry the
-    same energy, making the reference exact per port.
+    same energy, making the reference exact per port.  Where 10^(Eb/N0 / 10)
+    leaves the float range the power is what it rounds to: 0 at +inf dB or
+    an overflow, inf at -inf dB or an underflow to 0.
     """
-    if np.isinf(ebn0_db):
-        return 0.0
-    gamma = 10.0 ** (ebn0_db / 10.0)
+    try:
+        gamma = 10.0 ** (ebn0_db / 10.0)
+    except OverflowError:
+        gamma = math.inf
+    if gamma == 0.0:
+        return math.inf
     return mean_row_energy(g) * symbol_energy / (bits_per_symbol * gamma)

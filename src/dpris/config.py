@@ -56,9 +56,10 @@ MAX_ORACLE_CASES = 1_000_000
 # fidelity-B engine with independent streams builds its 256-pair waveform
 # table at 108 MiB at 4,096 samples per symbol, 324 MiB (0.7-1.0 s) at
 # 16,384 and 613 MiB at 32,768; with identical streams (18 pairs) or
-# uncoupled (16 rows per polarization), it peaks at 42 MiB at 4,096 and
-# 56-58 MiB at 16,384.  An identical-stream engine's full table, built at
-# its first use, peaks as the independent one does.
+# uncoupled (the 16 pairs (s, s)), it peaks at 42 MiB at 4,096 and 56 MiB
+# at 16,384.  A coupled identical-stream engine's full table, built at its
+# first use, peaks as the independent one does; an uncoupled engine's is
+# read from its 16 pairs.
 MAX_SAMPLES_PER_SYMBOL = 16_384
 # An engine with 100,000 pilot symbols peaks at 77 MiB, with 1,000,000 at 448 MiB.
 MAX_PILOT_LENGTH = 100_000
@@ -278,13 +279,18 @@ def _merge(cls, raw, path: str):
     """Section ``cls`` at ``path``: its defaults overridden by the JSON object ``raw``.
 
     Every key is checked against the field annotations; errors carry the
-    key path.
+    key path.  A section's rule on one field names that field first, as in
+    "isolation_db must be positive", and is reported on ``path.field``; a
+    rule on several fields is reported on ``path``.
     """
     field_types = _known_fields(cls, raw, path)
     values = {key: _check_value(val, field_types[key], f"{path}.{key}") for key, val in raw.items()}
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in field_types:
+            raise ConfigError(f"{path}.{name}", rest) from exc
         raise ConfigError(path, str(exc)) from exc
 
 

@@ -80,12 +80,11 @@ class PhaseVoltageLut:
         p = self.phases[pol]
         return float(p[0]), float(p[-1])
 
-    def count_out_of_range(self, volts, pol: Polarization, axis=None):
-        """Voltages beyond the rails: an int, or counts along ``axis``."""
+    def count_out_of_range(self, volts, pol: Polarization) -> int:
+        """Number of voltages beyond the rails."""
         lo, hi = self.voltage_span(pol)
         v = np.asarray(volts, dtype=float)
-        counts = np.count_nonzero((v < lo) | (v > hi), axis=axis)
-        return int(counts) if axis is None else counts
+        return int(np.count_nonzero((v < lo) | (v > hi)))
 
 
 @functools.cache
@@ -183,9 +182,9 @@ class HardwareConfig:
         max_ripple_db = -40.0 * math.log10(self.base_reflection_amplitude)
         if not self.amplitude_ripple_db <= max_ripple_db:
             raise ValueError(
-                f"amplitude_ripple_db {self.amplitude_ripple_db!r} lifts the reflection amplitude "
-                f"above 1; base_reflection_amplitude {self.base_reflection_amplitude!r} allows "
-                f"at most {max_ripple_db:.6g} dB"
+                f"on a passive cell, amplitude_ripple_db {self.amplitude_ripple_db!r} lifts the "
+                f"reflection amplitude above 1: base_reflection_amplitude "
+                f"{self.base_reflection_amplitude!r} allows at most {max_ripple_db:.6g} dB"
             )
 
 
@@ -264,28 +263,12 @@ def reflection_amplitude(v, pol: Polarization, lut: PhaseVoltageLut, hw: Hardwar
 
 @dataclass(frozen=True)
 class DistortionResult:
-    """Realized per-polarization reflection waveforms plus clip diagnostics.
+    """Realized per-polarization reflection waveforms plus clip diagnostics."""
 
-    Each polarization's waveforms are held as rows plus the row of each
-    symbol: with ``index0`` None, ``rows0`` holds one row per symbol; else
-    symbol i's waveform is ``rows0[index0[i]]``.  ``wave0`` and ``wave1``
-    gather the (n_symbols, samples) waveforms.
-    """
-
-    rows0: np.ndarray            # (n_rows, samples) complex
-    index0: np.ndarray | None    # (n_symbols,) rows of rows0, or None
-    rows1: np.ndarray
-    index1: np.ndarray | None
+    wave0: np.ndarray            # (n_symbols, samples) complex
+    wave1: np.ndarray
     clipped0: int                # post-coupling samples beyond the voltage rails
     clipped1: int
-
-    @property
-    def wave0(self) -> np.ndarray:
-        return self.rows0 if self.index0 is None else self.rows0[self.index0]
-
-    @property
-    def wave1(self) -> np.ndarray:
-        return self.rows1 if self.index1 is None else self.rows1[self.index1]
 
 
 def distort_reflection(
@@ -303,13 +286,10 @@ def distort_reflection(
     per distinct symbol of each stream, and their rows are then gathered into
     symbol order.  Symbols are told apart by object identity, so a stream
     drawn from a 16-entry params table needs 16 rows, however long it is.
-    Coupling and every later stage run once per symbol pair, unless the
-    coupling factor kappa is exactly 0 (coupling off, or an isolation so high
-    that kappa underflows): then each polarization depends on its own symbol
-    alone, every stage runs once per distinct symbol, and the result keeps
-    those rows and each symbol's index into them.  Every stage is
-    elementwise along its row, so a gathered row is the same IEEE result as
-    one computed in place.
+    Coupling and every later stage run once per symbol; at a coupling factor
+    of exactly 0 the coupling adds exact zeros.  Every stage is elementwise
+    along its row, so a gathered row is the same IEEE result as one computed
+    in place.
     """
     if len(stream0_params) != len(stream1_params):
         raise ValueError("streams must carry the same number of symbols")
@@ -317,8 +297,8 @@ def distort_reflection(
         raise ValueError("samples must be at least 2")
 
     def dac_rows(params_seq, pol):
-        # One row per distinct params object, in first-seen order, and each
-        # symbol's row among them.
+        # One row per distinct params object, in first-seen order, gathered
+        # into symbol order.
         distinct = dict(zip(map(id, params_seq), params_seq))
         row_of = dict(zip(distinct, range(len(distinct))))
         index = np.fromiter(
@@ -329,26 +309,19 @@ def distort_reflection(
         t = np.arange(samples) * (period / samples)
         volts = phase_to_voltage(ramp_phase(delta_phi, t_shift, period, t), pol, lut)
         lo, hi = lut.voltage_span(pol)
-        return quantize_dac(volts, hw.dac_bits, lo, hi), index
+        return quantize_dac(volts, hw.dac_bits, lo, hi)[index]
 
-    def reflect(v, pol, index):
+    def reflect(v, pol):
         # Rail clipping (in place: v is a temporary of this call), forward
-        # curve and amplitude on the rows of v; symbol i takes row index[i],
-        # or row i when index is None.
-        row_clips = lut.count_out_of_range(v, pol, axis=-1)
-        if index is None:
-            clipped = int(row_clips.sum())
-        else:
-            clipped = int(np.bincount(index, minlength=len(v)) @ row_clips)
+        # curve and amplitude.
+        clipped = lut.count_out_of_range(v, pol)
         np.clip(v, *lut.voltage_span(pol), out=v)
         wave = reflection_amplitude(v, pol, lut, hw) * np.exp(1j * voltage_to_phase(v, pol, lut))
         return wave, clipped
 
-    v0, index0 = dac_rows(stream0_params, Polarization.POL0)
-    v1, index1 = dac_rows(stream1_params, Polarization.POL1)
-    if coupling_factor(hw.isolation_db) != 0.0:
-        v0, v1 = apply_coupling(v0[index0], v1[index1], hw.isolation_db)
-        index0 = index1 = None
-    rows0, clipped0 = reflect(v0, Polarization.POL0, index0)
-    rows1, clipped1 = reflect(v1, Polarization.POL1, index1)
-    return DistortionResult(rows0, index0, rows1, index1, clipped0, clipped1)
+    v0 = dac_rows(stream0_params, Polarization.POL0)
+    v1 = dac_rows(stream1_params, Polarization.POL1)
+    v0, v1 = apply_coupling(v0, v1, hw.isolation_db)
+    wave0, clipped0 = reflect(v0, Polarization.POL0)
+    wave1, clipped1 = reflect(v1, Polarization.POL1)
+    return DistortionResult(wave0, wave1, clipped0, clipped1)

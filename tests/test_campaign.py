@@ -170,6 +170,30 @@ def test_root_rules_hold_however_the_config_is_built(bad):
     assert errors[1] == errors[0] and errors[2] == errors[0]
 
 
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        ({"geometry": {"rx_distance_m": 0.0}}, "geometry.rx_distance_m"),
+        ({"channel": {"h2_kind": "x"}}, "channel.h2_kind"),
+        ({"hardware": {"isolation_db": -1}}, "hardware.isolation_db"),
+        ({"oracle": {"parseval_cases": 0}}, "oracle.parseval_cases"),
+        ({"waveform_export": {"t_shift_fraction": 1.0}}, "waveform_export.t_shift_fraction"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_section_rule_on_one_field_names_its_key_path(raw, path):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: ") and str(err.value).count(path.split(".")[1]) == 1
+
+
+def test_noise_power_of_minus_infinite_ebn0_is_a_config_error_naming_it():
+    engine = LinkEngine(small_config())
+    with pytest.raises(ConfigError, match=r"ebn0_grid_db\[0\]: Eb/N0 -inf dB needs a noise power of inf W"):
+        engine.run_points([float("-inf")], 10_000)
+
+
 def test_python_built_values_are_stored_as_json_would_store_them():
     # A copy of the default geometry is not the default object, so it is checked.
     built = CampaignConfig(ebn0_grid_db=[4, 6], geometry=replace(CampaignConfig().geometry))
@@ -618,6 +642,92 @@ def test_any_lut_csv_text_is_curves_or_a_config_error(tmp_path_factory, text):
         return
     for pol in (0, 1):
         assert np.all(np.isfinite(lut.voltages[pol])) and np.all(np.isfinite(lut.phases[pol]))
+
+
+# Values that no key of the fuzzed configs below accepts, or only some do.
+_GARBAGE = st.sampled_from([None, -1, 0, 1e308, -1e308, 2.5, "x", True, [], {}])
+_FUZZED_KEYS = (
+    "fidelity",
+    "coupling",
+    "stream_relation",
+    "csi",
+    "hardware.dac_bits",
+    "hardware.isolation_db",
+    "samples_per_symbol",
+    "ebn0_grid_db",
+    "loopback_ebn0_db",
+)
+
+
+@given(
+    command=st.sampled_from(["ber-sweep", "file-loopback"]),
+    fidelity=st.sampled_from(["A", "B"]),
+    coupling=st.booleans(),
+    relation=st.sampled_from(["independent", "identical"]),
+    csi=st.sampled_from(["perfect", "calibrated", "pilot"]),
+    dac_bits=st.sampled_from(["ideal", 1, 6, 1023]),
+    isolation_db=st.sampled_from([16.0, 7.0, 7000.0, 1e-300]),
+    ebn0_db=st.sampled_from([-60.0, 4.0, 30.0]),
+    threads=st.sampled_from([1, 2]),
+    garbage=st.none() | st.tuples(st.sampled_from(_FUZZED_KEYS), _GARBAGE),
+    payload=st.binary(max_size=64),
+)
+# Coupled with identical streams and pilot CSI at an isolation whose
+# coupling factor underflows; uncoupled identical streams; a noise power
+# that underflows.
+@example("ber-sweep", "B", True, "identical", "pilot", 6, 7000.0, 4.0, 2, None, b"")
+@example("file-loopback", "B", False, "identical", "calibrated", 1023, 16.0, 30.0, 2, None, b"\x00\xff")
+@example("ber-sweep", "B", True, "independent", "pilot", 1, 1e-300, -1e308, 1, None, b"")
+@settings(max_examples=120, deadline=None)
+def test_any_sweep_or_loopback_config_exits_with_a_documented_code(
+    tmp_path_factory,
+    command,
+    fidelity,
+    coupling,
+    relation,
+    csi,
+    dac_bits,
+    isolation_db,
+    ebn0_db,
+    threads,
+    garbage,
+    payload,
+):
+    base = tmp_path_factory.getbasetemp()
+    cfg = {
+        "fidelity": fidelity,
+        "coupling": coupling,
+        "stream_relation": relation,
+        "csi": csi,
+        "hardware": {"dac_bits": dac_bits, "isolation_db": isolation_db},
+        "samples_per_symbol": 16,
+        "ebn0_grid_db": [ebn0_db, 10.0],
+        "loopback_ebn0_db": ebn0_db,
+        "bits_per_point": 10_000,
+    }
+    if garbage is not None:
+        key, value = garbage
+        section, _, field = key.rpartition(".")
+        (cfg[section] if section else cfg)[field] = value
+    (base / "fuzzed-cli.json").write_text(json.dumps(cfg))
+    (base / "fuzzed-payload.bin").write_bytes(payload)
+    out = base / "fuzzed-cli.out"
+    out.unlink(missing_ok=True)
+    argv = [command, "--config", str(base / "fuzzed-cli.json"), "--threads", str(threads), "--out", str(out)]
+    if command == "file-loopback":
+        argv.insert(1, str(base / "fuzzed-payload.bin"))
+    code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert out.exists() == (code == 0)
+    if code == 0 and command == "ber-sweep":
+        rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+        header, points = rows[0], rows[1:]
+        assert len(points) == 2
+        for row in points:
+            ber, ci, theory = (float(row[header.index(k)]) for k in ("ber", "ci_halfwidth", "theoretical_ber"))
+            assert 0.0 <= ber <= 1.0 and math.isfinite(ci) and math.isfinite(theory)
+    elif code == 0:
+        assert len(out.read_bytes()) == len(payload)
 
 
 INF_VOLTAGE_LUT = ["0,0,0", "0,inf,360", "1,0,0", "1,20,360"]
@@ -1274,7 +1384,7 @@ def test_cli_size_inputs_are_bounded(tmp_path, capsys, command, section, key, ca
     def setting(value):
         return {key: value} if section is None else {section: {key: value}}
 
-    path = f"{section}: {key}" if section else key  # a section error names the field
+    path = f"{section}.{key}" if section else key
     assert config_from_dict(setting(cap))
     with pytest.raises(ConfigError, match=f"^{path}"):
         config_from_dict(setting(cap + 2))

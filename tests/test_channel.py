@@ -237,6 +237,12 @@ def test_noise_power_for_ebn0_matches_hand_computation():
     assert noise_power_for_ebn0(g, float("inf"), es, 4) == 0.0
 
 
+def test_noise_power_at_minus_infinite_ebn0_is_infinite():
+    # No signal energy per bit needs infinite noise, not a noiseless link.
+    g = np.array([[2.0 + 0j, 0.0], [0.0, 2.0]])
+    assert noise_power_for_ebn0(g, float("-inf"), 5.0 / 9.0, 4) == float("inf")
+
+
 def test_channel_set_from_assembles_consistent_shapes():
     geo = Geometry(cells_x=3, cells_y=2)
     channels = channel_set_from(geo, ChannelModelSpec(), carrier_power_watts=2.0)

@@ -428,8 +428,17 @@ def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw, sa
     assert np.array_equal(engine.table_b1, reference[1].reshape(16, 16))
 
 
-@pytest.mark.parametrize("coupling", [True, False], ids=["coupled", "coupling-off"])
-def test_identical_stream_engine_builds_its_rows_bit_identical_to_the_full_table(monkeypatch, coupling):
+@pytest.mark.parametrize(
+    "coupling, rows, full_table_rows",
+    # Coupled: the 16 pairs (s, s) and the pilot's (2, 8) and (8, 2), then
+    # the full table at its first use.  Uncoupled: the 16 pairs (s, s), which
+    # the full table is read from.
+    [(True, 18, [256]), (False, 16, [])],
+    ids=["coupled", "coupling-off"],
+)
+def test_identical_stream_engine_builds_its_rows_bit_identical_to_the_full_table(
+    monkeypatch, coupling, rows, full_table_rows
+):
     hw = HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0)
     cfg = CampaignConfig(
         fidelity="B",
@@ -448,18 +457,17 @@ def test_identical_stream_engine_builds_its_rows_bit_identical_to_the_full_table
     monkeypatch.setattr(campaign, "distort_reflection", spy)
     engine = LinkEngine(cfg)
     reference = per_pair_reference_tables(cfg, engine.hw_active)
-    # The 16 pairs (s, s) and the pilot's (2, 8) and (8, 2).
-    assert builds == [18]
+    assert builds == [rows]
     s = np.arange(16)
     assert np.array_equal(engine.tx_symbols(s, s, "B"), reference[:, 17 * s])
     pilot0, pilot1 = (demap_indices(row) for row in engine.pilot.symbols)
     pilot_rx = engine.g @ reference[:, 16 * pilot0 + pilot1]
     assert np.array_equal(engine.ghat_for_point(0, 0.0), estimate_channel(engine.pilot, pilot_rx))
-    assert builds == [18]
+    assert builds == [rows]
     # The full tables, built at their first use.
     assert np.array_equal(engine.table_b0, reference[0].reshape(16, 16))
     assert np.array_equal(engine.table_b1, reference[1].reshape(16, 16))
-    assert builds == [18, 256]
+    assert builds == [rows, *full_table_rows]
 
 
 @pytest.mark.parametrize("coupling", [True, False], ids=["coupled", "coupling-off"])
@@ -481,29 +489,16 @@ def test_one_stream_passed_twice_reads_the_same_symbols_as_the_pair_tables(relat
     assert np.array_equal(engine.tx_symbols(s, s, "B"), engine.tx_symbols(s, s.copy(), "B"))
 
 
-def test_distortion_result_gathers_uncoupled_rows_by_symbol():
-    params = park_params(5, 4)
-    stream0 = [params[i] for i in (3, 0, 3, 1)]
-    stream1 = [params[i] for i in (2, 2, 4, 2)]
-    uncoupled = HardwareConfig(isolation_db=float("inf"))
-    result = distort_reflection(stream0, stream1, default_lut(), uncoupled, 64)
-    assert (len(result.rows0), len(result.rows1)) == (3, 2)
-    assert np.array_equal(result.wave0, result.rows0[result.index0])
-    assert np.array_equal(result.wave1[[0, 1, 3]], np.repeat(result.rows1[:1], 3, axis=0))
-    coupled = distort_reflection(stream0, stream1, default_lut(), HardwareConfig(), 64)
-    assert coupled.index0 is coupled.index1 is None
-    assert coupled.wave0 is coupled.rows0 and coupled.rows0.shape == (4, 64)
-
-
 @pytest.mark.parametrize(
     "coupling, isolation_db, relation, rows",
     [
         (False, 16.0, "independent", 16),
+        (False, 16.0, "identical", 16),
         (True, 16.0, "independent", 256),
         (True, 7000.0, "independent", 16),
         (True, 16.0, "identical", 18),
     ],
-    ids=["coupling-off", "coupled", "coupled-kappa-underflows", "coupled-identical"],
+    ids=["coupling-off", "coupling-off-identical", "coupled", "coupled-kappa-underflows", "coupled-identical"],
 )
 def test_engine_forward_curve_runs_once_per_symbol_unless_coupled(
     monkeypatch, coupling, isolation_db, relation, rows
