@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .modulation import TWO_PI
 
 SPEED_OF_LIGHT = 299792458.0
 
-H2_KINDS = ("los_geometric", "iid_rayleigh")
+H2Kind = Literal["los_geometric", "iid_rayleigh"]
 # A 1000 x 1000 grid builds a link engine in about 0.6 s at 250 MiB peak RSS
 # (2 vCPUs); every per-cell array grows with the product, so much larger
 # grids exhaust memory.
@@ -109,13 +110,13 @@ class ChannelModelSpec:
     which lives in the hardware module.
     """
 
-    h2_kind: str = "los_geometric"
+    h2_kind: H2Kind = "los_geometric"
     cross_polarization_discrimination_db: float | None = None
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.h2_kind not in H2_KINDS:
-            raise ValueError(f"h2_kind must be one of {H2_KINDS}, got {self.h2_kind!r}")
+        if self.h2_kind not in get_args(H2Kind):
+            raise ValueError(f"h2_kind must be one of {get_args(H2Kind)}, got {self.h2_kind!r}")
         if (
             self.cross_polarization_discrimination_db is not None
             and self.cross_polarization_discrimination_db < 0

@@ -24,16 +24,11 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .channel import ChannelModelSpec, Geometry
 from .hardware import HardwareConfig
 from .modulation import QAM16_BITS_PER_SYMBOL as BITS_PER_SYMBOL
-
-MODES = ("ber_sweep", "oracle_check", "waveform_export", "file_loopback")
-FIDELITIES = ("A", "B")
-STREAM_RELATIONS = ("independent", "identical")
-CSI_MODES = ("perfect", "calibrated", "pilot")
 
 STREAMS = 2
 MIN_BITS_PER_POINT = 10_000
@@ -107,15 +102,15 @@ class WaveformExportConfig:
 class CampaignConfig:
     """Top-level campaign description; nested module configs ride along."""
 
-    mode: str = "ber_sweep"
+    mode: Literal["ber_sweep", "oracle_check", "waveform_export", "file_loopback"] = "ber_sweep"
     seed: int = 1
     ebn0_grid_db: tuple[float, ...] = (4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
     bits_per_point: int = 1_000_000
-    fidelity: str = "A"
+    fidelity: Literal["A", "B"] = "A"
     coupling: bool = False
-    stream_relation: str = "independent"
+    stream_relation: Literal["independent", "identical"] = "independent"
     symbol_rate_sps: float = 2.5e6
-    csi: str = "calibrated"
+    csi: Literal["perfect", "calibrated", "pilot"] = "calibrated"
     samples_per_symbol: int = 64
     pilot_length: int = 16
     zf_condition_limit: float = 1e8
@@ -143,17 +138,6 @@ class CampaignConfig:
             val = getattr(self, name)
             if val is not getattr(CampaignConfig, name):  # the class attribute is the default
                 object.__setattr__(self, name, _check_value(val, tp, name))
-        if self.mode not in MODES:
-            raise ConfigError("mode", f"must be one of {MODES}, got {self.mode!r}")
-        if self.fidelity not in FIDELITIES:
-            raise ConfigError("fidelity", f"must be one of {FIDELITIES}, got {self.fidelity!r}")
-        if self.stream_relation not in STREAM_RELATIONS:
-            raise ConfigError(
-                "stream_relation",
-                f"must be one of {STREAM_RELATIONS}, got {self.stream_relation!r}",
-            )
-        if self.csi not in CSI_MODES:
-            raise ConfigError("csi", f"must be one of {CSI_MODES}, got {self.csi!r}")
         if len(self.ebn0_grid_db) == 0:
             raise ConfigError("ebn0_grid_db", "grid must be non-empty")
         if self.bits_per_point < MIN_BITS_PER_POINT:
@@ -223,9 +207,12 @@ def _check_value(val, tp, path: str):
     A section may also be given as an instance of its dataclass, whose
     fields are then checked as a JSON object's would be.  A number checked
     against ``float`` is stored as a float, so a float field spelled as a
-    JSON integer hashes as its float spelling.
+    JSON integer hashes as its float spelling.  A choice field's
+    ``Literal`` annotation is the one list of its allowed strings.
     """
-    if tp in _SCALAR_NAMES:
+    # Test for a class first: hashing a Literal annotation to look it up
+    # would cost more than the whole check.
+    if isinstance(tp, type) and tp in _SCALAR_NAMES:
         accepted = (int, float) if tp is float else tp
         if isinstance(val, bool) != (tp is bool) or not isinstance(val, accepted):
             raise ConfigError(path, f"expected {_SCALAR_NAMES[tp]}, got {val!r}")
@@ -238,11 +225,17 @@ def _check_value(val, tp, path: str):
         if not math.isfinite(as_float):
             raise ConfigError(path, f"must be finite, got {val!r}")
         return as_float
-    if is_dataclass(tp):
+    if isinstance(tp, type) and is_dataclass(tp):
         if isinstance(val, tp):
             val = {name: getattr(val, name) for name in _field_types(tp)}
         return tp() if val is None else _merge(tp, val, path)
     origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        if not isinstance(val, str):
+            raise ConfigError(path, f"expected {_SCALAR_NAMES[str]}, got {val!r}")
+        if val not in args:
+            raise ConfigError(path, f"must be one of {args}, got {val!r}")
+        return val
     if origin in (Union, UnionType):  # "X | None"
         if val is None or val == _NONE_SPELLINGS.get(path):
             return None

@@ -1,9 +1,12 @@
 """Campaign plumbing: config schema, engine routes, CLI, loopback, export."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +14,7 @@ from concurrent import futures
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -42,7 +46,7 @@ from dpris.config import (
     config_hash,
     load_config,
 )
-from dpris.channel import MAX_CELLS, awgn
+from dpris.channel import MAX_CELLS, ChannelModelSpec, H2Kind, awgn
 from dpris.model import (
     ChannelSet,
     ReceivedVector,
@@ -168,6 +172,48 @@ def test_root_rules_hold_however_the_config_is_built(bad):
         errors.append((err.value.path, str(err.value)))
     assert errors[0][0].partition("[")[0] == next(iter(bad))  # an entry's path adds its index
     assert errors[1] == errors[0] and errors[2] == errors[0]
+
+
+@pytest.mark.parametrize(
+    "bad, path, message",
+    [
+        (
+            {"mode": "sweep"},
+            "mode",
+            "must be one of ('ber_sweep', 'oracle_check', 'waveform_export', 'file_loopback'), got 'sweep'",
+        ),
+        ({"fidelity": "C"}, "fidelity", "must be one of ('A', 'B'), got 'C'"),
+        ({"stream_relation": 2}, "stream_relation", "expected a string, got 2"),
+        ({"csi": None}, "csi", "expected a string, got None"),
+        (
+            {"channel": {"h2_kind": "rician"}},
+            "channel.h2_kind",
+            "must be one of ('los_geometric', 'iid_rayleigh'), got 'rician'",
+        ),
+        ({"channel": {"h2_kind": True}}, "channel.h2_kind", "expected a string, got True"),
+    ],
+    ids=lambda v: v if isinstance(v, str) and "." not in v and " " not in v else None,
+)
+def test_choice_fields_take_only_the_values_their_annotation_lists(bad, path, message):
+    for build in (
+        config_from_dict,
+        lambda raw: CampaignConfig(**raw),
+        lambda raw: replace(CampaignConfig(), **raw),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build(bad)
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
+def test_every_listed_choice_builds_a_config():
+    hints = get_type_hints(CampaignConfig)
+    choices = {name: get_args(tp) for name, tp in hints.items() if get_origin(tp) is Literal}
+    assert sorted(choices) == ["csi", "fidelity", "mode", "stream_relation"]
+    for name, values in choices.items():
+        for value in values:
+            assert getattr(config_from_dict({name: value}), name) == value
+    for kind in get_args(H2Kind):
+        assert config_from_dict({"channel": {"h2_kind": kind}}).channel == ChannelModelSpec(h2_kind=kind)
 
 
 @pytest.mark.parametrize(
@@ -414,6 +460,38 @@ def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_d
         for rx in got:
             for buf in (buffers.tx, buffers.y, buffers.work):
                 assert not np.shares_memory(rx, buf)
+
+
+# numpy casts a strided array through 8,192-element buffers: 64 KiB of the
+# slack.  Any per-chunk temporary of 8 bytes a symbol (128 KiB) exceeds it.
+_CHUNK_SLACK_BYTES = 96 * 1024
+
+
+@pytest.mark.parametrize("fidelity", ["A", "B"])
+def test_detect_chunk_allocates_only_its_result_after_a_threads_first_chunk(fidelity):
+    engine = LinkEngine(small_config(fidelity=fidelity, coupling=fidelity == "B"))
+    noise_power = engine.noise_power(4.0)
+    w = engine.zf_for_point(0, 4.0, noise_power)
+
+    def traced_peaks():
+        peaks = []
+        for chunk, n in enumerate((CHUNK_SYMBOLS, CHUNK_SYMBOLS, 1001)):
+            draw = np.random.default_rng([5, chunk])
+            sym0, sym1 = draw.integers(0, 16, n), draw.integers(0, 16, n)
+            tracemalloc.start()
+            try:
+                engine.detect_chunk(sym0, sym1, draw, noise_power, w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    with futures.ThreadPoolExecutor(1) as pool:
+        first, full, short = pool.submit(traced_peaks).result()
+    assert first > 1_000_000  # the thread's buffers
+    # Later chunks allocate only the detected indices, 2 n int64.
+    assert full <= 2 * CHUNK_SYMBOLS * 8 + _CHUNK_SLACK_BYTES
+    assert short <= 2 * 1001 * 8 + _CHUNK_SLACK_BYTES
 
 
 def test_zf_matrix_runs_once_per_grid_point(monkeypatch, tmp_path):
@@ -730,6 +808,74 @@ def test_any_sweep_or_loopback_config_exits_with_a_documented_code(
         assert len(out.read_bytes()) == len(payload)
 
 
+_SELF_CHECK_KEYS = (
+    "seed",
+    "oracle.harmonic_cases",
+    "oracle.parseval_cases",
+    "oracle.model_identity_cases",
+    "waveform_export.delta_phi_rad",
+    "waveform_export.t_shift_fraction",
+    "waveform_export.samples",
+    "waveform_export.harmonic_span",
+)
+# How Python and numpy print a non-finite number: nan, inf, -inf, nanj, infj.
+_NON_FINITE = re.compile(r"(?<![a-z])(?:nan|inf)", re.IGNORECASE)
+
+
+@given(
+    command=st.sampled_from(["oracle-check", "export-waveform"]),
+    seed=st.sampled_from([0, 1, 2**64 - 1, 2**70]),
+    cases=st.tuples(*[st.sampled_from([1, 2, 5])] * 3),
+    delta_phi=st.sampled_from([5e-324, 1e-300, 0.5, math.pi, 2 * math.pi]),
+    t_shift=st.sampled_from([0.0, 0.25, 0.999999999]),
+    samples=st.sampled_from([2, 3, 64]),
+    span=st.sampled_from([1, 4, 100]),
+    garbage=st.none() | st.tuples(st.sampled_from(_SELF_CHECK_KEYS), _GARBAGE),
+)
+# The smallest subnormal ramp; a suite size the schema refuses.
+@example("export-waveform", 1, (1, 1, 1), 5e-324, 0.0, 2, 1, None)
+@example("oracle-check", 2**70, (5, 5, 5), math.pi, 0.25, 64, 4, ("oracle.parseval_cases", 0))
+@settings(max_examples=150, deadline=None)
+def test_any_oracle_or_export_config_exits_with_a_documented_code(
+    tmp_path_factory, command, seed, cases, delta_phi, t_shift, samples, span, garbage
+):
+    base = tmp_path_factory.getbasetemp()
+    cfg = {
+        "seed": seed,
+        "oracle": dict(zip(("harmonic_cases", "parseval_cases", "model_identity_cases"), cases)),
+        "waveform_export": {
+            "delta_phi_rad": delta_phi,
+            "t_shift_fraction": t_shift,
+            "samples": samples,
+            "harmonic_span": span,
+        },
+    }
+    if garbage is not None:
+        key, value = garbage
+        section, _, field = key.rpartition(".")
+        (cfg[section] if section else cfg)[field] = value
+    (base / "fuzzed-self-check.json").write_text(json.dumps(cfg))
+    out = base / "fuzzed-wave.csv"
+    out.unlink(missing_ok=True)
+    argv = [command, "--config", str(base / "fuzzed-self-check.json")]
+    if command == "export-waveform":
+        argv += ["--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        code = main(argv)
+    stdout = captured.getvalue()
+    assert code in (0, 2, 3, 4)
+    if command == "oracle-check":
+        # Every suite reports exactly when the config was valid; all pass exactly on exit 0.
+        lines = stdout.splitlines()
+        assert (code in (0, 3)) == (len(lines) == 3)
+        assert (code == 0) == (len(lines) == 3 and all(line.startswith("PASS ") for line in lines))
+    else:
+        assert out.exists() == (code == 0) == bool(stdout)
+        if code == 0:
+            stdout += out.read_text()
+    assert not _NON_FINITE.search(stdout), stdout
+
+
 INF_VOLTAGE_LUT = ["0,0,0", "0,inf,360", "1,0,0", "1,20,360"]
 # A 1e-300 V span over 1000 DAC bits: the quantizer step underflows to zero,
 # so the control path divides by zero.
@@ -867,6 +1013,46 @@ def test_csv_overwrite_refused_without_force(tmp_path):
         write_ber_csv(result, cfg, out)
     write_ber_csv(result, cfg, out, force=True)
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]  # no temporary file left
+
+
+@pytest.mark.parametrize(
+    "code", [errno.EPERM, errno.ENOTSUP, errno.EOPNOTSUPP], ids=["EPERM", "ENOTSUP", "EOPNOTSUPP"]
+)
+def test_outputs_are_published_without_hard_links(monkeypatch, tmp_path, code):
+    cfg = small_config(ebn0_grid_db=(10.0,))
+    result = run_ber_sweep(cfg)
+    write_ber_csv(result, cfg, tmp_path / "linked.csv")
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(range(256)))
+
+    def no_link(src, dst):
+        raise OSError(code, "hard links not supported")
+
+    monkeypatch.setattr(campaign.os, "link", no_link)
+    write_ber_csv(result, cfg, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "linked.csv").read_bytes()
+    run_file_loopback(src, tmp_path / "out.bin", cfg)
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    # An existing output is still refused and left as it was.
+    (tmp_path / "sweep.csv").write_bytes(b"keep")
+    with pytest.raises(FileExistsError, match="refusing to overwrite"):
+        write_ber_csv(result, cfg, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == b"keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin", "linked.csv", "out.bin", "sweep.csv"]
+
+
+def test_an_output_whose_link_fails_otherwise_is_an_error_naming_it(monkeypatch, tmp_path):
+    cfg = small_config(ebn0_grid_db=(10.0,))
+    result = run_ber_sweep(cfg)
+
+    def denied(src, dst):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(campaign.os, "link", denied)
+    with pytest.raises(OSError, match="Permission denied") as err:
+        write_ber_csv(result, cfg, tmp_path / "sweep.csv")
+    assert err.value.filename == str(tmp_path / "sweep.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 class _FullDiskWriter:

@@ -89,6 +89,54 @@ def test_phase_voltage_round_trip():
         assert np.max(np.abs(back - phases)) < 1e-9
 
 
+def _unsorted_block(rng, size, points, specials):
+    """``size`` unsorted values over ``points`` and beyond, with runs of repeats and every special value."""
+    lo, hi = points[0], points[-1]
+    values = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), size)
+    values[rng.integers(0, size, size // 4)] = rng.choice(points, size // 4)  # breakpoints
+    values[rng.integers(0, size, 64)] = rng.choice(specials, 64)
+    values[size // 3 : size // 3 + 50] = values[0]  # a run of repeats
+    return values
+
+
+# Shapes the lookups visit in ascending order (short rows on the 4,097-point
+# default curve), at totals around the 2**14-point sort block; 4,095 points
+# and 1-D blocks are interpolated as given.
+_LOOKUP_SHAPES = [
+    (4095, 1),
+    (4096, 1),
+    (2**14 - 1, 1),
+    (2**14, 1),
+    (2**14 + 1, 1),
+    (2 * 2**14 + 3, 1),
+    (256, 64),
+    (129, 127),
+    (2**14 + 1,),
+]
+
+
+@pytest.mark.parametrize("shape", _LOOKUP_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_curve_lookups_match_np_interp_bit_for_bit(shape):
+    lut = default_lut()
+    rng = np.random.default_rng(list(shape))
+    size = int(np.prod(shape))
+    for pol in (P0, P1):
+        volts, phases = lut.voltages[pol], lut.phases[pol]
+        lo, hi = lut.voltage_span(pol)
+        v = _unsorted_block(rng, size, volts, [np.nan, np.inf, -np.inf, lo, hi, -0.0, 0.0]).reshape(shape)
+        got = voltage_to_phase(v, pol, lut)
+        assert got.shape == shape
+        assert got.tobytes() == np.interp(v, volts, phases).tobytes()
+        # Phases reduce modulo 2*pi first: NaN and the infinities reduce to
+        # NaN, which the span check lets through.
+        p = _unsorted_block(rng, size, phases, [np.nan, np.inf, -np.inf, TWO_PI, -0.0, 0.0]).reshape(shape)
+        with np.errstate(invalid="ignore"):
+            got = phase_to_voltage(p, pol, lut)
+            want = np.interp(np.mod(p, TWO_PI), phases, volts)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_default_curve_half_turn_voltage_matches_analytic_bisection():
     # independent oracle: bisect the analytic normalized tanh shape directly
     lut = default_lut()
