@@ -8,23 +8,26 @@ the output is byte-identical at any worker-pool width.  Sweeps and file
 loopback run the same chunk kernel (:meth:`LinkEngine.detect_chunk`) on the
 same worker pool; loopback feeds it payload symbols instead of drawn ones.
 
-Fidelity A runs the symbol-domain model (closed-form equivalent baseband
-through the aggregate 2x2 stream channel).  Fidelity B runs the waveform
-domain: pairs of stream symbols are pushed through the full control-path
-pipeline once per campaign, the single-bin correlator reduces each pair to
-its received symbol, and chunks then index those tables.  Whether the
-polarizations are coupled is decided once, by the engine: when the
-coupling factor is exactly 0, each polarization depends on its own symbol
-alone, so the engine runs the 16 pairs (s, s) and reads each stream from
-its polarization's 16 symbols, as fidelity A does.  A coupled engine runs
-the pairs a campaign sends: all 256 for independent streams; for identical
-streams the 16 pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2)
-once it has four or more symbols, so it builds 18 pairs and the full table
-only when something asks for it.  The per-polarization stages (ramp phase,
-inverse curve, DAC) run once per distinct symbol, 16 rows x M samples per
-polarization; the stages from the voltage coupling on run once per pair.
-The table shortcut is exact because the channel and the correlator are
-linear; a test pins it against the direct per-symbol waveform path.
+Every received sample is one of at most 256 noiseless points plus noise:
+the channel G applied to the equivalent symbols T of the pair (sym0, sym1)
+driving the two polarizations.  Each :class:`LinkEngine` resolves
+fidelity, coupling and stream relation once, into one (2, 256) table T
+indexed by the pair code 16 * sym0 + sym1, and the chunk kernel adds noise
+to a lookup of G·T.  Fidelity A fills T from the closed-form equivalent
+baseband of each stream.  Fidelity B pushes pairs through the full
+control-path pipeline once per engine, and the single-bin correlator
+reduces each to its received symbol.  When the coupling factor is exactly
+0, each polarization depends on its own symbol alone, so the engine runs
+the 16 pairs (s, s) and fills T from each polarization's 16 symbols.  A
+coupled engine runs the pairs a campaign sends: all 256 for independent
+streams; for identical streams the 16 pairs (s, s) and the pilot's, which
+adds (2, 8) and (8, 2) once it has four or more symbols, so it builds 18
+pairs and the rest only when something asks for one of them.  The
+per-polarization stages (ramp phase, inverse curve, DAC) run once per
+distinct symbol, 16 rows x M samples per polarization; the stages from the
+voltage coupling on run once per pair.  The table shortcut is exact
+because the channel and the correlator are linear; tests pin it against
+the direct per-symbol waveform path.
 Receiver noise enters after the correlator with the correlator-output
 variance, which is distributionally identical to per-sample noise at M
 times that power.
@@ -32,7 +35,7 @@ A channel or control path that leaves the float range (a non-finite G or
 received symbol, a G whose mean row energy underflows to 0, or an overflow,
 division by zero or invalid value on the way) is a :class:`ConfigError`,
 never a table; a coupled identical-stream engine checks the pairs it does
-not send when its full table is first built.
+not send when it first builds them.
 """
 
 from __future__ import annotations
@@ -102,6 +105,10 @@ from .receiver import (
 )
 
 CHUNK_SYMBOLS = 16384
+# Pair code 16 * sym0 + sym1 -> (sym0, sym1), as rows of a (2, 256) array.
+_PAIR_SYMBOLS = np.stack(np.divmod(np.arange(256), 16))
+_SAME_PAIRS = 17 * np.arange(16)  # the codes of the pairs (s, s)
+_ALL_PAIRS = np.ones(256, dtype=bool)
 _POPCOUNT16 = np.array([bin(i).count("1") for i in range(16)], dtype=np.int64)
 
 BER_CSV_COLUMNS = (
@@ -187,9 +194,9 @@ class PilotEstimateError(ValueError):
 class _ChunkBuffers:
     """One thread's reusable arrays for chunks of up to :data:`CHUNK_SYMBOLS` symbols.
 
-    ``work`` is reused down the chunk: pair-table indices, then normal
-    draws, then G @ tx and its mixing scratch, then the ZF mixing scratch,
-    then slicer scratch; ``tx`` holds the transmitted block, then s_hat.
+    ``work`` is reused down the chunk: normal draws with the pair codes past
+    them, then the ZF mixing scratch, then slicer scratch; ``s_hat`` holds
+    the noiseless received block read from the pair table, then s_hat.
 
     Kept per thread, because allocating them per chunk is slow: the freed
     blocks go back to the system between chunks, so every chunk faults its
@@ -201,7 +208,7 @@ class _ChunkBuffers:
     """
 
     def __init__(self):
-        self.tx = np.empty(STREAMS * CHUNK_SYMBOLS, dtype=np.complex128)
+        self.s_hat = np.empty(STREAMS * CHUNK_SYMBOLS, dtype=np.complex128)
         self.y = np.empty(STREAMS * CHUNK_SYMBOLS, dtype=np.complex128)
         self.work = np.empty(3 * STREAMS * CHUNK_SYMBOLS)
 
@@ -292,13 +299,10 @@ class LinkEngine:
 
         self.lut = _named_lut(config)
         self.hw_active: HardwareConfig | None = None
-        self._tables_b = (None, None)
         self._tables_lock = threading.Lock()
-        # Fidelity B's pairs (s, s), (2, 16): read with any two streams when
-        # uncoupled, else only with one stream passed as both.
-        self._tables16 = None
-        self._per_stream = False
+        self._sent = _ALL_PAIRS
         pilot0, pilot1 = slicer_demap_indices(self.pilot.symbols).reshape(STREAMS, -1)
+        pilot_codes = 16 * pilot0 + pilot1
         if config.fidelity == "B":
             self.hw_active = (
                 config.hardware
@@ -313,26 +317,22 @@ class LinkEngine:
             # (s, s) hold every received symbol.  Coupled, the pairs a run
             # sends enumerate every waveform it can produce: all 256 for
             # independent streams; for identical ones the 16 pairs (s, s)
-            # and the pilot's, and the full tables are built at first use.
-            self._per_stream = coupling_factor(self.hw_active.isolation_db) == 0.0
-            if self._per_stream:
-                self._tables16 = self._control_path_rows(np.arange(16), np.arange(16))
-                self._tables_b = None
-                pilot_tx = self.tx_symbols(pilot0, pilot1, "B")
+            # and the pilot's, and the rest are built at first use.
+            if coupling_factor(self.hw_active.isolation_db) == 0.0:
+                rows = self._control_path_rows(np.arange(16), np.arange(16))
+                tx = np.take_along_axis(rows, _PAIR_SYMBOLS, axis=1)
             else:
-                sent = np.full((16, 16), config.stream_relation == "independent")
-                np.fill_diagonal(sent, True)
-                sent[pilot0, pilot1] = True
-                rows = self._control_path_rows(*np.nonzero(sent))
-                row_of = np.zeros((16, 16), dtype=np.intp)
-                row_of[sent] = np.arange(rows.shape[1])
-                self._tables16 = rows[:, row_of.diagonal()]
-                self._tables_b = rows.reshape(STREAMS, 16, 16) if sent.all() else None
-                pilot_tx = rows[:, row_of[pilot0, pilot1]]
+                if config.stream_relation == "identical":
+                    self._sent = np.zeros(256, dtype=bool)
+                    self._sent[_SAME_PAIRS] = True
+                    self._sent[pilot_codes] = True
+                tx = np.zeros((STREAMS, 256), dtype=np.complex128)
+                tx[:, self._sent] = self._control_path_rows(*_PAIR_SYMBOLS[:, self._sent])
         else:
-            pilot_tx = self.tx_symbols(pilot0, pilot1, "A")
+            tx = self.table_a[_PAIR_SYMBOLS]
+        self._tx, self._rx = tx, mix2(self.g, tx)
         # The pilot block as it arrives without noise, through the active fidelity.
-        self._pilot_rx = self.g @ pilot_tx
+        self._pilot_rx = self.g @ tx[:, pilot_codes]
 
     def _buffers(self) -> _ChunkBuffers:
         """This thread's chunk buffers, built at its first chunk: set-up alone allocates none."""
@@ -346,25 +346,35 @@ class LinkEngine:
     @property
     def table_b0(self) -> np.ndarray | None:
         """Fidelity B's received symbol of polarization 0 for each pair, [sym0, sym1]; None at fidelity A."""
-        return self._pair_tables()[0]
+        return None if self.hw_active is None else self._full_tx()[0].reshape(16, 16)
 
     @property
     def table_b1(self) -> np.ndarray | None:
         """Fidelity B's received symbol of polarization 1 for each pair, [sym0, sym1]; None at fidelity A."""
-        return self._pair_tables()[1]
+        return None if self.hw_active is None else self._full_tx()[1].reshape(16, 16)
 
-    def _pair_tables(self):
-        # Built here, at their first use, once even when the chunks of several
-        # threads ask: uncoupled, read from the pairs (s, s).
-        with self._tables_lock:
-            if self._tables_b is None:
-                sym0, sym1 = np.divmod(np.arange(256), 16)
-                if self._per_stream:
-                    rows = self.tx_symbols(sym0, sym1, "B")
-                else:
-                    rows = self._control_path_rows(sym0, sym1)
-                self._tables_b = rows.reshape(STREAMS, 16, 16)
-            return self._tables_b
+    def _full_tx(self) -> np.ndarray:
+        """The whole table T, once every pair in it is built."""
+        self._pair_codes(*_PAIR_SYMBOLS)
+        return self._tx
+
+    def _pair_codes(self, sym0, sym1, out: np.ndarray | None = None) -> np.ndarray:
+        """The pair codes 16 * sym0 + sym1, once the table holds every pair they name.
+
+        A coupled identical-stream engine builds the pairs it did not send at
+        the first code that names one, once even when the chunks of several
+        threads ask, and only then checks the rest of the control path's
+        range, so a :class:`ConfigError` may come from here.
+        """
+        code = np.multiply(sym0, 16, out=out)
+        code += sym1
+        if not self._sent.all() and not self._sent[code].all():
+            with self._tables_lock:
+                if not self._sent.all():
+                    tx = self._control_path_rows(*_PAIR_SYMBOLS)
+                    self._tx, self._rx = tx, mix2(self.g, tx)
+                    self._sent = _ALL_PAIRS
+        return code
 
     def _control_path_rows(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """:meth:`waveform_tx_symbols`, or a :class:`ConfigError` if it leaves the float range."""
@@ -374,42 +384,22 @@ class LinkEngine:
         ):
             return _finite(self.waveform_tx_symbols(sym0, sym1))
 
-    def tx_symbols(
-        self,
-        sym0: np.ndarray,
-        sym1: np.ndarray,
-        fidelity: str,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
         """Equivalent baseband symbols entering the channel, shape (2, n).
 
-        Symbol indices are 4-bit values, 0..15.  ``out`` (complex128,
-        C-contiguous, (2, n)) receives the symbols and ``scratch`` (int64,
-        n entries) holds fidelity B's pair-table indices; each is allocated
-        when omitted.  At fidelity B, an uncoupled engine reads each stream
-        from its pairs (s, s), as fidelity A reads its table.  A coupled one
-        reads them only with the same array passed as both streams, and the
-        full pair tables for any other pair of arrays; an identical-stream
-        engine builds those at this first use.  Only then does such an
-        engine check the rest of the control path's range, so a
+        Symbol indices are 4-bit values, 0..15.  Fidelity A reads the
+        closed-form symbols on any engine; fidelity B reads the engine's
+        pair table by the code 16 * sym0 + sym1, the table whose G-product
+        the chunk kernel reads.  A coupled identical-stream engine builds
+        the pairs it did not send at their first use, so a
         :class:`ConfigError` may come from here.
         """
-        n = sym0.size
-        if out is None:
-            out = np.empty((STREAMS, n), dtype=np.complex128)
         if fidelity == "A":
-            tables = self.table_a, self.table_a
-        elif self._per_stream or sym1 is sym0:
-            tables = self._tables16
-        else:
-            pair = np.multiply(sym0, 16, out=scratch)
-            pair += sym1
-            tables, sym0, sym1 = self._pair_tables(), pair, pair
-        # mode="clip" writes straight into out; "raise" would buffer a copy.
-        np.take(tables[0], sym0, out=out[0], mode="clip")
-        np.take(tables[1], sym1, out=out[1], mode="clip")
-        return out
+            return np.take(self.table_a, np.stack((sym0, sym1)), mode="clip")
+        if self.hw_active is None:
+            raise ValueError("a fidelity-A engine has no fidelity-B symbols")
+        code = self._pair_codes(sym0, sym1)  # before self._tx, which a build rebinds
+        return np.take(self._tx, code, axis=1, mode="clip")
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
@@ -478,33 +468,30 @@ class LinkEngine:
         noise_power: float,
         w: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The chunk kernel: transmit both streams, add noise, equalize, slice.
+        """The chunk kernel: look up both streams' received block, add noise, equalize, slice.
 
         ``w`` is the point's zero-forcing matrix (:meth:`zf_for_point`); a
         chunk holds at most :data:`CHUNK_SYMBOLS` symbols.  Returns the
         detected symbol indices of each stream, in a fresh array.
         ``rng`` is the chunk's substream; only the AWGN draw consumes it here.
-        Both 2x2 products run through :func:`~dpris.receiver.mix2`, as
-        ``zf_equalize`` does, so the worker pool is the only source of
-        threads.  The detected indices equal those of ``tx_symbols``,
+        The noiseless received block is one lookup of the engine's pair
+        table G·T by the code 16 * sym0 + sym1, whatever the fidelity,
+        coupling or stream relation; the ZF product runs through
+        :func:`~dpris.receiver.mix2`, so the worker pool is the only source
+        of threads.  The detected indices equal those of ``tx_symbols``,
         ``awgn``, ``g @ tx + noise``, ``zf_equalize`` and
         ``slicer_demap_indices`` of each stream called one after another.
         """
         n = sym0.size
         m = STREAMS * n
         buf = self._buffers()
-        tx = self.tx_symbols(
-            sym0,
-            sym1,
-            self.cfg.fidelity,
-            out=buf.tx[:m].reshape(STREAMS, n),
-            scratch=buf.work[:n].view(np.int64),
-        )
+        code = self._pair_codes(sym0, sym1, out=buf.work[2 * m : 2 * m + n].view(np.int64))
         y = awgn(m, noise_power, rng, out=buf.y[:m], scratch=buf.work).reshape(STREAMS, n)
+        s_hat = buf.s_hat[:m].reshape(STREAMS, n)
+        # mode="clip" writes straight into out; "raise" would buffer a copy.
         # noise + G tx rounds exactly as G tx + noise: IEEE addition commutes.
-        work = buf.work.view(np.complex128)
-        y += mix2(self.g, tx, out=work[:m].reshape(STREAMS, n), scratch=work[m : m + n])
-        s_hat = mix2(w, y, out=tx, scratch=work[:n])
+        y += np.take(self._rx, code, axis=1, out=s_hat, mode="clip")
+        mix2(w, y, out=s_hat, scratch=buf.work.view(np.complex128)[:n])
         rx = slicer_demap_indices(s_hat, scratch=buf.work)
         return rx[:n], rx[n:]
 

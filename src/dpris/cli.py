@@ -3,8 +3,9 @@
 Subcommands: ber-sweep, oracle-check, file-loopback, export-waveform,
 coupling-penalty.
 Exit codes: 0 success, 2 configuration error (or a noisy pilot estimate too
-ill-conditioned to equalize), 3 a failed gate (an oracle suite, or the
-coupling-penalty ordering), 4 I/O error.
+ill-conditioned to equalize, or --threads outside [1, MAX_THREADS]), 3 a
+failed gate (an oracle suite, or the coupling-penalty ordering), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ EXIT_ORACLE = 3
 EXIT_IO = 4
 
 PENALTY_CSVS = ("ber_fidelity_a.csv", "ber_coupled_independent.csv", "ber_coupled_identical.csv")
+# The --threads cap.  Each worker that runs a chunk holds 1.75 MiB of chunk
+# buffers, so a pool of 256 holds up to 448 MiB; on 2 vCPUs a sweep of nine
+# chunks peaked 8 MiB higher at 8 threads than at 1.
+MAX_THREADS = 256
 # The coupled sweeps' grid, 8 to 28 dB: both coupled curves cross BER 1e-4 inside it.
 PENALTY_GRID_DB = tuple(float(x) for x in range(8, 30, 2))
 
@@ -107,8 +112,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     overrides = {"seed": args.seed} if args.seed is not None else {}
     try:
-        if vars(args).get("threads", 1) < 1:
-            raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
+        threads = vars(args).get("threads", 1)
+        if threads < 1:
+            raise ConfigError("--threads", f"must be at least 1, got {threads}")
+        if threads > MAX_THREADS:
+            raise ConfigError("--threads", f"must be at most {MAX_THREADS}, got {threads}")
         config = load_config(args.config, overrides)
         # Refused before the run, so a refused overwrite costs no run time.
         if "force" in vars(args) and not args.force:

@@ -33,7 +33,7 @@ from dpris.campaign import (
     theory_crossing,
     write_ber_csv,
 )
-from dpris.cli import main
+from dpris.cli import MAX_THREADS, main
 from dpris.config import (
     MAX_EXPORT_SAMPLES,
     MAX_HARMONIC_SPAN,
@@ -65,7 +65,7 @@ from dpris.modulation import (
     qam_to_tm,
     wrap_phase,
 )
-from dpris.receiver import slicer_demap_indices, theoretical_ber_16qam, zf_equalize
+from dpris.receiver import mix2, slicer_demap_indices, theoretical_ber_16qam, zf_equalize
 
 
 def small_config(**overrides):
@@ -386,7 +386,7 @@ def test_identical_stream_engine_checks_its_full_table_at_first_use(monkeypatch)
     monkeypatch.setattr(campaign, "extract_harmonic", lambda rows, order: np.full(len(rows), np.inf + 0j))
     s = np.arange(16)
     assert np.isfinite(engine.tx_symbols(s, s, "B")).all()
-    for ask in (lambda: engine.table_b0, lambda: engine.tx_symbols(s, s.copy(), "B")):
+    for ask in (lambda: engine.table_b0, lambda: engine.tx_symbols(s, (s + 1) % 16, "B")):
         with pytest.raises(ConfigError, match="hardware: the control path leaves the float range"):
             ask()
 
@@ -412,6 +412,46 @@ def test_identical_stream_engine_builds_its_full_table_once_under_racing_threads
         sys.setswitchinterval(interval)
     assert builds == [18, 256]
     assert all(np.array_equal(r, results[0]) for r in results)
+
+
+@pytest.mark.parametrize(
+    "fidelity, coupling, relation",
+    [("A", False, "independent"), ("B", False, "independent"), ("B", True, "independent"), ("B", True, "identical")],
+    ids=["fidelity-a", "uncoupled", "coupled", "coupled-identical"],
+)
+@pytest.mark.parametrize("n", [1, 1001, CHUNK_SYMBOLS])
+def test_pair_table_holds_g_times_each_pairs_symbols(fidelity, coupling, relation, n):
+    # The chunk kernel adds noise to G·T read by pair code; each entry must be
+    # the 2x2 product of its pair's symbols, as the kernel used to form it.
+    engine = LinkEngine(small_config(fidelity=fidelity, coupling=coupling, stream_relation=relation))
+    draw = np.random.default_rng(n)
+    sym0 = draw.integers(0, 16, n)
+    sym1 = sym0.copy() if relation == "identical" else draw.integers(0, 16, n)
+    want = mix2(engine.g, engine.tx_symbols(sym0, sym1, fidelity))
+    assert same_bits(engine._rx[:, 16 * sym0 + sym1], want)
+
+
+def test_fidelity_a_engine_has_no_fidelity_b_symbols():
+    engine = LinkEngine(small_config())
+    assert engine.table_b0 is None and engine.table_b1 is None
+    with pytest.raises(ValueError, match="fidelity-A engine"):
+        engine.tx_symbols(np.arange(16), np.arange(16), "B")
+
+
+def test_identical_stream_engine_reads_the_pairs_it_sent_without_building_the_rest(monkeypatch):
+    builds = []
+    real = campaign.distort_reflection
+
+    def spy(params0, *args):
+        builds.append(len(params0))
+        return real(params0, *args)
+
+    monkeypatch.setattr(campaign, "distort_reflection", spy)
+    engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical"))
+    s = np.random.default_rng(4).integers(0, 16, 1000)
+    got = engine.tx_symbols(s, s.copy(), "B")
+    assert builds == [18]
+    assert same_bits(got, engine.waveform_tx_symbols(s, s))
 
 
 def test_engine_params16_match_pointwise_qam_to_tm():
@@ -458,7 +498,7 @@ def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_d
         assert np.array_equal(payload[0], want[0]) and np.array_equal(payload[1], want[1])
         buffers = engine._buffers()
         for rx in got:
-            for buf in (buffers.tx, buffers.y, buffers.work):
+            for buf in (buffers.s_hat, buffers.y, buffers.work):
                 assert not np.shares_memory(rx, buf)
 
 
@@ -874,6 +914,73 @@ def test_any_oracle_or_export_config_exits_with_a_documented_code(
         if code == 0:
             stdout += out.read_text()
     assert not _NON_FINITE.search(stdout), stdout
+
+
+@st.composite
+def _valid_lut_texts(draw):
+    """A LUT CSV that loads and whose curves cover the ramp phases [0, 2*pi)."""
+    rows = []
+    for pol in "01":
+        volts = draw(st.sets(st.floats(-50.0, 50.0), min_size=2, max_size=6))
+        if pol == "0" and draw(st.booleans()):
+            # An extreme rail: most such runs leave the float range, a config error.
+            volts.add(draw(st.sampled_from([-1e308, 1e-300, 1e308])))
+        volts = sorted(volts)
+        start = draw(st.sampled_from([0.0, -1e-9, -90.0]))
+        stop = draw(st.sampled_from([360.0, 360.5, 720.0]))
+        # Strictly increasing: each step is at least 1/60 of the rise.
+        n_steps = len(volts) - 1
+        steps = np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=n_steps, max_size=n_steps)))
+        phases = [start, *(start + (stop - start) * steps[:-1] / steps[-1]).tolist(), stop]
+        rows += [f"{pol},{v!r},{p!r}" for v, p in zip(volts, phases)]
+    return "\n".join(["polarization,voltage_volts,phase_degrees", *draw(st.permutations(rows))]) + "\n"
+
+
+@given(
+    text=_valid_lut_texts(),
+    command=st.sampled_from(["ber-sweep", "file-loopback"]),
+    coupling=st.booleans(),
+    relation=st.sampled_from(["independent", "identical"]),
+    dac_bits=st.sampled_from(["ideal", 1, 1023]),
+    payload=st.binary(max_size=32),
+)
+@settings(max_examples=60, deadline=None)
+def test_any_valid_lut_csv_runs_end_to_end_with_a_documented_code(
+    tmp_path_factory, text, command, coupling, relation, dac_bits, payload
+):
+    base = tmp_path_factory.getbasetemp()
+    lut = base / "fuzzed-e2e-curves.csv"
+    lut.write_text(text)
+    campaign._named_lut(CampaignConfig(lut_csv=str(lut)))  # the curves pass the load checks
+    cfg = {
+        "fidelity": "B",
+        "coupling": coupling,
+        "stream_relation": relation,
+        "lut_csv": str(lut),
+        "hardware": {"dac_bits": dac_bits},
+        "samples_per_symbol": 16,
+        "ebn0_grid_db": [4.0, 20.0],
+        "loopback_ebn0_db": 20.0,
+        "bits_per_point": 10_000,
+    }
+    (base / "fuzzed-e2e.json").write_text(json.dumps(cfg))
+    (base / "fuzzed-e2e-payload.bin").write_bytes(payload)
+    out = base / "fuzzed-e2e.out"
+    out.unlink(missing_ok=True)
+    argv = [command, "--config", str(base / "fuzzed-e2e.json"), "--out", str(out)]
+    if command == "file-loopback":
+        argv.insert(1, str(base / "fuzzed-e2e-payload.bin"))
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert out.exists() == (code == 0)
+    assert not _NON_FINITE.search(captured.getvalue())
+    if code == 0 and command == "ber-sweep":
+        rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+        bers = [float(row[rows[0].index("ber")]) for row in rows[1:]]
+        assert len(bers) == 2 and all(0.0 <= ber <= 1.0 for ber in bers)
+    elif code == 0:
+        assert len(out.read_bytes()) == len(payload)
 
 
 INF_VOLTAGE_LUT = ["0,0,0", "0,inf,360", "1,0,0", "1,20,360"]
@@ -1810,3 +1917,66 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
     assert main([*argv, "--threads", threads]) == 2
     assert capsys.readouterr().err == f"config error: --threads: must be at least 1, got {threads}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rejects_threads_above_the_cap_before_any_chunk(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(LinkEngine, "detect_chunk", lambda *args: pytest.fail("a chunk ran"))
+    out = tmp_path / "out.csv"
+    argv = ["ber-sweep", "--config", _bits_config(tmp_path, bits=10000), "--out", str(out)]
+    assert main([*argv, "--threads", str(MAX_THREADS + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --threads: must be at most {MAX_THREADS}, got {MAX_THREADS + 1}\n"
+    )
+    assert not out.exists()
+    # At the cap a run goes ahead; it starts one worker per chunk, here two.
+    monkeypatch.undo()
+    assert main([*argv, "--threads", str(MAX_THREADS)]) == 0
+
+
+# Each bad flag of each subcommand, and what it ends in: an argparse usage
+# error (exit 2 by SystemExit) where the subcommand has no such flag.
+_BAD_FLAGS = {
+    "threads-0": ["--threads", "0"],
+    "threads-minus-1": ["--threads", "-1"],
+    "threads-over-cap": ["--threads", str(MAX_THREADS + 1)],
+    "seed-minus-1": ["--seed", "-1"],
+    "out-in-missing-dir": ["--out", "{tmp}/missing/out.csv"],
+    "out-existing-file": ["--out", "{tmp}/existing.txt"],
+    "out-dir-is-a-file": ["--out-dir", "{tmp}/existing.txt"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command in ("ber-sweep", "oracle-check", "file-loopback", "export-waveform", "coupling-penalty")
+        for flag in sorted(_BAD_FLAGS)
+        # argparse reads coupling-penalty's --out as its abbreviation of --out-dir.
+        if not (command == "coupling-penalty" and flag.startswith("out-") and flag != "out-dir-is-a-file")
+    ],
+)
+def test_every_bad_flag_of_every_subcommand_exits_with_a_documented_code(tmp_path, capfd, command, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bits_per_point": 10000, "ebn0_grid_db": [10.0], "oracle": {
+        "harmonic_cases": 2, "parseval_cases": 2, "model_identity_cases": 2}}))
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(b"dpris")
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep")
+    before = sorted(tmp_path.iterdir())
+    argv = [command, *([str(payload)] if command == "file-loopback" else []), "--config", str(cfg)]
+    argv += [arg.format(tmp=tmp_path) for arg in _BAD_FLAGS[flag]]
+    if command in ("ber-sweep", "file-loopback", "export-waveform") and "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out.csv")]
+    if command == "coupling-penalty" and "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "res")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: a flag the subcommand does not take
+        code = exc.code
+    err = capfd.readouterr().err
+    assert code in (2, 4), err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+    assert existing.read_text() == "keep"
