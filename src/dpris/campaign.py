@@ -22,7 +22,7 @@ the 16 pairs (s, s) and fills T from each polarization's 16 symbols.  A
 coupled engine runs the pairs a campaign sends: all 256 for independent
 streams; for identical streams the 16 pairs (s, s) and the pilot's, which
 adds (2, 8) and (8, 2) once it has four or more symbols, so it builds 18
-pairs and the rest only when something asks for one of them.  The
+pairs and computes the rest afresh, never stored, when asked.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
 distinct symbol, 16 rows x M samples per polarization; the stages from the
 voltage coupling on run once per pair.  The table shortcut is exact
@@ -35,7 +35,7 @@ A channel or control path that leaves the float range (a non-finite G or
 received symbol, a G whose mean row energy underflows to 0, or an overflow,
 division by zero or invalid value on the way) is a :class:`ConfigError`,
 never a table; a coupled identical-stream engine checks the pairs it does
-not send when it first builds them.
+not send each time it computes them.
 """
 
 from __future__ import annotations
@@ -299,7 +299,6 @@ class LinkEngine:
 
         self.lut = _named_lut(config)
         self.hw_active: HardwareConfig | None = None
-        self._tables_lock = threading.Lock()
         self._sent = _ALL_PAIRS
         pilot0, pilot1 = slicer_demap_indices(self.pilot.symbols).reshape(STREAMS, -1)
         pilot_codes = 16 * pilot0 + pilot1
@@ -317,7 +316,7 @@ class LinkEngine:
             # (s, s) hold every received symbol.  Coupled, the pairs a run
             # sends enumerate every waveform it can produce: all 256 for
             # independent streams; for identical ones the 16 pairs (s, s)
-            # and the pilot's, and the rest are built at first use.
+            # and the pilot's, and the rest are computed on request.
             if coupling_factor(self.hw_active.isolation_db) == 0.0:
                 rows = self._control_path_rows(np.arange(16), np.arange(16))
                 tx = np.take_along_axis(rows, _PAIR_SYMBOLS, axis=1)
@@ -354,27 +353,8 @@ class LinkEngine:
         return None if self.hw_active is None else self._full_tx()[1].reshape(16, 16)
 
     def _full_tx(self) -> np.ndarray:
-        """The whole table T, once every pair in it is built."""
-        self._pair_codes(*_PAIR_SYMBOLS)
-        return self._tx
-
-    def _pair_codes(self, sym0, sym1, out: np.ndarray | None = None) -> np.ndarray:
-        """The pair codes 16 * sym0 + sym1, once the table holds every pair they name.
-
-        A coupled identical-stream engine builds the pairs it did not send at
-        the first code that names one, once even when the chunks of several
-        threads ask, and only then checks the rest of the control path's
-        range, so a :class:`ConfigError` may come from here.
-        """
-        code = np.multiply(sym0, 16, out=out)
-        code += sym1
-        if not self._sent.all() and not self._sent[code].all():
-            with self._tables_lock:
-                if not self._sent.all():
-                    tx = self._control_path_rows(*_PAIR_SYMBOLS)
-                    self._tx, self._rx = tx, mix2(self.g, tx)
-                    self._sent = _ALL_PAIRS
-        return code
+        """The whole table T; computed afresh, not stored, where the engine holds only the pairs it sends."""
+        return self._tx if self._sent.all() else self._control_path_rows(*_PAIR_SYMBOLS)
 
     def _control_path_rows(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """:meth:`waveform_tx_symbols`, or a :class:`ConfigError` if it leaves the float range."""
@@ -390,16 +370,17 @@ class LinkEngine:
         Symbol indices are 4-bit values, 0..15.  Fidelity A reads the
         closed-form symbols on any engine; fidelity B reads the engine's
         pair table by the code 16 * sym0 + sym1, the table whose G-product
-        the chunk kernel reads.  A coupled identical-stream engine builds
-        the pairs it did not send at their first use, so a
+        the chunk kernel reads.  Where a coupled identical-stream engine
+        lacks a pair, the whole table is computed afresh, not stored, so a
         :class:`ConfigError` may come from here.
         """
         if fidelity == "A":
             return np.take(self.table_a, np.stack((sym0, sym1)), mode="clip")
         if self.hw_active is None:
             raise ValueError("a fidelity-A engine has no fidelity-B symbols")
-        code = self._pair_codes(sym0, sym1)  # before self._tx, which a build rebinds
-        return np.take(self._tx, code, axis=1, mode="clip")
+        code = np.multiply(sym0, 16) + sym1
+        tx = self._tx if self._sent.all() or self._sent[code].all() else self._full_tx()
+        return np.take(tx, code, axis=1, mode="clip")
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
@@ -476,7 +457,8 @@ class LinkEngine:
         ``rng`` is the chunk's substream; only the AWGN draw consumes it here.
         The noiseless received block is one lookup of the engine's pair
         table G·T by the code 16 * sym0 + sym1, whatever the fidelity,
-        coupling or stream relation; the ZF product runs through
+        coupling or stream relation; a pair the engine does not hold is a
+        ValueError.  The ZF product runs through
         :func:`~dpris.receiver.mix2`, so the worker pool is the only source
         of threads.  The detected indices equal those of ``tx_symbols``,
         ``awgn``, ``g @ tx + noise``, ``zf_equalize`` and
@@ -485,7 +467,10 @@ class LinkEngine:
         n = sym0.size
         m = STREAMS * n
         buf = self._buffers()
-        code = self._pair_codes(sym0, sym1, out=buf.work[2 * m : 2 * m + n].view(np.int64))
+        code = np.multiply(sym0, 16, out=buf.work[2 * m : 2 * m + n].view(np.int64))
+        code += sym1
+        if not self._sent.all() and not self._sent[code].all():
+            raise ValueError("a coupled identical-stream engine holds only the pairs (s, s) and the pilot's")
         y = awgn(m, noise_power, rng, out=buf.y[:m], scratch=buf.work).reshape(STREAMS, n)
         s_hat = buf.s_hat[:m].reshape(STREAMS, n)
         # mode="clip" writes straight into out; "raise" would buffer a copy.
@@ -559,6 +544,14 @@ def refuse_existing_output(path) -> None:
     """
     if os.path.lexists(path):
         raise _overwrite_refused(path)
+
+
+def check_output_dir(path) -> None:
+    """Raise at once the error a write of ``path`` meets in a missing directory or under a file."""
+    head = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(head):
+        code = errno.ENOTDIR if os.path.lexists(head) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
 
 
 # The errors of os.link on a filesystem without hard links.

@@ -20,6 +20,7 @@ import numpy as np
 
 from .campaign import (
     PilotEstimateError,
+    check_output_dir,
     coupling_penalty_report,
     export_waveform,
     refuse_existing_output,
@@ -56,33 +57,34 @@ def _add_common(parser: argparse.ArgumentParser, output: bool = True, threads: b
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No prefix matching: coupling-penalty would read --out as --out-dir.
     parser = argparse.ArgumentParser(
         prog="dpris",
         description="Link-level simulator for a dual-polarized reflective-surface MIMO-QAM transmitter.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("ber-sweep", help="Monte Carlo BER sweep over the Eb/N0 grid")
+    p = add_parser("ber-sweep", help="Monte Carlo BER sweep over the Eb/N0 grid")
     _add_common(p)
     p.set_defaults(handler=_cmd_ber_sweep)
 
     # --threads is accepted for a uniform command line; the suites run serially.
-    p = sub.add_parser("oracle-check", help="run the analytic self-check suites")
+    p = add_parser("oracle-check", help="run the analytic self-check suites")
     _add_common(p, output=False)
     p.set_defaults(handler=_cmd_oracle_check)
 
-    p = sub.add_parser("file-loopback", help="transmit a file through the fidelity-B link")
+    p = add_parser("file-loopback", help="transmit a file through the fidelity-B link")
     p.add_argument("input", metavar="INPUT", help="file to transmit")
     _add_common(p)
     p.set_defaults(handler=_cmd_file_loopback)
 
-    p = sub.add_parser("export-waveform", help="export one modulation waveform as CSV")
+    p = add_parser("export-waveform", help="export one modulation waveform as CSV")
     _add_common(p, threads=False)
     p.set_defaults(handler=_cmd_export_waveform)
 
-    p = sub.add_parser(
-        "coupling-penalty", help="clean and coupled BER curves and the coupling's SNR penalty"
-    )
+    p = add_parser("coupling-penalty", help="clean and coupled BER curves and the coupling's SNR penalty")
     _add_common(p, output=False)
     p.add_argument(
         "--out-dir", metavar="DIR", default="results", help="directory of the three CSVs (default results)"
@@ -118,7 +120,9 @@ def main(argv=None) -> int:
         if threads > MAX_THREADS:
             raise ConfigError("--threads", f"must be at most {MAX_THREADS}, got {threads}")
         config = load_config(args.config, overrides)
-        # Refused before the run, so a refused overwrite costs no run time.
+        # Refused before the run, so an output that cannot be written costs no run time.
+        if "out" in vars(args):
+            check_output_dir(args.out)
         if "force" in vars(args) and not args.force:
             for path in _outputs(args):
                 refuse_existing_output(path)
@@ -204,8 +208,10 @@ def _cmd_coupling_penalty(args, config) -> int:
     coupled = replace(config, fidelity="B", coupling=True, ebn0_grid_db=PENALTY_GRID_DB)
     paths = _outputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_sweep(args, clean, run_ber_sweep(clean, threads=args.threads), paths[0])
+    # Every sweep runs before the first write: a failing one leaves no CSV.
+    clean_result = run_ber_sweep(clean, threads=args.threads)
     report = coupling_penalty_report(coupled, threads=args.threads)
+    _write_sweep(args, clean, clean_result, paths[0])
     _write_sweep(args, replace(coupled, stream_relation="independent"), report.result_independent, paths[1])
     _write_sweep(args, replace(coupled, stream_relation="identical"), report.result_identical, paths[2])
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -391,15 +392,9 @@ def test_identical_stream_engine_checks_its_full_table_at_first_use(monkeypatch)
             ask()
 
 
-def test_identical_stream_engine_builds_its_full_table_once_under_racing_threads(monkeypatch):
-    builds = []
-    real = campaign.distort_reflection
-
-    def spy(params0, *args):
-        builds.append(len(params0))
-        return real(params0, *args)
-
-    monkeypatch.setattr(campaign, "distort_reflection", spy)
+def test_identical_stream_engine_answers_racing_threads_with_the_waveform_symbols():
+    # Pairs the engine does not hold are computed afresh at each request and
+    # never stored, so threads that ask at once share no build.
     engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical"))
     sym0, sym1 = np.random.default_rng(8).integers(0, 16, (2, 1000))
     interval = sys.getswitchinterval()
@@ -410,8 +405,23 @@ def test_identical_stream_engine_builds_its_full_table_once_under_racing_threads
             results = [job.result(timeout=60) for job in jobs]
     finally:
         sys.setswitchinterval(interval)
-    assert builds == [18, 256]
-    assert all(np.array_equal(r, results[0]) for r in results)
+    want = engine.waveform_tx_symbols(sym0, sym1)
+    assert all(same_bits(r, want) for r in results)
+
+
+def test_identical_stream_chunk_refuses_a_pair_the_engine_does_not_hold():
+    engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical"))
+    tables = (engine._tx, engine._rx, engine._sent)
+    built = [t.copy() for t in tables]
+    s = np.arange(16)
+    noise_power = engine.noise_power(10.0)
+    w = engine.zf_for_point(0, 10.0, noise_power)
+    with pytest.raises(ValueError, match="holds only the pairs"):
+        engine.detect_chunk(s, (s + 1) % 16, np.random.default_rng(0), noise_power, w)
+    engine.tx_symbols(s, (s + 1) % 16, "B")
+    assert engine.table_b0 is not None
+    assert all(now is was for now, was in zip((engine._tx, engine._rx, engine._sent), tables))
+    assert all(same_bits(t, b) for t, b in zip(tables, built))
 
 
 @pytest.mark.parametrize(
@@ -1746,6 +1756,33 @@ def test_cli_refused_overwrite_fails_before_running(monkeypatch, tmp_path, capsy
         assert out.read_bytes() == b"keep"
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["no-force", "force"])
+@pytest.mark.parametrize(
+    "where, code",
+    [("missing/out.csv", errno.ENOENT), ("existing.txt/out.csv", errno.ENOTDIR)],
+    ids=["missing-dir", "under-a-file"],
+)
+def test_cli_output_in_a_directory_that_cannot_hold_it_fails_before_running(
+    monkeypatch, tmp_path, capsys, where, code, force
+):
+    import dpris.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started although its output cannot be written")
+
+    for name in ("run_ber_sweep", "run_file_loopback", "export_waveform"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"payload")
+    (tmp_path / "existing.txt").write_text("keep")
+    before = sorted(tmp_path.iterdir())
+    out = str(tmp_path / where)
+    for argv in (["ber-sweep"], ["file-loopback", str(src)], ["export-waveform"]):
+        assert main([*argv, "--out", out, *force]) == 4
+        assert capsys.readouterr().err == f"i/o error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_parser_is_built_once_and_parses_each_call_afresh(monkeypatch, tmp_path, capsys):
     import dpris.cli as cli
 
@@ -1868,6 +1905,21 @@ def test_coupling_penalty_config_error_creates_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_coupling_penalty_control_path_failure_leaves_no_csv(tmp_path, capsys):
+    # The fidelity-A sweep runs with these curves; the coupled control path
+    # overflows.  Every sweep runs before the first write.
+    lut = tmp_path / "curves.csv"
+    lut.write_text("\n".join(["polarization,voltage_volts,phase_degrees", *OVERFLOWING_SPAN_LUT]) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bits_per_point": 10000, "lut_csv": str(lut)}))
+    out_dir = tmp_path / "res"
+    assert main(["coupling-penalty", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: lut_csv: the control path leaves the float range")
+    assert captured.out == ""
+    assert list(out_dir.iterdir()) == []
+
+
 def test_coupling_penalty_refuses_existing_output_before_any_sweep(tmp_path, monkeypatch, capsys):
     import dpris.cli as cli
 
@@ -1952,8 +2004,6 @@ _BAD_FLAGS = {
         (command, flag)
         for command in ("ber-sweep", "oracle-check", "file-loopback", "export-waveform", "coupling-penalty")
         for flag in sorted(_BAD_FLAGS)
-        # argparse reads coupling-penalty's --out as its abbreviation of --out-dir.
-        if not (command == "coupling-penalty" and flag.startswith("out-") and flag != "out-dir-is-a-file")
     ],
 )
 def test_every_bad_flag_of_every_subcommand_exits_with_a_documented_code(tmp_path, capfd, command, flag):

@@ -479,9 +479,9 @@ def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw, sa
 @pytest.mark.parametrize(
     "coupling, rows, full_table_rows",
     # Coupled: the 16 pairs (s, s) and the pilot's (2, 8) and (8, 2), then
-    # the full table at its first use.  Uncoupled: the 16 pairs (s, s), which
-    # the full table is read from.
-    [(True, 18, [256]), (False, 16, [])],
+    # the full table afresh at each read.  Uncoupled: the 16 pairs (s, s),
+    # which the full table is read from.
+    [(True, 18, [256, 256]), (False, 16, [])],
     ids=["coupled", "coupling-off"],
 )
 def test_identical_stream_engine_builds_its_rows_bit_identical_to_the_full_table(
@@ -512,21 +512,21 @@ def test_identical_stream_engine_builds_its_rows_bit_identical_to_the_full_table
     pilot_rx = engine.g @ reference[:, 16 * pilot0 + pilot1]
     assert np.array_equal(engine.ghat_for_point(0, 0.0), estimate_channel(engine.pilot, pilot_rx))
     assert builds == [rows]
-    # The full tables, built at their first use.
+    # The full tables, computed on request and not stored.
     assert np.array_equal(engine.table_b0, reference[0].reshape(16, 16))
     assert np.array_equal(engine.table_b1, reference[1].reshape(16, 16))
     assert builds == [rows, *full_table_rows]
 
 
 @pytest.mark.parametrize("coupling", [True, False], ids=["coupled", "coupling-off"])
-def test_lazily_built_pair_tables_equal_the_eager_ones(coupling):
+def test_identical_stream_pair_tables_equal_the_independent_ones(coupling):
     hw = HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0)
-    eager, lazy = (
+    independent, identical = (
         LinkEngine(CampaignConfig(fidelity="B", coupling=coupling, hardware=hw, stream_relation=relation))
         for relation in ("independent", "identical")
     )
-    assert np.array_equal(lazy.table_b0, eager.table_b0)
-    assert np.array_equal(lazy.table_b1, eager.table_b1)
+    assert np.array_equal(identical.table_b0, independent.table_b0)
+    assert np.array_equal(identical.table_b1, independent.table_b1)
 
 
 @pytest.mark.parametrize("relation", ["independent", "identical"])
