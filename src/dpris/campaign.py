@@ -534,24 +534,21 @@ def _overwrite_refused(path) -> FileExistsError:
     return FileExistsError(f"refusing to overwrite {path} (pass --force to allow)")
 
 
-def refuse_existing_output(path) -> None:
-    """Raise the overwrite refusal at once if ``path`` exists.
+def check_output(path, force: bool) -> None:
+    """Raise at once the error the write of ``path`` would meet, so no run is spent on it.
 
-    Lets a command fail before it spends a whole run on an output it may not
-    write.  The write itself still refuses an existing name when it puts the
-    file in place, so a file that appears after this check is not
-    overwritten either.
+    A missing directory or one that is a file; a ``path`` that is a
+    directory, even with ``force``; without ``force``, any existing ``path``.
+    A symlink is not followed: a forced write replaces the link.
     """
-    if os.path.lexists(path):
-        raise _overwrite_refused(path)
-
-
-def check_output_dir(path) -> None:
-    """Raise at once the error a write of ``path`` meets in a missing directory or under a file."""
     head = os.path.dirname(path) or os.curdir
     if not os.path.isdir(head):
         code = errno.ENOTDIR if os.path.lexists(head) else errno.ENOENT
         raise OSError(code, os.strerror(code), path)
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.lexists(path) and not force:
+        raise _overwrite_refused(path)
 
 
 # The errors of os.link on a filesystem without hard links.

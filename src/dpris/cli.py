@@ -5,7 +5,9 @@ coupling-penalty.
 Exit codes: 0 success, 2 configuration error (or a noisy pilot estimate too
 ill-conditioned to equalize, or --threads outside [1, MAX_THREADS]), 3 a
 failed gate (an oracle suite, or the coupling-penalty ordering), 4 I/O
-error.
+error.  Every output of every command is checked before the run
+(:func:`campaign.check_output`), so an output that cannot be written exits
+4 at once.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ import numpy as np
 
 from .campaign import (
     PilotEstimateError,
-    check_output_dir,
+    check_output,
     coupling_penalty_report,
     export_waveform,
-    refuse_existing_output,
     run_ber_sweep,
     run_file_loopback,
     run_oracle_check,
@@ -95,10 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _outputs(args) -> list:
-    """The files the command writes."""
+    """The files the command writes; None for a missing --out."""
     if args.command == "coupling-penalty":
         return [os.path.join(args.out_dir, name) for name in PENALTY_CSVS]
-    return [args.out] if "out" in vars(args) else []
+    return [] if args.command == "oracle-check" else [args.out]
 
 
 @functools.cache
@@ -109,7 +110,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if "out" in vars(args) and args.out is None:
+    outputs = _outputs(args)
+    if None in outputs:
         print(f"config error: {args.command} needs --out PATH", file=sys.stderr)
         return EXIT_CONFIG
     overrides = {"seed": args.seed} if args.seed is not None else {}
@@ -120,12 +122,10 @@ def main(argv=None) -> int:
         if threads > MAX_THREADS:
             raise ConfigError("--threads", f"must be at most {MAX_THREADS}, got {threads}")
         config = load_config(args.config, overrides)
-        # Refused before the run, so an output that cannot be written costs no run time.
-        if "out" in vars(args):
-            check_output_dir(args.out)
-        if "force" in vars(args) and not args.force:
-            for path in _outputs(args):
-                refuse_existing_output(path)
+        if args.command == "coupling-penalty":
+            os.makedirs(args.out_dir, exist_ok=True)
+        for path in outputs:
+            check_output(path, args.force)
         return args.handler(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -207,7 +207,6 @@ def _cmd_coupling_penalty(args, config) -> int:
     clean = replace(config, fidelity="A", coupling=False)
     coupled = replace(config, fidelity="B", coupling=True, ebn0_grid_db=PENALTY_GRID_DB)
     paths = _outputs(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     # Every sweep runs before the first write: a failing one leaves no CSV.
     clean_result = run_ber_sweep(clean, threads=args.threads)
     report = coupling_penalty_report(coupled, threads=args.threads)

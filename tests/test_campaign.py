@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -34,7 +35,7 @@ from dpris.campaign import (
     theory_crossing,
     write_ber_csv,
 )
-from dpris.cli import MAX_THREADS, main
+from dpris.cli import MAX_THREADS, PENALTY_CSVS, main
 from dpris.config import (
     MAX_EXPORT_SAMPLES,
     MAX_HARMONIC_SPAN,
@@ -787,6 +788,45 @@ _FUZZED_KEYS = (
 )
 
 
+# What stands at the fuzzed output path before the run.
+_OUTPUT_KINDS = ("fresh", "file", "directory", "symlink-to-directory", "missing-parent", "parent-is-a-file")
+
+
+def _make_output(work: Path, kind: str) -> Path:
+    """The output path of ``kind`` under the empty directory ``work``."""
+    out = work / "out"
+    if kind == "file":
+        out.write_bytes(b"old")
+    elif kind == "directory":
+        out.mkdir()
+        (out / "inside").write_bytes(b"old")
+    elif kind == "symlink-to-directory":
+        (work / "target").mkdir()
+        (work / "target" / "inside").write_bytes(b"old")
+        out.symlink_to(work / "target")
+    elif kind == "missing-parent":
+        out = work / "missing" / "out"
+    elif kind == "parent-is-a-file":
+        (work / "file").write_bytes(b"old")
+        out = work / "file" / "out"
+    return out
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root`` with its kind and bytes; symlinks are not followed."""
+    tree = {}
+    for head, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(head, name)
+            if os.path.islink(path):
+                tree[path] = ("link", os.readlink(path))
+            elif os.path.isdir(path):
+                tree[path] = ("dir",)
+            else:
+                tree[path] = ("file", Path(path).read_bytes())
+    return tree
+
+
 @given(
     command=st.sampled_from(["ber-sweep", "file-loopback"]),
     fidelity=st.sampled_from(["A", "B"]),
@@ -799,14 +839,24 @@ _FUZZED_KEYS = (
     threads=st.sampled_from([1, 2]),
     garbage=st.none() | st.tuples(st.sampled_from(_FUZZED_KEYS), _GARBAGE),
     payload=st.binary(max_size=64),
+    kind=st.sampled_from(_OUTPUT_KINDS),
+    force=st.booleans(),
 )
 # Coupled with identical streams and pilot CSI at an isolation whose
 # coupling factor underflows; uncoupled identical streams; a noise power
-# that underflows.
-@example("ber-sweep", "B", True, "identical", "pilot", 6, 7000.0, 4.0, 2, None, b"")
-@example("file-loopback", "B", False, "identical", "calibrated", 1023, 16.0, 30.0, 2, None, b"\x00\xff")
-@example("ber-sweep", "B", True, "independent", "pilot", 1, 1e-300, -1e308, 1, None, b"")
-@settings(max_examples=120, deadline=None)
+# that underflows; a forced run over a directory and over a symlink to one.
+@example("ber-sweep", "B", True, "identical", "pilot", 6, 7000.0, 4.0, 2, None, b"", "fresh", False)
+@example(
+    "file-loopback", "B", False, "identical", "calibrated", 1023, 16.0, 30.0, 2, None, b"\x00\xff", "fresh", False
+)
+@example("ber-sweep", "B", True, "independent", "pilot", 1, 1e-300, -1e308, 1, None, b"", "fresh", False)
+@example("ber-sweep", "A", False, "independent", "perfect", "ideal", 16.0, 4.0, 1, None, b"", "directory", True)
+@example(
+    "file-loopback", "B", True, "independent", "perfect", 6, 16.0, 4.0, 2, None, b"ab", "symlink-to-directory", True
+)
+# A third of the drawn outputs let the run go ahead: 360 examples reach it
+# about 120 times.
+@settings(max_examples=360, deadline=None)
 def test_any_sweep_or_loopback_config_exits_with_a_documented_code(
     tmp_path_factory,
     command,
@@ -820,6 +870,8 @@ def test_any_sweep_or_loopback_config_exits_with_a_documented_code(
     threads,
     garbage,
     payload,
+    kind,
+    force,
 ):
     base = tmp_path_factory.getbasetemp()
     cfg = {
@@ -839,22 +891,47 @@ def test_any_sweep_or_loopback_config_exits_with_a_documented_code(
         (cfg[section] if section else cfg)[field] = value
     (base / "fuzzed-cli.json").write_text(json.dumps(cfg))
     (base / "fuzzed-payload.bin").write_bytes(payload)
-    out = base / "fuzzed-cli.out"
-    out.unlink(missing_ok=True)
+    work = base / "fuzzed-outputs"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    out = _make_output(work, kind)
+    before = _tree(work)
     argv = [command, "--config", str(base / "fuzzed-cli.json"), "--threads", str(threads), "--out", str(out)]
+    argv += ["--force"] if force else []
     if command == "file-loopback":
         argv.insert(1, str(base / "fuzzed-payload.bin"))
-    code = main(argv)
+    chunks = []
+    detect_chunk = LinkEngine.detect_chunk
+
+    def counted_detect_chunk(*args):
+        chunks.append(1)
+        return detect_chunk(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinkEngine, "detect_chunk", counted_detect_chunk)
+        code = main(argv)
     assert code in (0, 2, 3, 4)
-    assert out.exists() == (code == 0)
-    if code == 0 and command == "ber-sweep":
+    if kind in ("directory", "missing-parent", "parent-is-a-file") or (kind != "fresh" and not force):
+        assert code in (2, 4) and chunks == []
+    else:  # the output is writable and the payload readable: no I/O error
+        assert code != 4
+    after = _tree(work)
+    if code != 0:
+        assert after == before
+        return
+    # Only the output changed, into a file: a forced write replaces a symlink, not its target.
+    assert out.is_file() and not out.is_symlink()
+    after.pop(str(out))
+    before.pop(str(out), None)
+    assert after == before
+    if command == "ber-sweep":
         rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
         header, points = rows[0], rows[1:]
         assert len(points) == 2
         for row in points:
             ber, ci, theory = (float(row[header.index(k)]) for k in ("ber", "ci_halfwidth", "theoretical_ber"))
             assert 0.0 <= ber <= 1.0 and math.isfinite(ci) and math.isfinite(theory)
-    elif code == 0:
+    else:
         assert len(out.read_bytes()) == len(payload)
 
 
@@ -1759,8 +1836,12 @@ def test_cli_refused_overwrite_fails_before_running(monkeypatch, tmp_path, capsy
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["no-force", "force"])
 @pytest.mark.parametrize(
     "where, code",
-    [("missing/out.csv", errno.ENOENT), ("existing.txt/out.csv", errno.ENOTDIR)],
-    ids=["missing-dir", "under-a-file"],
+    [
+        ("missing/out.csv", errno.ENOENT),
+        ("existing.txt/out.csv", errno.ENOTDIR),
+        ("existing-dir", errno.EISDIR),
+    ],
+    ids=["missing-dir", "under-a-file", "a-directory"],
 )
 def test_cli_output_in_a_directory_that_cannot_hold_it_fails_before_running(
     monkeypatch, tmp_path, capsys, where, code, force
@@ -1775,12 +1856,33 @@ def test_cli_output_in_a_directory_that_cannot_hold_it_fails_before_running(
     src = tmp_path / "payload.bin"
     src.write_bytes(b"payload")
     (tmp_path / "existing.txt").write_text("keep")
+    (tmp_path / "existing-dir").mkdir()
     before = sorted(tmp_path.iterdir())
     out = str(tmp_path / where)
     for argv in (["ber-sweep"], ["file-loopback", str(src)], ["export-waveform"]):
         assert main([*argv, "--out", out, *force]) == 4
         assert capsys.readouterr().err == f"i/o error: [Errno {code}] {os.strerror(code)}: {out!r}\n"
     assert sorted(tmp_path.iterdir()) == before
+    assert list((tmp_path / "existing-dir").iterdir()) == []
+
+
+def test_cli_forced_output_replaces_a_symlink_to_a_directory(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"ebn0_grid_db": [8.0], "bits_per_point": 10000}))
+    src = tmp_path / "payload.bin"
+    src.write_bytes(b"payload")
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "inside").write_bytes(b"keep")
+    link = tmp_path / "link"
+    for argv in (["ber-sweep"], ["file-loopback", str(src)], ["export-waveform"]):
+        link.symlink_to(target)
+        assert main([*argv, "--config", str(cfgfile), "--out", str(link), "--force"]) == 0
+        assert link.is_file() and not link.is_symlink()
+        assert [p.name for p in target.iterdir()] == ["inside"]
+        assert (target / "inside").read_bytes() == b"keep"
+        link.unlink()
+    assert "i/o error" not in capsys.readouterr().err
 
 
 def test_cli_parser_is_built_once_and_parses_each_call_afresh(monkeypatch, tmp_path, capsys):
@@ -1920,20 +2022,30 @@ def test_coupling_penalty_control_path_failure_leaves_no_csv(tmp_path, capsys):
     assert list(out_dir.iterdir()) == []
 
 
-def test_coupling_penalty_refuses_existing_output_before_any_sweep(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name, force",
+    [("ber_coupled_identical.csv", [])] + [(name, ["--force"]) for name in PENALTY_CSVS],
+    ids=["existing-file", *(f"directory-{name}" for name in PENALTY_CSVS)],
+)
+def test_coupling_penalty_refuses_existing_output_before_any_sweep(tmp_path, monkeypatch, capsys, name, force):
     import dpris.cli as cli
 
-    kept = tmp_path / "ber_coupled_identical.csv"
-    kept.write_text("keep")
+    kept = tmp_path / name
+    if force:  # no --force writes over a directory
+        kept.mkdir()
+        expected = f"i/o error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(kept)!r}\n"
+    else:
+        kept.write_text("keep")
+        expected = f"i/o error: refusing to overwrite {kept} (pass --force to allow)\n"
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a sweep ran although an output is refused")
 
     monkeypatch.setattr(cli, "run_ber_sweep", must_not_run)
     monkeypatch.setattr(cli, "coupling_penalty_report", must_not_run)
-    assert main(["coupling-penalty", "--out-dir", str(tmp_path)]) == 4
-    assert capsys.readouterr().err.startswith("i/o error: refusing to overwrite")
-    assert kept.read_text() == "keep"
+    assert main(["coupling-penalty", "--out-dir", str(tmp_path), *force]) == 4
+    assert capsys.readouterr().err == expected
+    assert list(kept.iterdir()) == [] if force else kept.read_text() == "keep"
     assert [p.name for p in tmp_path.iterdir()] == [kept.name]
 
 
@@ -1994,6 +2106,8 @@ _BAD_FLAGS = {
     "seed-minus-1": ["--seed", "-1"],
     "out-in-missing-dir": ["--out", "{tmp}/missing/out.csv"],
     "out-existing-file": ["--out", "{tmp}/existing.txt"],
+    "out-existing-dir": ["--out", "{tmp}/existing-dir"],
+    "out-existing-dir-force": ["--out", "{tmp}/existing-dir", "--force"],
     "out-dir-is-a-file": ["--out-dir", "{tmp}/existing.txt"],
 }
 
@@ -2006,7 +2120,17 @@ _BAD_FLAGS = {
         for flag in sorted(_BAD_FLAGS)
     ],
 )
-def test_every_bad_flag_of_every_subcommand_exits_with_a_documented_code(tmp_path, capfd, command, flag):
+def test_every_bad_flag_of_every_subcommand_exits_with_a_documented_code(
+    tmp_path, capfd, monkeypatch, command, flag
+):
+    import dpris.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the run started although a flag is bad")
+
+    runs = ("run_ber_sweep", "run_oracle_check", "run_file_loopback", "export_waveform", "coupling_penalty_report")
+    for name in runs:
+        monkeypatch.setattr(cli, name, must_not_run)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bits_per_point": 10000, "ebn0_grid_db": [10.0], "oracle": {
         "harmonic_cases": 2, "parseval_cases": 2, "model_identity_cases": 2}}))
@@ -2014,6 +2138,7 @@ def test_every_bad_flag_of_every_subcommand_exits_with_a_documented_code(tmp_pat
     payload.write_bytes(b"dpris")
     existing = tmp_path / "existing.txt"
     existing.write_text("keep")
+    (tmp_path / "existing-dir").mkdir()
     before = sorted(tmp_path.iterdir())
     argv = [command, *([str(payload)] if command == "file-loopback" else []), "--config", str(cfg)]
     argv += [arg.format(tmp=tmp_path) for arg in _BAD_FLAGS[flag]]
@@ -2030,3 +2155,4 @@ def test_every_bad_flag_of_every_subcommand_exits_with_a_documented_code(tmp_pat
     assert "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
     assert existing.read_text() == "keep"
+    assert list((tmp_path / "existing-dir").iterdir()) == []
