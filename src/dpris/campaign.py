@@ -40,6 +40,7 @@ not send each time it computes them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import errno
 import math
@@ -105,6 +106,9 @@ from .receiver import (
 )
 
 CHUNK_SYMBOLS = 16384
+# Chunks per worker that _map_chunks submits ahead of the caller: enough to
+# keep every worker busy, few enough that memory does not grow with the run.
+_CHUNKS_PER_WORKER = 4
 # Pair code 16 * sym0 + sym1 -> (sym0, sym1), as rows of a (2, 256) array.
 _PAIR_SYMBOLS = np.stack(np.divmod(np.arange(256), 16))
 _SAME_PAIRS = 17 * np.arange(16)  # the codes of the pairs (s, s)
@@ -132,17 +136,30 @@ def _point_rng(seed: int, point_idx: int, chunk_idx: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point_idx, chunk_idx)))
 
 
-def _map_chunks(job, n_chunks: int, threads: int) -> list:
-    """[job(0), ..., job(n_chunks - 1)], on a pool of up to ``threads`` workers.
+def _map_chunks(job, n_chunks: int, threads: int):
+    """Yield job(0), ..., job(n_chunks - 1) in order, on a pool of up to ``threads`` workers.
 
-    A single chunk runs in the calling thread: a pool would only add its
-    start-up cost.
+    At most ``_CHUNKS_PER_WORKER`` chunks per worker are submitted and not
+    yet yielded, so memory does not grow with ``n_chunks``; an exception in
+    a chunk cancels the chunks not yet started.  A single chunk runs in the
+    calling thread: a pool would only add its start-up cost.
     """
     workers = min(threads, n_chunks)
-    if workers > 1:
-        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(n_chunks)))
-    return [job(c) for c in range(n_chunks)]
+    if workers <= 1:
+        yield from map(job, range(n_chunks))
+        return
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        try:
+            for c in range(n_chunks):
+                pending.append(pool.submit(job, c))
+                if len(pending) == _CHUNKS_PER_WORKER * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _error_counts(rx0, rx1, sym0, sym1) -> tuple[int, int]:
@@ -504,14 +521,15 @@ class LinkEngine:
             rx0, rx1 = self.detect_chunk(sym0, sym1, rng, noise_powers[point_idx], ws[point_idx])
             return _error_counts(rx0, rx1, sym0, sym1)
 
-        counts = _map_chunks(job, len(ws) * n_chunks, threads)
-        records = []
-        for p, ebn0 in enumerate(ebn0_grid_db):
-            bit_errors, symbol_errors = map(sum, zip(*counts[p * n_chunks : (p + 1) * n_chunks]))
-            records.append(
-                _ber_record(ebn0, STREAMS * BITS_PER_SYMBOL * n_symbols, bit_errors, symbol_errors)
-            )
-        return tuple(records)
+        bit_errors = [0] * len(ws)
+        symbol_errors = [0] * len(ws)
+        for k, (bits, symbols) in enumerate(_map_chunks(job, len(ws) * n_chunks, threads)):
+            bit_errors[k // n_chunks] += bits
+            symbol_errors[k // n_chunks] += symbols
+        return tuple(
+            _ber_record(ebn0, STREAMS * BITS_PER_SYMBOL * n_symbols, bits, symbols)
+            for ebn0, bits, symbols in zip(ebn0_grid_db, bit_errors, symbol_errors)
+        )
 
 
 def run_ber_sweep(config: CampaignConfig, threads: int = 1) -> CampaignResult:
@@ -665,50 +683,6 @@ def theory_crossing(target: float = 1e-4) -> float:
     grid = np.linspace(0.0, 20.0, 2001)
     vals = theoretical_ber_16qam(grid)
     return float(np.interp(np.log10(target), np.log10(vals[::-1]), grid[::-1]))
-
-
-@dataclass(frozen=True)
-class PenaltyReport:
-    """Placement of the coupled BER curves against the AWGN reference."""
-
-    theory_crossing_db: float
-    crossing_independent_db: float
-    crossing_identical_db: float
-    penalty_independent_db: float
-    penalty_identical_db: float
-    result_independent: CampaignResult
-    result_identical: CampaignResult
-
-
-def coupling_penalty_report(config: CampaignConfig, threads: int = 1) -> PenaltyReport:
-    """Run coupled sweeps for both stream relations and measure SNR penalties.
-
-    The penalty is the extra Eb/N0 the coupled link needs to reach BER 1e-4
-    relative to the theoretical curve.  With synthetic default transfer
-    curves only the ordering (independent worse than identical, both
-    positive) is meaningful; the quantitative numbers are emitted for
-    inspection.
-    """
-    base = replace(config, fidelity="B", coupling=True)
-    res = {}
-    crossings = {}
-    for relation in ("independent", "identical"):
-        cfg = replace(base, stream_relation=relation)
-        result = run_ber_sweep(cfg, threads)
-        res[relation] = result
-        crossings[relation] = ebn0_at_ber(
-            cfg.ebn0_grid_db, [r.ber for r in result.records], cfg.bits_per_point
-        )
-    ref = theory_crossing()
-    return PenaltyReport(
-        theory_crossing_db=ref,
-        crossing_independent_db=crossings["independent"],
-        crossing_identical_db=crossings["identical"],
-        penalty_independent_db=crossings["independent"] - ref,
-        penalty_identical_db=crossings["identical"] - ref,
-        result_independent=res["independent"],
-        result_identical=res["identical"],
-    )
 
 
 # -- oracle self-checks ------------------------------------------------------
@@ -933,8 +907,10 @@ def run_file_loopback(
         received[1::2] = symbol_indices_to_bytes(rx1[:n1])
         return (*_error_counts(rx0, rx1[:n1], sym0, sym1[:n1]), sym0.size + n1)
 
-    counts = _map_chunks(job, -(-data.size // CHUNK_SYMBOLS), threads)
-    bit_errors, symbol_errors, symbols = map(sum, zip(*counts))
+    totals = (0, 0, 0)
+    for counts in _map_chunks(job, -(-data.size // CHUNK_SYMBOLS), threads):
+        totals = tuple(map(sum, zip(totals, counts)))
+    bit_errors, symbol_errors, symbols = totals
     with _open_output(output_path, force, binary=True) as fh:
         fh.write(out)
 

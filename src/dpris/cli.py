@@ -23,11 +23,12 @@ import numpy as np
 from .campaign import (
     PilotEstimateError,
     check_output,
-    coupling_penalty_report,
+    ebn0_at_ber,
     export_waveform,
     run_ber_sweep,
     run_file_loopback,
     run_oracle_check,
+    theory_crossing,
     write_ber_csv,
 )
 from .config import ConfigError, config_hash, load_config
@@ -204,26 +205,26 @@ def _cmd_coupling_penalty(args, config) -> int:
     """The config's sweep at fidelity A without coupling, then both coupled
     sweeps and their SNR penalty at BER 1e-4; exits 3 unless independent
     streams pay more than identical ones and both pay something."""
-    clean = replace(config, fidelity="A", coupling=False)
     coupled = replace(config, fidelity="B", coupling=True, ebn0_grid_db=PENALTY_GRID_DB)
-    paths = _outputs(args)
+    configs = [
+        replace(config, fidelity="A", coupling=False),
+        replace(coupled, stream_relation="independent"),
+        replace(coupled, stream_relation="identical"),
+    ]
     # Every sweep runs before the first write: a failing one leaves no CSV.
-    clean_result = run_ber_sweep(clean, threads=args.threads)
-    report = coupling_penalty_report(coupled, threads=args.threads)
-    _write_sweep(args, clean, clean_result, paths[0])
-    _write_sweep(args, replace(coupled, stream_relation="independent"), report.result_independent, paths[1])
-    _write_sweep(args, replace(coupled, stream_relation="identical"), report.result_identical, paths[2])
+    results = [run_ber_sweep(cfg, threads=args.threads) for cfg in configs]
+    for cfg, result, path in zip(configs, results, _outputs(args)):
+        _write_sweep(args, cfg, result, path)
 
-    print(f"theoretical 16-QAM curve reaches 1e-4 at {report.theory_crossing_db:.2f} dB")
-    print(
-        f"independent streams: crossing {report.crossing_independent_db:.2f} dB, "
-        f"penalty {report.penalty_independent_db:.2f} dB"
-    )
-    print(
-        f"identical streams:   crossing {report.crossing_identical_db:.2f} dB, "
-        f"penalty {report.penalty_identical_db:.2f} dB"
-    )
-    ordering = report.penalty_independent_db > report.penalty_identical_db > 0.0
+    theory = theory_crossing()
+    print(f"theoretical 16-QAM curve reaches 1e-4 at {theory:.2f} dB")
+    penalties = []
+    for cfg, result in zip(configs[1:], results[1:]):
+        crossing = ebn0_at_ber(cfg.ebn0_grid_db, [r.ber for r in result.records], cfg.bits_per_point)
+        penalties.append(crossing - theory)
+        label = f"{cfg.stream_relation} streams:"
+        print(f"{label:20s} crossing {crossing:.2f} dB, penalty {penalties[-1]:.2f} dB")
+    ordering = penalties[0] > penalties[1] > 0.0
     print(f"ordering independent > identical > 0: {ordering}")
     return EXIT_OK if ordering else EXIT_ORACLE
 

@@ -11,18 +11,18 @@ that analysis loud without hiding it; see tests/test_modulation.py for the
 corrected-bound property.
 """
 
+import contextlib
+import csv
+import io
+import json
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpris.campaign import (
-    LinkEngine,
-    coupling_penalty_report,
-    run_ber_sweep,
-    write_ber_csv,
-)
+from dpris.campaign import LinkEngine, run_ber_sweep, write_ber_csv
+from dpris.cli import main
 from dpris.config import CampaignConfig
 from dpris.hardware import HardwareConfig
 from dpris.model import ChannelSet, ReflectionVector, attenuation_from, received_full, received_reduced
@@ -182,44 +182,32 @@ def test_c5_awgn_fidelity_matches_theory():
         assert abs(record.ber - theory) <= 3.0 * se, f"point {record.ebn0_db} dB off theory"
 
 
-def test_c6_coupling_penalty_ordering():
+def test_c6_coupling_penalty_ordering(tmp_path):
     started = time.perf_counter()
-    cfg = CampaignConfig(
-        ebn0_grid_db=tuple(float(x) for x in range(8, 30, 2)),
-        bits_per_point=1_000_000,
-        fidelity="B",
-        coupling=True,
-        seed=1,
-    )
-    rep = coupling_penalty_report(cfg, threads=4)
+    cfg = tmp_path / "c6.json"
+    cfg.write_text(json.dumps({"bits_per_point": 1_000_000, "seed": 1}))
+    out_dir = tmp_path / "res"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["coupling-penalty", "--config", str(cfg), "--threads", "4", "--out-dir", str(out_dir)])
     elapsed = time.perf_counter() - started
-    ok = (
-        np.isfinite(rep.penalty_identical_db)
-        and rep.penalty_independent_db > rep.penalty_identical_db > 0.0
-    )
-    report(
-        "C6 coupling degradation ordering",
-        ok,
-        f"penalty(independent) {rep.penalty_independent_db:.2f} dB > "
-        f"penalty(identical) {rep.penalty_identical_db:.2f} dB > 0; "
-        f"theory crossing {rep.theory_crossing_db:.2f} dB, {elapsed:.1f} s",
-    )
+    theory, independent, identical, ordering = stdout.getvalue().splitlines()[-4:]
+    report("C6 coupling degradation ordering", code == 0, f"{independent}; {identical}; {theory}; {elapsed:.1f} s")
     print(
         "    quantitative report (synthetic transfer curves; values for inspection, "
         "only the ordering gates):",
         flush=True,
     )
-    for label, result in (
-        ("independent", rep.result_independent),
-        ("identical", rep.result_identical),
-    ):
-        for record in result.records:
-            print(
-                f"      {label:12s} {record.ebn0_db:5.1f} dB  ber {record.ber:.3e} "
-                f"(+-{record.wilson_interval_halfwidth:.1e})",
-                flush=True,
-            )
-    assert rep.penalty_independent_db > rep.penalty_identical_db > 0.0
+    for label in ("independent", "identical"):
+        with open(out_dir / f"ber_coupled_{label}.csv", newline="") as fh:
+            for row in csv.DictReader(line for line in fh if not line.startswith("#")):
+                print(
+                    f"      {label:12s} {float(row['ebn0_db']):5.1f} dB  ber {float(row['ber']):.3e} "
+                    f"(+-{float(row['ci_halfwidth']):.1e})",
+                    flush=True,
+                )
+    assert code == 0
+    assert ordering == "ordering independent > identical > 0: True"
 
 
 def test_c7_cross_fidelity_agreement():

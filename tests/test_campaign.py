@@ -26,6 +26,7 @@ from dpris import campaign
 from dpris.campaign import (
     CHUNK_SYMBOLS,
     LinkEngine,
+    _CHUNKS_PER_WORKER,
     _map_chunks,
     ebn0_at_ber,
     export_waveform,
@@ -633,7 +634,43 @@ def test_map_chunks_keeps_order_and_runs_one_chunk_inline():
     (only,) = _map_chunks(job, 1, threads=4)
     assert only == (0, threading.current_thread())
     assert [c for c, _ in _map_chunks(job, 5, threads=8)] == list(range(5))
-    assert _map_chunks(job, 0, threads=2) == []
+    assert list(_map_chunks(job, 0, threads=2)) == []
+
+
+@pytest.mark.parametrize("n_chunks", [2, 7, 64, 1000])
+@pytest.mark.parametrize("threads", [2, 3])
+def test_map_chunks_holds_a_bounded_number_of_chunks_in_flight(monkeypatch, threads, n_chunks):
+    # Submitted chunks not yet handed to the caller, counted at each submit:
+    # the bound holds however long the run.
+    submitted, in_flight = [], []
+    yielded = 0
+
+    class CountingPool(futures.ThreadPoolExecutor):
+        def submit(self, fn, chunk):
+            submitted.append(chunk)
+            in_flight.append(len(submitted) - yielded)
+            return super().submit(fn, chunk)
+
+    monkeypatch.setattr(campaign, "futures", SimpleNamespace(ThreadPoolExecutor=CountingPool))
+    for chunk in _map_chunks(lambda c: c, n_chunks, threads):
+        assert chunk == yielded
+        yielded += 1
+    assert submitted == list(range(n_chunks))
+    assert max(in_flight) <= _CHUNKS_PER_WORKER * min(threads, n_chunks)
+
+
+def test_map_chunks_failure_cancels_the_chunks_not_yet_started():
+    ran = []
+
+    def job(c):
+        ran.append(c)
+        if c == 0:
+            raise RuntimeError("chunk 0 failed")
+        return c
+
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+        list(_map_chunks(job, 1000, threads=2))
+    assert len(ran) <= 2 * _CHUNKS_PER_WORKER
 
 
 def test_fidelity_a_small_sweep_tracks_theory():
@@ -2042,7 +2079,6 @@ def test_coupling_penalty_refuses_existing_output_before_any_sweep(tmp_path, mon
         raise AssertionError("a sweep ran although an output is refused")
 
     monkeypatch.setattr(cli, "run_ber_sweep", must_not_run)
-    monkeypatch.setattr(cli, "coupling_penalty_report", must_not_run)
     assert main(["coupling-penalty", "--out-dir", str(tmp_path), *force]) == 4
     assert capsys.readouterr().err == expected
     assert list(kept.iterdir()) == [] if force else kept.read_text() == "keep"
@@ -2052,15 +2088,8 @@ def test_coupling_penalty_refuses_existing_output_before_any_sweep(tmp_path, mon
 def test_coupling_penalty_failed_ordering_exits_3_and_keeps_the_curves(tmp_path, monkeypatch, capsys):
     import dpris.cli as cli
 
-    def reversed_penalties(config, threads):
-        report = campaign.coupling_penalty_report(config, threads)
-        return replace(
-            report,
-            penalty_independent_db=report.penalty_identical_db,
-            penalty_identical_db=report.penalty_independent_db,
-        )
-
-    monkeypatch.setattr(cli, "coupling_penalty_report", reversed_penalties)
+    # A reference past both coupled crossings: both penalties are negative.
+    monkeypatch.setattr(cli, "theory_crossing", lambda: 40.0)
     out_dir = tmp_path / "res"
     argv = ["coupling-penalty", "--config", _bits_config(tmp_path, bits=10000), "--out-dir", str(out_dir)]
     assert main(argv) == 3
@@ -2128,7 +2157,7 @@ def test_every_bad_flag_of_every_subcommand_exits_with_a_documented_code(
     def must_not_run(*args, **kwargs):
         raise AssertionError("the run started although a flag is bad")
 
-    runs = ("run_ber_sweep", "run_oracle_check", "run_file_loopback", "export_waveform", "coupling_penalty_report")
+    runs = ("run_ber_sweep", "run_oracle_check", "run_file_loopback", "export_waveform")
     for name in runs:
         monkeypatch.setattr(cli, name, must_not_run)
     cfg = tmp_path / "cfg.json"
