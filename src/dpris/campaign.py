@@ -289,16 +289,14 @@ class LinkEngine:
         with _float_range_guard(
             "geometry", "the channel leaves the float range with these distances and this carrier"
         ):
-            self.channels = channel_set_from(geometry, config.channel, config.carrier_power_watts)
-            self.e = attenuation_from(self.channels)
-            self.g = _finite(
-                effective_stream_channel(self.channels.h2, self.e, config.carrier_power_watts)
-            )
+            channels = channel_set_from(geometry, config.channel, config.carrier_power_watts)
+            e = attenuation_from(channels)
+            self.g = _finite(effective_stream_channel(channels.h2, e, config.carrier_power_watts))
             # The SNR reference scales every noise power by this energy: at 0
             # no Eb/N0 is realizable, so the geometry or carrier is at fault.
             row_energy = mean_row_energy(self.g)
             if not 0.0 < row_energy < math.inf:
-                unscaled = effective_stream_channel(self.channels.h2, self.e)
+                unscaled = effective_stream_channel(channels.h2, e)
                 raise ConfigError(
                     "carrier_power_watts" if unscaled.any() else "geometry",
                     f"the channel's mean row energy {row_energy!r} is not a finite positive float, "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -222,8 +223,11 @@ def _cmd_coupling_penalty(args, config) -> int:
     for cfg, result in zip(configs[1:], results[1:]):
         crossing = ebn0_at_ber(cfg.ebn0_grid_db, [r.ber for r in result.records], cfg.bits_per_point)
         penalties.append(crossing - theory)
+        # A curve above the target over the whole grid crosses past its end:
+        # its penalty is a lower bound, and infinite in the ordering.
+        shown, above = (crossing, "") if math.isfinite(crossing) else (cfg.ebn0_grid_db[-1], "above ")
         label = f"{cfg.stream_relation} streams:"
-        print(f"{label:20s} crossing {crossing:.2f} dB, penalty {penalties[-1]:.2f} dB")
+        print(f"{label:20s} crossing {above}{shown:.2f} dB, penalty {above}{shown - theory:.2f} dB")
     ordering = penalties[0] > penalties[1] > 0.0
     print(f"ordering independent > identical > 0: {ordering}")
     return EXIT_OK if ordering else EXIT_ORACLE

@@ -11,8 +11,8 @@ with code 2.  Every dataclass checks its own ranges and cross-field rules in
 the root: it runs the annotation checks over its fields and builds each
 section from its JSON object, so a config built in Python, directly or
 through ``dataclasses.replace``, is held to the same rules as one loaded
-from JSON, and the JSON loader only rejects unknown keys before handing the
-object over.
+from JSON, and the JSON loader only drops the one ignored legacy key and
+rejects unknown keys before handing the object over.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ class WaveformExportConfig:
 class CampaignConfig:
     """Top-level campaign description; nested module configs ride along."""
 
-    mode: Literal["ber_sweep", "oracle_check", "waveform_export", "file_loopback"] = "ber_sweep"
     seed: int = 1
     ebn0_grid_db: tuple[float, ...] = (4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0)
     bits_per_point: int = 1_000_000
@@ -290,10 +289,14 @@ def _merge(cls, raw, path: str):
 def config_from_dict(raw: dict) -> CampaignConfig:
     """Build a validated config from a parsed JSON object.
 
-    Unknown keys are rejected with their path so typos surface instead of
+    A root key of the old schema that no run read, whatever its value, is
+    dropped: the subcommand selects the run.  Unknown keys are rejected
+    with a :class:`ConfigError` on their path so typos surface instead of
     silently falling back to defaults; every value is then checked once, by
     :class:`CampaignConfig`.
     """
+    if isinstance(raw, dict):
+        raw = {key: val for key, val in raw.items() if key != "mode"}
     _known_fields(CampaignConfig, raw, "")
     return CampaignConfig(**raw)
 

@@ -140,7 +140,6 @@ def test_config_type_and_range_errors_carry_paths():
 @pytest.mark.parametrize(
     "bad",
     [
-        {"mode": "sweep"},
         {"fidelity": "C"},
         {"stream_relation": "crossed"},
         {"csi": "bogus"},
@@ -180,11 +179,6 @@ def test_root_rules_hold_however_the_config_is_built(bad):
 @pytest.mark.parametrize(
     "bad, path, message",
     [
-        (
-            {"mode": "sweep"},
-            "mode",
-            "must be one of ('ber_sweep', 'oracle_check', 'waveform_export', 'file_loopback'), got 'sweep'",
-        ),
         ({"fidelity": "C"}, "fidelity", "must be one of ('A', 'B'), got 'C'"),
         ({"stream_relation": 2}, "stream_relation", "expected a string, got 2"),
         ({"csi": None}, "csi", "expected a string, got None"),
@@ -211,12 +205,31 @@ def test_choice_fields_take_only_the_values_their_annotation_lists(bad, path, me
 def test_every_listed_choice_builds_a_config():
     hints = get_type_hints(CampaignConfig)
     choices = {name: get_args(tp) for name, tp in hints.items() if get_origin(tp) is Literal}
-    assert sorted(choices) == ["csi", "fidelity", "mode", "stream_relation"]
+    assert sorted(choices) == ["csi", "fidelity", "stream_relation"]
     for name, values in choices.items():
         for value in values:
             assert getattr(config_from_dict({name: value}), name) == value
     for kind in get_args(H2Kind):
         assert config_from_dict({"channel": {"h2_kind": kind}}).channel == ChannelModelSpec(h2_kind=kind)
+
+
+def test_root_mode_key_of_any_value_is_ignored(tmp_path):
+    # The subcommand selects the run: a root "mode", an old schema key, is
+    # dropped on load, and changes neither the config, its hash nor a byte of output.
+    modes = ["ber_sweep", "oracle_check", "waveform_export", "file_loopback", 5, None]
+    raws = [{"bits_per_point": 10_000, "mode": mode} for mode in modes] + [{"bits_per_point": 10_000}]
+    configs, hashes, csvs = [], set(), set()
+    for i, raw in enumerate(raws):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(raw))
+        configs.append(load_config(str(path)))
+        hashes.add(config_hash(configs[-1]))
+        assert main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / f"out{i}.csv")]) == 0
+        csvs.add((tmp_path / f"out{i}.csv").read_bytes())
+    assert all(config == configs[-1] for config in configs)
+    assert len(hashes) == 1 and len(csvs) == 1
+    with pytest.raises(TypeError):
+        CampaignConfig(mode="ber_sweep")
 
 
 @pytest.mark.parametrize(
@@ -248,7 +261,7 @@ def test_python_built_values_are_stored_as_json_would_store_them():
     built = CampaignConfig(ebn0_grid_db=[4, 6], geometry=replace(CampaignConfig().geometry))
     assert built.ebn0_grid_db == (4.0, 6.0)
     assert config_hash(built) == config_hash(config_from_dict({"ebn0_grid_db": [4, 6]}))
-    assert config_hash(CampaignConfig()) == config_hash(config_from_dict({})) == "9803877346666a6b"
+    assert config_hash(CampaignConfig()) == config_hash(config_from_dict({})) == "bf48c7a4588afc5d"
     # One float rule: a float field spelled as a JSON integer stores a float,
     # at the root and in a section, so equal configs hash equally.
     for as_int, as_float in (
@@ -1196,6 +1209,146 @@ def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, c
     assert not out.exists()
 
 
+_COMMANDS = ("ber-sweep", "file-loopback", "oracle-check", "export-waveform", "coupling-penalty")
+# Every command runs in milliseconds on this base.
+_E2E_BASE = {
+    "bits_per_point": 10_000,
+    "samples_per_symbol": 16,
+    "ebn0_grid_db": [4.0, 20.0],
+    "oracle": {"harmonic_cases": 2, "parseval_cases": 2, "model_identity_cases": 2},
+    "waveform_export": {"samples": 16, "harmonic_span": 4},
+}
+# Each fuzzed key's values: some refused by the schema or by the link, most not.
+_E2E_VALUES = {
+    "fidelity": ["A", "B", "C"],
+    "coupling": [False, True, 1],
+    "stream_relation": ["independent", "identical"],
+    "csi": ["perfect", "calibrated", "pilot"],
+    "seed": [0, 2**64 - 1, 2**70, -1],
+    "ebn0_grid_db": [[-1e308, 10.0], [-60.0, 30.0], [1e308], []],
+    "loopback_ebn0_db": [-1e308, 4.0, "x"],
+    "carrier_power_watts": [1e-320, 1e308],
+    "samples_per_symbol": [2, 1],
+    "geometry.carrier_frequency_hz": [1e300, 1e-300],
+    "hardware.dac_bits": ["ideal", 1, 1023, 2000],
+    "hardware.isolation_db": [7.0, 7000.0, 1e-300],
+    "hardware.amplitude_ripple_db": [0.0, 12000.0],
+    "oracle.parseval_cases": [5, 0],
+    "waveform_export.delta_phi_rad": [5e-324, 2 * math.pi, 7.0],
+    "waveform_export.t_shift_fraction": [0.999999999, 1.0],
+}
+_E2E_OVERRIDES = st.lists(st.sampled_from(sorted(_E2E_VALUES)), unique=True, max_size=4).flatmap(
+    lambda keys: st.fixed_dictionaries({key: st.sampled_from(_E2E_VALUES[key]) for key in keys})
+)
+# A root "mode" or payload that is not there, or a lut_csv naming no file.
+_ABSENT = "absent"
+
+
+def _e2e_case(command, overrides=None, **flags):
+    """The arguments of the end-to-end fuzz: a valid run of ``command`` unless changed."""
+    case = dict(mode=_ABSENT, lut=None, payload=b"abc", threads=None, seed=None, kind="fresh", force=False)
+    return {"command": command, "overrides": overrides or {}, **case, **flags}
+
+
+def _lut_text(rows):
+    return "\n".join(["polarization,voltage_volts,phase_degrees", *rows]) + "\n"
+
+
+@given(
+    command=st.sampled_from(_COMMANDS),
+    overrides=_E2E_OVERRIDES,
+    mode=st.just(_ABSENT) | _JSON_VALUES,
+    # Repeats weight the draws towards inputs that run, so that about a
+    # fifth of the examples reach their command's outputs.
+    lut=st.sampled_from([None, None, _ABSENT]) | _valid_lut_texts() | _LUT_TEXTS,
+    payload=st.sampled_from([b"", b"\x00\xff", _ABSENT]) | st.binary(max_size=64),
+    threads=st.sampled_from([None, None, 1, 2, 2, 0, MAX_THREADS + 1]),
+    seed=st.sampled_from([None, None, 3, -1]),
+    kind=st.sampled_from(("fresh",) * 4 + _OUTPUT_KINDS),
+    force=st.booleans(),
+)
+# Inputs that once crashed, lied or ran before failing: a -inf dB grid point,
+# 2000 DAC bits, an inf-voltage LUT, a LUT whose rails overflow the coupled
+# sweeps, a named LUT that does not exist, a ripple above unity gain, a
+# channel that underflows, --out in a missing directory or on a directory,
+# --threads 257 and below 1, a coupling too weak to order the penalties
+# (exit 3), a subnormal ramp, and the root "mode" an old schema had.
+@example(**_e2e_case("ber-sweep", {"ebn0_grid_db": [-1e308, 10.0]}))
+@example(**_e2e_case("ber-sweep", {"fidelity": "B", "hardware.dac_bits": 2000}))
+@example(**_e2e_case("ber-sweep", {"fidelity": "A"}, lut=_lut_text(INF_VOLTAGE_LUT)))
+@example(**_e2e_case("coupling-penalty", lut=_lut_text(OVERFLOWING_SPAN_LUT)))
+@example(**_e2e_case("export-waveform", lut=_ABSENT))
+@example(**_e2e_case("file-loopback", {"fidelity": "B", "hardware.amplitude_ripple_db": 12000.0}))
+@example(**_e2e_case("file-loopback", {"geometry.carrier_frequency_hz": 1e300}))
+@example(**_e2e_case("ber-sweep", kind="missing-parent"))
+@example(**_e2e_case("ber-sweep", kind="directory", force=True))
+@example(**_e2e_case("file-loopback", threads=MAX_THREADS + 1))
+@example(**_e2e_case("oracle-check", threads=0))
+@example(**_e2e_case("coupling-penalty", {"hardware.isolation_db": 7000.0}, mode=5, threads=2))
+@example(**_e2e_case("export-waveform", {"waveform_export.delta_phi_rad": 5e-324}, mode="oracle_check"))
+@example(**_e2e_case("oracle-check", {"seed": 2**70}, mode=None))
+@settings(max_examples=200, deadline=None)
+def test_any_input_to_any_command_exits_with_a_documented_code(
+    tmp_path_factory, command, overrides, mode, lut, payload, threads, seed, kind, force
+):
+    base = tmp_path_factory.getbasetemp()
+    cfg = json.loads(json.dumps(_E2E_BASE))
+    for key, value in overrides.items():
+        section, _, field = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[field] = value
+    if mode != _ABSENT:
+        cfg["mode"] = mode
+    if lut is not None:
+        cfg["lut_csv"] = str(base / "fuzzed-any-curves.csv")
+        if lut == _ABSENT:
+            Path(cfg["lut_csv"]).unlink(missing_ok=True)
+        else:
+            Path(cfg["lut_csv"]).write_text(lut, encoding="utf-8")
+    (base / "fuzzed-any.json").write_text(json.dumps(cfg))
+    source = base / "fuzzed-any-payload.bin"
+    source.unlink(missing_ok=True)
+    if payload != _ABSENT:
+        source.write_bytes(payload)
+    work = base / "fuzzed-any-outputs"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    out = _make_output(work, kind)
+    argv = [command, "--config", str(base / "fuzzed-any.json")]
+    argv += [str(source)] if command == "file-loopback" else []
+    argv += ["--seed", str(seed)] if seed is not None else []
+    argv += ["--threads", str(threads)] if threads is not None and command != "export-waveform" else []
+    argv += ["--force"] if force and command != "oracle-check" else []
+    if command == "coupling-penalty":
+        argv += ["--out-dir", str(out)]
+        outputs = [out / name for name in PENALTY_CSVS]
+    elif command != "oracle-check":
+        argv += ["--out", str(out)]
+        outputs = [out]
+    else:
+        outputs = []
+    # Regular files and links only: coupling-penalty makes its directory before the checks.
+    before = {path: entry for path, entry in _tree(work).items() if entry[0] != "dir"}
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert not _NON_FINITE.search(captured.getvalue().replace(str(base), "")), captured.getvalue()
+    after = {path: entry for path, entry in _tree(work).items() if entry[0] != "dir"}
+    if not (code == 0 or (code == 3 and command == "coupling-penalty")):
+        assert after == before
+        return
+    written = {os.path.realpath(path) for path in outputs}
+    assert all(path.is_file() for path in outputs)
+    assert {path for path in after.keys() | before.keys() if after.get(path) != before.get(path)} <= written
+    for path in outputs:
+        if command == "file-loopback":
+            assert len(path.read_bytes()) == len(payload)
+            continue
+        rows = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+        header, values = rows[0], rows[1:]
+        numeric = ("ebn0_db", "ber", "ci_halfwidth", "theoretical_ber") if "ber" in header else header
+        assert values and all(math.isfinite(float(row[header.index(k)])) for row in values for k in numeric)
+
+
 # -- determinism ---------------------------------------------------------------
 
 
@@ -1982,14 +2135,15 @@ def test_cli_entrypoint_runs_as_module():
     assert "ber-sweep" in proc.stdout
 
 
-# sha256 of the three CSVs and the four penalty lines at {"bits_per_point": 20000},
-# as written by the experiment's earlier stand-alone script.
+# sha256 of the three CSVs and the four penalty lines at {"bits_per_point": 20000}.
+# Apart from their "# config_hash=" lines, the CSVs are those the
+# experiment's earlier stand-alone script wrote.
 PENALTY_PINS = {
     1: (
         {
-            "ber_fidelity_a.csv": "372107449ac5b065eef1443e6dc5ffd7e4fca43edfcd2c5851375436856e17f6",
-            "ber_coupled_independent.csv": "8c5772916647855c9f603c6dac511620ab37000bc736bae0155cf603b0054d40",
-            "ber_coupled_identical.csv": "2cc33cece7d5dd5a5fa1c4b6969c49c6902848f0f1d95d4279a9debd960f687f",
+            "ber_fidelity_a.csv": "7790e9d1737682a8316ae9f4491add16c8409220ee7a06d5a4c0d34f4615ead0",
+            "ber_coupled_independent.csv": "360da2d67fff16f93a35a99257b33d4fafcf4b71e508c3b3d185d1a09fb5bc1e",
+            "ber_coupled_identical.csv": "97f5d5571ef0911fd4989da42919d78b4b86812114e780e709bbba1173eb40a2",
         },
         [
             "theoretical 16-QAM curve reaches 1e-4 at 12.20 dB",
@@ -2000,9 +2154,9 @@ PENALTY_PINS = {
     ),
     7: (
         {
-            "ber_fidelity_a.csv": "aeba6768445f81bad8dccc47539b466760990fa47a8e8e1068e9a061fd892c05",
-            "ber_coupled_independent.csv": "1169081be9cd2830538b83321d6c862460a990ecfd7793a7256d9b03f24c64ff",
-            "ber_coupled_identical.csv": "dcb18eaae12e81c434a29fef8a2adc6df7b17a40c6d11cd95b9011e05846bb08",
+            "ber_fidelity_a.csv": "697374bb550bd2c3263b6e298e6f96342a576758de204cecd1e7649795143caf",
+            "ber_coupled_independent.csv": "3e31a1d02eedc54c71ae6f9dad704d3603bde04e50315b964699c1a42506b08a",
+            "ber_coupled_identical.csv": "fde66ff92d6d12c94beb3d895e25c6695cfe2bfb1148c8516633d36dbdc11bf4",
         },
         [
             "theoretical 16-QAM curve reaches 1e-4 at 12.20 dB",
@@ -2033,6 +2187,19 @@ def test_coupling_penalty_writes_curves_and_penalty(tmp_path, capsys, seed, thre
     # Each sweep is reported as ber-sweep reports its one.
     assert [line for line in out if line.startswith("wrote ")] == [
         f"wrote {out_dir / name}" for name in digests
+    ]
+
+
+def test_coupling_penalty_reports_a_curve_that_never_crosses_as_a_bound(tmp_path, capsys):
+    # At 16 samples a symbol with perfect CSI, the independent-stream curve
+    # stays above 1e-4 over the whole 8-28 dB grid.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bits_per_point": 10000, "samples_per_symbol": 16, "csi": "perfect"}))
+    assert main(["coupling-penalty", "--config", str(cfg), "--out-dir", str(tmp_path / "res")]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "independent streams: crossing above 28.00 dB, penalty above 15.80 dB",
+        "identical streams:   crossing 17.40 dB, penalty 5.19 dB",
+        "ordering independent > identical > 0: True",
     ]
 
 
