@@ -22,7 +22,8 @@ the 16 pairs (s, s) and fills T from each polarization's 16 symbols.  A
 coupled engine runs the pairs a campaign sends: all 256 for independent
 streams; for identical streams the 16 pairs (s, s) and the pilot's, which
 adds (2, 8) and (8, 2) once it has four or more symbols, so it builds 18
-pairs and computes the rest afresh, never stored, when asked.  The
+pairs.  The chunk kernel and ``tx_symbols`` refuse a pair the engine does
+not hold (a ValueError); only ``table_b0``/``table_b1`` rebuild it.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
 distinct symbol, 16 rows x M samples per polarization; the stages from the
 voltage coupling on run once per pair.  The table shortcut is exact
@@ -34,8 +35,7 @@ times that power.
 A channel or control path that leaves the float range (a non-finite G or
 received symbol, a G whose mean row energy underflows to 0, or an overflow,
 division by zero or invalid value on the way) is a :class:`ConfigError`,
-never a table; a coupled identical-stream engine checks the pairs it does
-not send each time it computes them.
+never a table.
 """
 
 from __future__ import annotations
@@ -331,9 +331,9 @@ class LinkEngine:
             # (s, s) hold every received symbol.  Coupled, the pairs a run
             # sends enumerate every waveform it can produce: all 256 for
             # independent streams; for identical ones the 16 pairs (s, s)
-            # and the pilot's, and the rest are computed on request.
+            # and the pilot's.
             if coupling_factor(self.hw_active.isolation_db) == 0.0:
-                rows = self._control_path_rows(np.arange(16), np.arange(16))
+                rows = self.waveform_tx_symbols(np.arange(16), np.arange(16))
                 tx = np.take_along_axis(rows, _PAIR_SYMBOLS, axis=1)
             else:
                 if config.stream_relation == "identical":
@@ -341,7 +341,7 @@ class LinkEngine:
                     self._sent[_SAME_PAIRS] = True
                     self._sent[pilot_codes] = True
                 tx = np.zeros((STREAMS, 256), dtype=np.complex128)
-                tx[:, self._sent] = self._control_path_rows(*_PAIR_SYMBOLS[:, self._sent])
+                tx[:, self._sent] = self.waveform_tx_symbols(*_PAIR_SYMBOLS[:, self._sent])
         else:
             tx = self.table_a[_PAIR_SYMBOLS]
         self._tx, self._rx = tx, mix2(self.g, tx)
@@ -369,15 +369,12 @@ class LinkEngine:
 
     def _full_tx(self) -> np.ndarray:
         """The whole table T; computed afresh, not stored, where the engine holds only the pairs it sends."""
-        return self._tx if self._sent.all() else self._control_path_rows(*_PAIR_SYMBOLS)
+        return self._tx if self._sent.all() else self.waveform_tx_symbols(*_PAIR_SYMBOLS)
 
-    def _control_path_rows(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
-        """:meth:`waveform_tx_symbols`, or a :class:`ConfigError` if it leaves the float range."""
-        with _float_range_guard(
-            "lut_csv" if self.cfg.lut_csv else "hardware",
-            "the control path leaves the float range with these transfer curves and hardware settings",
-        ):
-            return _finite(self.waveform_tx_symbols(sym0, sym1))
+    def _check_held(self, code: np.ndarray) -> None:
+        """A ValueError unless the engine holds every pair code in ``code``: the held-pair rule."""
+        if not self._sent.all() and not self._sent[code].all():
+            raise ValueError("a coupled identical-stream engine holds only the pairs (s, s) and the pilot's")
 
     def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
         """Equivalent baseband symbols entering the channel, shape (2, n).
@@ -385,30 +382,33 @@ class LinkEngine:
         Symbol indices are 4-bit values, 0..15.  Fidelity A reads the
         closed-form symbols on any engine; fidelity B reads the engine's
         pair table by the code 16 * sym0 + sym1, the table whose G-product
-        the chunk kernel reads.  Where a coupled identical-stream engine
-        lacks a pair, the whole table is computed afresh, not stored, so a
-        :class:`ConfigError` may come from here.
+        the chunk kernel reads.  Like the kernel, it refuses a pair the engine
+        does not hold with a ValueError; only ``table_b0``/``table_b1`` rebuild it.
         """
         if fidelity == "A":
             return np.take(self.table_a, np.stack((sym0, sym1)), mode="clip")
         if self.hw_active is None:
             raise ValueError("a fidelity-A engine has no fidelity-B symbols")
         code = np.multiply(sym0, 16) + sym1
-        tx = self._tx if self._sent.all() or self._sent[code].all() else self._full_tx()
-        return np.take(tx, code, axis=1, mode="clip")
+        self._check_held(code)
+        return np.take(self._tx, code, axis=1, mode="clip")
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
         straight through the control path and the single-bin correlator.
 
-        Fidelity B's tables are this route over the pairs a run sends.
+        Fidelity B's tables are this route over the pairs a run sends.  A
+        control path that leaves the float range is a :class:`ConfigError`
+        on ``lut_csv`` or ``hardware``.
         """
         params0 = [self.params16[i] for i in sym0]
         params1 = [self.params16[j] for j in sym1]
-        result = distort_reflection(
-            params0, params1, self.lut, self.hw_active, self.cfg.samples_per_symbol
-        )
-        return np.stack([extract_harmonic(result.wave0, order=-1), extract_harmonic(result.wave1, order=-1)])
+        with _float_range_guard(
+            "lut_csv" if self.cfg.lut_csv else "hardware",
+            "the control path leaves the float range with these transfer curves and hardware settings",
+        ):
+            result = distort_reflection(params0, params1, self.lut, self.hw_active, self.cfg.samples_per_symbol)
+            return _finite(np.stack([extract_harmonic(w, order=-1) for w in (result.wave0, result.wave1)]))
 
     # -- receiver state -----------------------------------------------------
 
@@ -484,8 +484,7 @@ class LinkEngine:
         buf = self._buffers()
         code = np.multiply(sym0, 16, out=buf.work[2 * m : 2 * m + n].view(np.int64))
         code += sym1
-        if not self._sent.all() and not self._sent[code].all():
-            raise ValueError("a coupled identical-stream engine holds only the pairs (s, s) and the pilot's")
+        self._check_held(code)
         y = awgn(m, noise_power, rng, out=buf.y[:m], scratch=buf.work).reshape(STREAMS, n)
         s_hat = buf.s_hat[:m].reshape(STREAMS, n)
         # mode="clip" writes straight into out; "raise" would buffer a copy.
@@ -553,11 +552,11 @@ def _overwrite_refused(path) -> FileExistsError:
 def check_output(path, force: bool) -> None:
     """Raise at once the error the write of ``path`` would meet, so no run is spent on it.
 
-    A missing directory or one that is a file; a ``path`` that is a
-    directory, even with ``force``; without ``force``, any existing ``path``.
-    A symlink is not followed: a forced write replaces the link.
+    An empty ``path``; a missing directory or one that is a file; a ``path``
+    that is a directory, even with ``force``; without ``force``, any existing
+    ``path``.  A symlink is not followed: a forced write replaces the link.
     """
-    head = os.path.dirname(path) or os.curdir
+    head = os.path.dirname(path) or (os.curdir if path else "")
     if not os.path.isdir(head):
         code = errno.ENOTDIR if os.path.lexists(head) else errno.ENOENT
         raise OSError(code, os.strerror(code), path)

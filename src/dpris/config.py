@@ -52,9 +52,9 @@ MAX_ORACLE_CASES = 1_000_000
 # table at 108 MiB at 4,096 samples per symbol, 324 MiB (0.7-1.0 s) at
 # 16,384 and 613 MiB at 32,768; with identical streams (18 pairs) or
 # uncoupled (the 16 pairs (s, s)), it peaks at 42 MiB at 4,096 and 56 MiB
-# at 16,384.  A coupled identical-stream engine's full table, computed
-# afresh at each request and never stored, peaks as the independent one
-# does; an uncoupled engine's is read from its 16 pairs.
+# at 16,384.  The chunk kernel and tx_symbols refuse a pair an engine does
+# not hold; only table_b0/table_b1 rebuild a coupled identical-stream
+# engine's full table, afresh, and that build peaks as the independent one.
 MAX_SAMPLES_PER_SYMBOL = 16_384
 # An engine with 100,000 pilot symbols peaks at 77 MiB, with 1,000,000 at 448 MiB.
 MAX_PILOT_LENGTH = 100_000
