@@ -287,18 +287,15 @@ class LinkEngine:
         if geometry.k_rx != 1:
             raise ConfigError("geometry.rx_positions_m", "BER campaigns drive the 2x2 link (one receive antenna per polarization)")
         with _float_range_guard(
-            "geometry", "the channel leaves the float range with these distances and this carrier"
+            "geometry", "the channel leaves the float range with these distances and this carrier frequency"
         ):
-            channels = channel_set_from(geometry, config.channel, config.carrier_power_watts)
-            e = attenuation_from(channels)
-            self.g = _finite(effective_stream_channel(channels.h2, e, config.carrier_power_watts))
-            # The SNR reference scales every noise power by this energy: at 0
-            # no Eb/N0 is realizable, so the geometry or carrier is at fault.
+            channels = channel_set_from(geometry, config.channel)
+            self.g = _finite(effective_stream_channel(channels.h2, attenuation_from(channels)))
+            # The SNR reference scales every noise power by this energy.
             row_energy = mean_row_energy(self.g)
             if not 0.0 < row_energy < math.inf:
-                unscaled = effective_stream_channel(channels.h2, e)
                 raise ConfigError(
-                    "carrier_power_watts" if unscaled.any() else "geometry",
+                    "geometry",
                     f"the channel's mean row energy {row_energy!r} is not a finite positive float, "
                     "so no Eb/N0 has a noise power",
                 )

@@ -194,15 +194,12 @@ def build_h2(geometry: Geometry, spec: ChannelModelSpec) -> np.ndarray:
     return h2
 
 
-def channel_set_from(
-    geometry: Geometry, spec: ChannelModelSpec, carrier_power_watts: float = 1.0
-) -> ChannelSet:
-    """Assemble the full ChannelSet for a geometry and channel flavor."""
+def channel_set_from(geometry: Geometry, spec: ChannelModelSpec) -> ChannelSet:
+    """Assemble the full ChannelSet for a geometry and channel flavor, at a 1 W carrier."""
     return ChannelSet(
         h1=build_h1_los(geometry),
         h2=build_h2(geometry, spec),
         c=carrier_decomposition(geometry.feed_polarization_angle_deg),
-        carrier_power_watts=carrier_power_watts,
         k_rx=geometry.k_rx,
     )
 

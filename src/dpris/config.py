@@ -11,7 +11,7 @@ with code 2.  Every dataclass checks its own ranges and cross-field rules in
 the root: it runs the annotation checks over its fields and builds each
 section from its JSON object, so a config built in Python, directly or
 through ``dataclasses.replace``, is held to the same rules as one loaded
-from JSON, and the JSON loader only drops the one ignored legacy key and
+from JSON, and the JSON loader only drops the retired legacy keys and
 rejects unknown keys before handing the object over.
 """
 
@@ -113,7 +113,6 @@ class CampaignConfig:
     samples_per_symbol: int = 64
     pilot_length: int = 16
     zf_condition_limit: float = 1e8
-    carrier_power_watts: float = 1.0
     lut_csv: str | None = None
     loopback_ebn0_db: float = 30.0
     # Sections are frozen, so every config can share one default instance.
@@ -122,6 +121,9 @@ class CampaignConfig:
     hardware: HardwareConfig = HardwareConfig()
     oracle: OracleCheckConfig = OracleCheckConfig()
     waveform_export: WaveformExportConfig = WaveformExportConfig()
+    # Not a field: G is normalized to a 1 W carrier.  The benchmark replay
+    # reads this constant; it goes with ROADMAP item 3.
+    carrier_power_watts = 1.0
 
     def __post_init__(self):
         """Annotation checks, then root and cross-field rules; each raises a
@@ -179,8 +181,6 @@ class CampaignConfig:
             )
         if not self.seed >= 0:
             raise ConfigError("seed", "must be a non-negative integer")
-        if self.carrier_power_watts <= 0:
-            raise ConfigError("carrier_power_watts", "must be positive")
 
     @property
     def symbol_period_s(self) -> float:
@@ -198,6 +198,8 @@ _NONE_SPELLINGS = {
     "channel.cross_polarization_discrimination_db": "inf",
 }
 _SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+# Root keys of old schemas, dropped on load.
+_RETIRED_KEYS = {"mode", "carrier_power_watts"}
 
 
 def _check_value(val, tp, path: str):
@@ -289,14 +291,14 @@ def _merge(cls, raw, path: str):
 def config_from_dict(raw: dict) -> CampaignConfig:
     """Build a validated config from a parsed JSON object.
 
-    A root key of the old schema that no run read, whatever its value, is
-    dropped: the subcommand selects the run.  Unknown keys are rejected
-    with a :class:`ConfigError` on their path so typos surface instead of
-    silently falling back to defaults; every value is then checked once, by
-    :class:`CampaignConfig`.
+    A retired root key, which no run reads, is dropped whatever its value:
+    the subcommand selects the run, and G is normalized to a 1 W carrier.
+    Unknown keys are rejected with a :class:`ConfigError` on their path so
+    typos surface instead of silently falling back to defaults; every value
+    is then checked once, by :class:`CampaignConfig`.
     """
     if isinstance(raw, dict):
-        raw = {key: val for key, val in raw.items() if key != "mode"}
+        raw = {key: val for key, val in raw.items() if key not in _RETIRED_KEYS}
     _known_fields(CampaignConfig, raw, "")
     return CampaignConfig(**raw)
 

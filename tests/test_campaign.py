@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent import futures
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Literal, get_args, get_origin, get_type_hints
@@ -150,9 +150,10 @@ def test_config_type_and_range_errors_carry_paths():
         {"pilot_length": 3},
         {"coupling": True, "fidelity": "A"},
         {"seed": -1},
-        {"carrier_power_watts": 0.0},
         # The annotation checks: type and finiteness, as on the JSON path.
         pytest.param({"ebn0_grid_db": (float("nan"),)}, id="ebn0_grid_db-nan"),
+        pytest.param({"zf_condition_limit": float("inf")}, id="zf_condition_limit-inf"),
+        pytest.param({"loopback_ebn0_db": "x"}, id="loopback_ebn0_db-string"),
         pytest.param({"bits_per_point": 20_000.5}, id="bits_per_point-fraction"),
         pytest.param({"seed": "x"}, id="seed-string"),
         pytest.param({"symbol_rate_sps": 1e-310}, id="symbol_rate_sps-period-overflow"),
@@ -213,11 +214,13 @@ def test_every_listed_choice_builds_a_config():
         assert config_from_dict({"channel": {"h2_kind": kind}}).channel == ChannelModelSpec(h2_kind=kind)
 
 
-def test_root_mode_key_of_any_value_is_ignored(tmp_path):
-    # The subcommand selects the run: a root "mode", an old schema key, is
-    # dropped on load, and changes neither the config, its hash nor a byte of output.
-    modes = ["ber_sweep", "oracle_check", "waveform_export", "file_loopback", 5, None]
-    raws = [{"bits_per_point": 10_000, "mode": mode} for mode in modes] + [{"bits_per_point": 10_000}]
+@pytest.mark.parametrize("key", ["mode", "carrier_power_watts"])
+def test_retired_root_key_of_any_value_is_ignored(tmp_path, key):
+    # A root key of an old schema is dropped on load, and changes neither the
+    # config, its hash nor a byte of output: the subcommand selects the run,
+    # and G is normalized to a 1 W carrier.  Some values once exited 2.
+    values = ["ber_sweep", "oracle_check", "waveform_export", "file_loopback", 1, 4, 5, 0, -1, 1e-320, 1e308, "x", None]
+    raws = [{"bits_per_point": 10_000, key: value} for value in values] + [{"bits_per_point": 10_000}]
     configs, hashes, csvs = [], set(), set()
     for i, raw in enumerate(raws):
         path = tmp_path / f"cfg{i}.json"
@@ -229,7 +232,15 @@ def test_root_mode_key_of_any_value_is_ignored(tmp_path):
     assert all(config == configs[-1] for config in configs)
     assert len(hashes) == 1 and len(csvs) == 1
     with pytest.raises(TypeError):
-        CampaignConfig(mode="ber_sweep")
+        CampaignConfig(**{key: 1.0})
+
+
+def test_carrier_power_is_a_constant_outside_the_schema_and_hash():
+    # The benchmark replay reads CampaignConfig.carrier_power_watts; as a
+    # class constant, not a field, it is neither settable nor hashed.
+    assert "carrier_power_watts" not in {f.name for f in fields(CampaignConfig)}
+    assert CampaignConfig.carrier_power_watts == CampaignConfig().carrier_power_watts == 1.0
+    assert "carrier_power_watts" not in asdict(CampaignConfig())
 
 
 @pytest.mark.parametrize(
@@ -261,11 +272,11 @@ def test_python_built_values_are_stored_as_json_would_store_them():
     built = CampaignConfig(ebn0_grid_db=[4, 6], geometry=replace(CampaignConfig().geometry))
     assert built.ebn0_grid_db == (4.0, 6.0)
     assert config_hash(built) == config_hash(config_from_dict({"ebn0_grid_db": [4, 6]}))
-    assert config_hash(CampaignConfig()) == config_hash(config_from_dict({})) == "bf48c7a4588afc5d"
+    assert config_hash(CampaignConfig()) == config_hash(config_from_dict({})) == "b255dd0700c46652"
     # One float rule: a float field spelled as a JSON integer stores a float,
     # at the root and in a section, so equal configs hash equally.
     for as_int, as_float in (
-        ({"carrier_power_watts": 1}, {}),
+        ({"zf_condition_limit": 100_000_000}, {}),
         ({"hardware": {"isolation_db": 16}}, {}),
         ({"loopback_ebn0_db": 12}, {"loopback_ebn0_db": 12.0}),
     ):
@@ -924,16 +935,9 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         ("ber-sweep", {"hardware": {"dac_bits": 1000}, "csi": "perfect"}, TINY_SPAN_LUT, "lut_csv"),
         ("ber-sweep", {"hardware": {"dac_bits": 2000}}, None, "hardware"),
         ("ber-sweep", {}, OVERFLOWING_SPAN_LUT, "lut_csv"),
-        # Noise powers: 10^(Eb/N0 / 10) overflows, or underflows to zero, or
-        # a huge carrier power makes the noise power at -60 dB infinite.
+        # Noise powers: 10^(Eb/N0 / 10) overflows, or underflows to zero.
         ("ber-sweep", {"ebn0_grid_db": [1e308]}, None, "ebn0_grid_db[0]"),
         ("ber-sweep", {"ebn0_grid_db": [-1e308]}, None, "ebn0_grid_db[0]"),
-        (
-            "ber-sweep",
-            {"fidelity": "A", "carrier_power_watts": 1e308, "ebn0_grid_db": [-60, 10], "bits_per_point": 10000},
-            None,
-            "ebn0_grid_db[0]",
-        ),
         ("file-loopback", {"loopback_ebn0_db": 1e308}, None, "loopback_ebn0_db"),
         # Geometries whose channel leaves the float range: a wavelength that
         # overflows, cell distances whose squares overflow, a feed distance
@@ -942,12 +946,10 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         ("ber-sweep", {"geometry": {"pitch_x_m": 1e200}}, None, "geometry"),
         ("file-loopback", {"geometry": {"pitch_x_m": 1e200}}, None, "geometry"),
         ("ber-sweep", {"geometry": {"cells_x": 1, "cells_y": 1, "feed_distance_m": 1e-320}}, None, "geometry"),
-        # Channels whose gain underflows, so that no Eb/N0 has a noise power:
-        # the path loss at 1e300 Hz rounds G to zero, and so does sqrt(1e-320 W).
+        # A channel whose gain underflows, so that no Eb/N0 has a noise power:
+        # the path loss at 1e300 Hz rounds G to zero.
         ("ber-sweep", {"geometry": {"carrier_frequency_hz": 1e300}}, None, "geometry"),
         ("file-loopback", {"geometry": {"carrier_frequency_hz": 1e300}}, None, "geometry"),
-        ("ber-sweep", {"fidelity": "A", "carrier_power_watts": 1e-320}, None, "carrier_power_watts"),
-        ("file-loopback", {"fidelity": "A", "carrier_power_watts": 1e-320}, None, "carrier_power_watts"),
     ],
     ids=[
         "ripple",
@@ -961,7 +963,6 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         "lut-span-overflows",
         "ebn0-noise-power-underflows",
         "ebn0-noise-power-overflows",
-        "carrier-noise-power-overflows",
         "loopback-ebn0-noise-power-underflows",
         "wavelength-overflows",
         "cell-distance-overflows",
@@ -969,8 +970,6 @@ OVERFLOWING_SPAN_LUT = ["0,-1e308,0", "0,1e308,360", "1,0,0", "1,20,360"]
         "path-loss-divides-by-zero",
         "path-loss-underflows-g",
         "loopback-path-loss-underflows-g",
-        "carrier-power-underflows-g",
-        "loopback-carrier-power-underflows-g",
     ],
 )
 def test_cli_input_leaving_the_float_range_is_a_config_error(tmp_path, capsys, command, overrides, rows, key):
@@ -1011,7 +1010,7 @@ _E2E_VALUES = {
     "seed": [0, 2**64 - 1, 2**70, -1],
     "ebn0_grid_db": [[-1e308, 10.0], [-60.0, 30.0], [1e308], []],
     "loopback_ebn0_db": [-1e308, 4.0, "x"],
-    "carrier_power_watts": [1e-320, 1e308],
+    "carrier_power_watts": [1e-320, 1e308],  # a retired key, dropped on load
     "samples_per_symbol": [2, 1],
     "geometry.carrier_frequency_hz": [1e300, 1e-300],
     "hardware.dac_bits": ["ideal", 1, 6, 1023, 2000],
@@ -1281,15 +1280,21 @@ def test_csv_byte_identical_across_thread_counts(tmp_path):
     ],
     ids=["fidelity-a", "coupled-pilot", "coupled-identical-pilot", "uncoupled", "rayleigh-calibrated"],
 )
-def test_carrier_power_cancels_out_of_every_ber_row(tmp_path, overrides):
-    # The SNR reference scales the noise power with G's row energy.  At 4 W,
-    # G, the noise and the channel estimate all scale by exact powers of two.
-    rows = []
+def test_carrier_power_cancels_out_of_every_ber_row(tmp_path, monkeypatch, overrides):
+    # G is normalized to a 1 W carrier; effective_stream_channel still takes
+    # a carrier power.  The SNR reference scales the noise power with G's row
+    # energy, so a 4 W G, where G, the noise and the channel estimate all
+    # scale by exact powers of two, writes the same rows.
+    cfg = small_config(samples_per_symbol=16, **overrides)
+    unscaled = campaign.effective_stream_channel
+    rows, gains = [], []
     for watts in (1.0, 4.0):
-        cfg = small_config(samples_per_symbol=16, carrier_power_watts=watts, **overrides)
+        monkeypatch.setattr(campaign, "effective_stream_channel", lambda h2, e, watts=watts: unscaled(h2, e, watts))
+        gains.append(LinkEngine(cfg).g)
         out = tmp_path / f"{watts}.csv"
         write_ber_csv(run_ber_sweep(cfg), cfg, out)
         rows.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
+    assert np.array_equal(gains[1], 2.0 * gains[0])
     assert rows[0] == rows[1]
 
 
@@ -1315,6 +1320,21 @@ def test_csv_contains_provenance_and_columns(tmp_path):
         "theoretical_ber",
     ]
     assert len(text) == 5 + len(cfg.ebn0_grid_db)
+
+
+def test_csv_theory_column_is_the_per_point_call(tmp_path):
+    # On an array, theoretical_ber_16qam can round apart from a per-point
+    # call (at 25.0 dB by hundreds of ulps), so a vectorized column could
+    # move the CSV's bytes.
+    cfg = small_config(ebn0_grid_db=(24.5, 25.0), bits_per_point=10_000)
+    out = tmp_path / "sweep.csv"
+    result = run_ber_sweep(cfg)
+    write_ber_csv(result, cfg, out)
+    header, *rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+    column = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    assert column["ebn0_db"][1] == campaign._fmt(25.0)
+    assert column["theoretical_ber"][1] == campaign._fmt(theoretical_ber_16qam(25.0))
+    assert result.theoretical[1] == theoretical_ber_16qam(25.0)
 
 
 def test_csv_overwrite_refused_without_force(tmp_path):
@@ -2071,9 +2091,9 @@ def test_cli_entrypoint_runs_as_module():
 PENALTY_PINS = {
     1: (
         {
-            "ber_fidelity_a.csv": "7790e9d1737682a8316ae9f4491add16c8409220ee7a06d5a4c0d34f4615ead0",
-            "ber_coupled_independent.csv": "360da2d67fff16f93a35a99257b33d4fafcf4b71e508c3b3d185d1a09fb5bc1e",
-            "ber_coupled_identical.csv": "97f5d5571ef0911fd4989da42919d78b4b86812114e780e709bbba1173eb40a2",
+            "ber_fidelity_a.csv": "cd19a5e004ce7fa378fcad137fc1743867b9f74983a96c7a8f8f7d3b1a40c5f1",
+            "ber_coupled_independent.csv": "135e72eac2e7c58fc9b0df0208e9cdd863bc2be1b25a1588a4c5fb5d29157add",
+            "ber_coupled_identical.csv": "e4d209e663ff2a86cefe6179e06bf3512d14eb8317e421497b5350afd303524b",
         },
         [
             "theoretical 16-QAM curve reaches 1e-4 at 12.20 dB",
@@ -2084,9 +2104,9 @@ PENALTY_PINS = {
     ),
     7: (
         {
-            "ber_fidelity_a.csv": "697374bb550bd2c3263b6e298e6f96342a576758de204cecd1e7649795143caf",
-            "ber_coupled_independent.csv": "3e31a1d02eedc54c71ae6f9dad704d3603bde04e50315b964699c1a42506b08a",
-            "ber_coupled_identical.csv": "fde66ff92d6d12c94beb3d895e25c6695cfe2bfb1148c8516633d36dbdc11bf4",
+            "ber_fidelity_a.csv": "ca6a566feea34f6b18430affce95f3cffb117a2a6030c9467eb72fa2ed393bde",
+            "ber_coupled_independent.csv": "2dd7059116efa6aebd89d682ac10c364e39a1fae6ed24c3f4537dc34d8733f17",
+            "ber_coupled_identical.csv": "0bdfadd9cefd9dde2f17d097e02f3ac1771d1c86cd38d760994209b5f82f3cc2",
         },
         [
             "theoretical 16-QAM curve reaches 1e-4 at 12.20 dB",

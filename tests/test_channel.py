@@ -245,7 +245,7 @@ def test_noise_power_at_minus_infinite_ebn0_is_infinite():
 
 def test_channel_set_from_assembles_consistent_shapes():
     geo = Geometry(cells_x=3, cells_y=2)
-    channels = channel_set_from(geo, ChannelModelSpec(), carrier_power_watts=2.0)
+    channels = channel_set_from(geo, ChannelModelSpec())
     assert channels.h1.shape == (12, 2)
     assert channels.h2.shape == (2, 12)
-    assert channels.carrier_power_watts == 2.0
+    assert channels.carrier_power_watts == 1.0
