@@ -25,8 +25,9 @@ adds (2, 8) and (8, 2) once it has four or more symbols, so it builds 18
 pairs.  The chunk kernel and ``tx_symbols`` refuse a pair the engine does
 not hold (a ValueError); only ``table_b0``/``table_b1`` rebuild it.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
-distinct symbol, 16 rows x M samples per polarization; the stages from the
-voltage coupling on run once per pair.  The table shortcut is exact
+distinct symbol, 16 rows x M samples per polarization; the voltage
+coupling and rail clip run once per pair, and the stages after them once
+per distinct coupled voltage.  The table shortcut is exact
 because the channel and the correlator are linear; tests pin it against
 the direct per-symbol waveform path.
 Receiver noise enters after the correlator with the correlator-output

@@ -205,7 +205,13 @@ def _cmd_export_waveform(args, config) -> int:
 def _cmd_coupling_penalty(args, config) -> int:
     """The config's sweep at fidelity A without coupling, then both coupled
     sweeps and their SNR penalty at BER 1e-4; exits 3 unless independent
-    streams pay more than identical ones and both pay something."""
+    streams pay more than identical ones and both pay something.
+
+    That ordering holds at the default 16 dB isolation and flips between 18
+    and 20 dB: the penalties read 2.82/3.12 dB (independent/identical) at
+    20 dB and 1.85/2.11 dB at 25 dB.  Exit 3 at those isolations reports the
+    link, not a simulator fault.
+    """
     coupled = replace(config, fidelity="B", coupling=True, ebn0_grid_db=PENALTY_GRID_DB)
     configs = [
         replace(config, fidelity="A", coupling=False),

@@ -49,9 +49,9 @@ MAX_ORACLE_CASES = 1_000_000
 # Size caps, each measured on 2 vCPUs (peak RSS of the one call that builds
 # the arrays; every array grows linearly with the input).  A coupled
 # fidelity-B engine with independent streams builds its 256-pair waveform
-# table at 108 MiB at 4,096 samples per symbol, 324 MiB (0.7-1.0 s) at
-# 16,384 and 613 MiB at 32,768; with identical streams (18 pairs) or
-# uncoupled (the 16 pairs (s, s)), it peaks at 42 MiB at 4,096 and 56 MiB
+# table at 87 MiB at 4,096 samples per symbol and 230 MiB at 16,384 (0.8-1.0 s
+# with an ideal DAC, 0.5 s with 6 bits); with identical streams (18 pairs)
+# or uncoupled (the 16 pairs (s, s)), it peaks at 41 MiB at 4,096 and 52 MiB
 # at 16,384.  The chunk kernel and tx_symbols refuse a pair an engine does
 # not hold; only table_b0/table_b1 rebuild a coupled identical-stream
 # engine's full table, afresh, and that build peaks as the independent one.

@@ -193,37 +193,9 @@ def coupling_factor(isolation_db: float) -> float:
     return float(10.0 ** (-isolation_db / 20.0))
 
 
-# np.interp looks for each point's bracket next to the previous point's and
-# bisects the whole curve when it is not there.  A row that crosses a long
-# curve in few samples jumps many brackets a sample, so every point of it
-# pays a full bisection: the coupled voltages of a 256-pair engine (256 x 64
-# samples) take about 470 us a polarization on the 4,097-point default
-# curve, against 340 us visited in ascending order, sort included (2 vCPUs,
-# numpy 2.4).  Rows of 256 samples or more on that curve, coarser curves
-# and blocks under 4,096 points interpolate faster as given.  Sorting runs
-# in blocks of 2**14 points, which measured fastest and keeps the index
-# arrays small.
-_SORT_BLOCK = 1 << 14
-_SORT_MIN_POINTS = 4096
-_SORT_MIN_BRACKETS_PER_SAMPLE = 32
-
-
-def _interp(x, xp: np.ndarray, fp: np.ndarray):
-    """``np.interp(x, xp, fp)``, bit for bit; rows that jump across the curve are visited sorted.
-
-    np.interp computes each point from its own bracket alone, so the order
-    in which the points are visited cannot change a bit of the result.
-    """
-    shape = np.shape(x)
-    if math.prod(shape) < _SORT_MIN_POINTS or len(xp) < _SORT_MIN_BRACKETS_PER_SAMPLE * shape[-1]:
-        return np.interp(x, xp, fp)
-    flat = np.asarray(x).reshape(-1)
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _SORT_BLOCK):
-        block = flat[start : start + _SORT_BLOCK]
-        order = block.argsort()
-        out[start : start + _SORT_BLOCK][order] = np.interp(block[order], xp, fp)
-    return out.reshape(shape)
+# The stages after the coupling run on the distinct voltages of flat blocks
+# of at most this many samples, which bounds the sort's index arrays.
+_LEVEL_BLOCK = 1 << 14
 
 
 def phase_to_voltage(phase, pol: Polarization, lut: PhaseVoltageLut):
@@ -240,7 +212,7 @@ def phase_to_voltage(phase, pol: Polarization, lut: PhaseVoltageLut):
         raise PhaseRangeError(
             f"phase outside realizable span [{lo:.6f}, {hi:.6f}] rad for polarization {int(pol)}"
         )
-    out = _interp(reduced, phases, lut.voltages[pol])
+    out = np.interp(reduced, phases, lut.voltages[pol])
     return float(out) if np.isscalar(phase) else out
 
 
@@ -250,7 +222,7 @@ def voltage_to_phase(v, pol: Polarization, lut: PhaseVoltageLut):
     Saturation mirrors a DAC/driver hitting its rails; use
     :meth:`PhaseVoltageLut.count_out_of_range` for the clip diagnostic.
     """
-    out = _interp(v, lut.voltages[pol], lut.phases[pol])
+    out = np.interp(v, lut.voltages[pol], lut.phases[pol])
     return float(out) if np.isscalar(v) else out
 
 
@@ -319,10 +291,13 @@ def distort_reflection(
     per distinct symbol of each stream, and their rows are then gathered into
     symbol order.  Symbols are told apart by object identity, so a stream
     drawn from a 16-entry params table needs 16 rows, however long it is.
-    Coupling and every later stage run once per symbol; at a coupling factor
-    of exactly 0 the coupling adds exact zeros.  Every stage is elementwise
-    along its row, so a gathered row is the same IEEE result as one computed
-    in place.
+    The coupling and the rail count and clip run once per symbol; at a
+    coupling factor of exactly 0 the coupling adds exact zeros.  The stages
+    after the clip (forward curve, ripple amplitude, complex exponential)
+    run once per distinct coupled voltage, in flat blocks of at most 2**14
+    samples, and are gathered back into place.  Every stage is elementwise,
+    so a gathered row or sample is the same IEEE result as one computed in
+    place.
     """
     if len(stream0_params) != len(stream1_params):
         raise ValueError("streams must carry the same number of symbols")
@@ -345,12 +320,18 @@ def distort_reflection(
         return quantize_dac(volts, hw.dac_bits, lo, hi)[index]
 
     def reflect(v, pol):
-        # Rail clipping (in place: v is a temporary of this call), forward
-        # curve and amplitude.
+        # Rail clipping (in place: v is a temporary of this call), then the
+        # forward curve and amplitude on each block's sorted distinct levels,
+        # gathered back by the inverse index.
         clipped = lut.count_out_of_range(v, pol)
         np.clip(v, *lut.voltage_span(pol), out=v)
-        wave = reflection_amplitude(v, pol, lut, hw) * np.exp(1j * voltage_to_phase(v, pol, lut))
-        return wave, clipped
+        flat = v.reshape(-1)
+        wave = np.empty(flat.size, dtype=complex)
+        for start in range(0, flat.size, _LEVEL_BLOCK):
+            levels, index = np.unique(flat[start : start + _LEVEL_BLOCK], return_inverse=True)
+            level_wave = reflection_amplitude(levels, pol, lut, hw) * np.exp(1j * voltage_to_phase(levels, pol, lut))
+            wave[start : start + _LEVEL_BLOCK] = level_wave[index]
+        return wave.reshape(v.shape), clipped
 
     v0 = dac_rows(stream0_params, Polarization.POL0)
     v1 = dac_rows(stream1_params, Polarization.POL1)

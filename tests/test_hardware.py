@@ -99,9 +99,7 @@ def _unsorted_block(rng, size, points, specials):
     return values
 
 
-# Shapes the lookups visit in ascending order (short rows on the 4,097-point
-# default curve), at totals around the 2**14-point sort block; 4,095 points
-# and 1-D blocks are interpolated as given.
+# Columns, rows and 1-D blocks, with totals around 2**14 samples.
 _LOOKUP_SHAPES = [
     (4095, 1),
     (4096, 1),
@@ -465,8 +463,11 @@ def per_pair_reference_tables(cfg, hw):
         (False, HardwareConfig(), 64),
         # Not a power of two: dividing by M before or after the sum rounds differently.
         (True, HardwareConfig(isolation_db=16.0, dac_bits=6, amplitude_ripple_db=1.0), 50),
+        # 256 x 257 samples span five blocks of distinct levels; 3 bits repeat most voltages.
+        (True, HardwareConfig(isolation_db=16.0), 257),
+        (True, HardwareConfig(isolation_db=16.0, dac_bits=3), 257),
     ],
-    ids=["coupled-dac6-ripple", "coupling-off", "coupled-dac6-ripple-m50"],
+    ids=["coupled-dac6-ripple", "coupling-off", "coupled-dac6-ripple-m50", "coupled-ideal-m257", "coupled-dac3-m257"],
 )
 def test_engine_pair_tables_bit_identical_to_per_pair_reference(coupling, hw, samples):
     cfg = CampaignConfig(fidelity="B", coupling=coupling, hardware=hw, samples_per_symbol=samples)
@@ -548,19 +549,28 @@ def test_one_stream_passed_twice_reads_the_same_symbols_as_the_pair_tables(relat
     ],
     ids=["coupling-off", "coupling-off-identical", "coupled", "coupled-kappa-underflows", "coupled-identical"],
 )
-def test_engine_forward_curve_runs_once_per_symbol_unless_coupled(
+def test_engine_forward_curve_runs_once_per_distinct_voltage_of_its_rows(
     monkeypatch, coupling, isolation_db, relation, rows
 ):
-    shapes = []
+    # The forward curve sees each block's sorted distinct coupled voltages:
+    # at most one per sample of the engine's rows (16 symbols uncoupled),
+    # and on the 256 coupled pairs strictly fewer, since pairs repeat levels.
+    sizes = {P0: [], P1: []}
 
     def spy(v, pol, lut):
-        shapes.append(np.shape(v))
+        assert v.ndim == 1 and 0 < v.size <= 2**14
+        assert np.all(v[1:] > v[:-1])
+        sizes[pol].append(v.size)
         return voltage_to_phase(v, pol, lut)
 
     monkeypatch.setattr(hardware, "voltage_to_phase", spy)
     hw = HardwareConfig(isolation_db=isolation_db)
     LinkEngine(CampaignConfig(fidelity="B", coupling=coupling, hardware=hw, stream_relation=relation))
-    assert shapes == [(rows, 64)] * 2
+    for calls in sizes.values():
+        assert len(calls) == 1  # rows * 64 samples fit in one block
+        assert sum(calls) <= rows * 64
+        if rows == 256:
+            assert sum(calls) < rows * 64
 
 
 def test_isolation_whose_coupling_factor_underflows_builds_the_uncoupled_tables():
