@@ -2,28 +2,29 @@
 
 Determinism contract: a campaign is a pure function of (config, seed).
 Every grid point splits into fixed-size symbol chunks; chunk c of point p
-draws from the substream SeedSequence(seed, spawn_key=(p, 1 + c)) and chunk
-results are integer error counts, so the merge is exact and order-free and
-the output is byte-identical at any worker-pool width.  Sweeps and file
-loopback run the same chunk kernel (:meth:`LinkEngine.detect_chunk`) on the
-same worker pool; loopback feeds it payload symbols instead of drawn ones.
+draws from the substream SeedSequence(seed, spawn_key=(p, 1 + c)); chunks
+count (sent pair code, detected symbol) per stream, so the merge is exact
+and order-free and the output is byte-identical at any worker-pool width.
+Sweeps and loopback run one chunk kernel (:meth:`LinkEngine.detect_chunk`)
+on one worker pool; loopback feeds it payload symbols instead of drawn ones.
 
 Every received sample is one of at most 256 noiseless points plus noise:
 the channel G applied to the equivalent symbols T of the pair (sym0, sym1)
 driving the two polarizations.  Each :class:`LinkEngine` resolves
 fidelity, coupling and stream relation once, into one (2, 256) table T
-indexed by the pair code 16 * sym0 + sym1, and the chunk kernel adds noise
-to a lookup of G·T.  Fidelity A fills T from the closed-form equivalent
-baseband of each stream.  Fidelity B pushes pairs through the full
-control-path pipeline once per engine, and the single-bin correlator
-reduces each to its received symbol.  When the coupling factor is exactly
-0, each polarization depends on its own symbol alone, so the engine runs
-the 16 pairs (s, s) and fills T from each polarization's 16 symbols.  A
-coupled engine runs the pairs a campaign sends: all 256 for independent
-streams; for identical streams the 16 pairs (s, s) and the pilot's, which
-adds (2, 8) and (8, 2) once it has four or more symbols, so it builds 18
-pairs.  The chunk kernel and ``tx_symbols`` refuse a pair the engine does
-not hold (a ValueError); only ``table_b0``/``table_b1`` rebuild it.  The
+indexed by the pair code 16 * sym0 + sym1, and every noiseless received
+value, the pilot's included, is a lookup of G·T.  Fidelity A fills T from
+the closed-form equivalent baseband of each stream.  Fidelity B pushes
+pairs through the full control-path pipeline once per engine, and the
+single-bin correlator reduces each to its received symbol.  When the
+coupling factor is exactly 0, each polarization depends on its own symbol
+alone, so the engine runs the 16 pairs (s, s) and fills T from each
+polarization's 16 symbols.  A coupled engine runs the pairs a campaign
+sends: all 256 for independent streams; for identical streams the 16
+pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2) once it has four
+or more symbols, so it builds 18 pairs.  The chunk kernel and
+``tx_symbols`` refuse an index outside 0..15 or a pair the engine does not
+hold (a ValueError); only ``table_b0``/``table_b1`` rebuild it.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
 distinct symbol, 16 rows x M samples per polarization; the voltage
 coupling and rail clip run once per pair, and the stages after them once
@@ -114,7 +115,9 @@ _CHUNKS_PER_WORKER = 4
 _PAIR_SYMBOLS = np.stack(np.divmod(np.arange(256), 16))
 _SAME_PAIRS = 17 * np.arange(16)  # the codes of the pairs (s, s)
 _ALL_PAIRS = np.ones(256, dtype=bool)
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(16)], dtype=np.int64)
+# Bit errors of detecting symbol d on stream q of pair code c, [q, c, d]; zero where d is right.
+_PAIR_BIT_ERRORS = np.array([[bin(s ^ d).count("1") for d in range(16)] for s in range(16)])[_PAIR_SYMBOLS]
+_PAIR_HITS = np.flatnonzero(_PAIR_BIT_ERRORS == 0)
 
 BER_CSV_COLUMNS = (
     "ebn0_db",
@@ -163,19 +166,23 @@ def _map_chunks(job, n_chunks: int, threads: int):
                 future.cancel()
 
 
-def _error_counts(rx0, rx1, sym0, sym1) -> tuple[int, int]:
-    """(bit errors, symbol errors) of two detected streams against the sent ones."""
-    bit_errors = int(_POPCOUNT16[rx0 ^ sym0].sum() + _POPCOUNT16[rx1 ^ sym1].sum())
-    symbol_errors = int(np.count_nonzero(rx0 != sym0) + np.count_nonzero(rx1 != sym1))
-    return bit_errors, symbol_errors
+def _confusions(code: np.ndarray, rx0: np.ndarray, rx1: np.ndarray) -> np.ndarray:
+    """Per-stream counts of (sent pair code, detected symbol), (2, 256, 16), over the first ``rxq.size`` codes."""
+    base = 16 * code
+    counts = [np.bincount(base[: rx.size] + rx, minlength=4096) for rx in (rx0, rx1)]
+    return np.stack(counts).reshape(STREAMS, 256, 16)
 
 
-def _ber_record(ebn0_db: float, bits_sent: int, bit_errors: int, symbol_errors: int) -> BerRecord:
+def _ber_record(ebn0_db: float, counts: np.ndarray) -> BerRecord:
+    """The record of :func:`_confusions` counts, summed over a point's chunks."""
+    symbols = int(counts.sum())
+    bits_sent = BITS_PER_SYMBOL * symbols
+    bit_errors = int((counts * _PAIR_BIT_ERRORS).sum())
     return BerRecord(
         ebn0_db=ebn0_db,
         bits_sent=bits_sent,
         bit_errors=bit_errors,
-        symbol_errors=symbol_errors,
+        symbol_errors=symbols - int(counts.take(_PAIR_HITS).sum()),
         ber=bit_errors / bits_sent,
         wilson_interval_halfwidth=float(wilson_interval_halfwidth(bit_errors, bits_sent)),
     )
@@ -313,8 +320,7 @@ class LinkEngine:
         self.lut = _named_lut(config)
         self.hw_active: HardwareConfig | None = None
         self._sent = _ALL_PAIRS
-        pilot0, pilot1 = slicer_demap_indices(self.pilot.symbols).reshape(STREAMS, -1)
-        pilot_codes = 16 * pilot0 + pilot1
+        pilot_codes = self._pair_codes(*slicer_demap_indices(self.pilot.symbols).reshape(STREAMS, -1))
         if config.fidelity == "B":
             self.hw_active = (
                 config.hardware
@@ -343,8 +349,8 @@ class LinkEngine:
         else:
             tx = self.table_a[_PAIR_SYMBOLS]
         self._tx, self._rx = tx, mix2(self.g, tx)
-        # The pilot block as it arrives without noise, through the active fidelity.
-        self._pilot_rx = self.g @ tx[:, pilot_codes]
+        # The pilot block as it arrives without noise: the entries of G·T data reads.
+        self._pilot_rx = self._rx[:, pilot_codes]
 
     def _buffers(self) -> _ChunkBuffers:
         """This thread's chunk buffers, built at its first chunk: set-up alone allocates none."""
@@ -369,27 +375,31 @@ class LinkEngine:
         """The whole table T; computed afresh, not stored, where the engine holds only the pairs it sends."""
         return self._tx if self._sent.all() else self.waveform_tx_symbols(*_PAIR_SYMBOLS)
 
-    def _check_held(self, code: np.ndarray) -> None:
-        """A ValueError unless the engine holds every pair code in ``code``: the held-pair rule."""
+    def _pair_codes(self, sym0, sym1, out: np.ndarray | None = None) -> np.ndarray:
+        """The int64 codes 16 * sym0 + sym1; a ValueError for an index outside 0..15 or a pair not held."""
+        either = np.bitwise_or(sym0, sym1, out=out, dtype=np.int64)  # outside 0..15 iff an index is
+        if either.min(initial=0) < 0 or either.max(initial=0) > 15:
+            raise ValueError("symbol indices must lie in 0..15")
+        code = np.multiply(sym0, 16, out=out, dtype=np.int64)
+        code += sym1
         if not self._sent.all() and not self._sent[code].all():
             raise ValueError("a coupled identical-stream engine holds only the pairs (s, s) and the pilot's")
+        return code
 
     def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
         """Equivalent baseband symbols entering the channel, shape (2, n).
 
-        Symbol indices are 4-bit values, 0..15.  Fidelity A reads the
-        closed-form symbols on any engine; fidelity B reads the engine's
-        pair table by the code 16 * sym0 + sym1, the table whose G-product
-        the chunk kernel reads.  Like the kernel, it refuses a pair the engine
-        does not hold with a ValueError; only ``table_b0``/``table_b1`` rebuild it.
+        Symbol indices are 4-bit values, 0..15; any other is a ValueError.
+        Fidelity A reads the closed-form symbols; fidelity B reads the
+        engine's pair table by the code 16 * sym0 + sym1, the table whose
+        G-product the chunk kernel reads.  Like the kernel, it refuses a pair
+        the engine does not hold; only ``table_b0``/``table_b1`` rebuild it.
         """
         if fidelity == "A":
-            return np.take(self.table_a, np.stack((sym0, sym1)), mode="clip")
+            return self.table_a[_PAIR_SYMBOLS[:, self._pair_codes(sym0, sym1)]]
         if self.hw_active is None:
             raise ValueError("a fidelity-A engine has no fidelity-B symbols")
-        code = np.multiply(sym0, 16) + sym1
-        self._check_held(code)
-        return np.take(self._tx, code, axis=1, mode="clip")
+        return self._tx[:, self._pair_codes(sym0, sym1)]
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
@@ -470,8 +480,8 @@ class LinkEngine:
         ``rng`` is the chunk's substream; only the AWGN draw consumes it here.
         The noiseless received block is one lookup of the engine's pair
         table G·T by the code 16 * sym0 + sym1, whatever the fidelity,
-        coupling or stream relation; a pair the engine does not hold is a
-        ValueError.  The ZF product runs through
+        coupling or stream relation; an index outside 0..15, or a pair the
+        engine does not hold, is a ValueError.  The ZF product runs through
         :func:`~dpris.receiver.mix2`, so the worker pool is the only source
         of threads.  The detected indices equal those of ``tx_symbols``,
         ``awgn``, ``g @ tx + noise``, ``zf_equalize`` and
@@ -480,9 +490,7 @@ class LinkEngine:
         n = sym0.size
         m = STREAMS * n
         buf = self._buffers()
-        code = np.multiply(sym0, 16, out=buf.work[2 * m : 2 * m + n].view(np.int64))
-        code += sym1
-        self._check_held(code)
+        code = self._pair_codes(sym0, sym1, out=buf.work[2 * m : 2 * m + n].view(np.int64))
         y = awgn(m, noise_power, rng, out=buf.y[:m], scratch=buf.work).reshape(STREAMS, n)
         s_hat = buf.s_hat[:m].reshape(STREAMS, n)
         # mode="clip" writes straight into out; "raise" would buffer a copy.
@@ -513,18 +521,13 @@ class LinkEngine:
             rng = _point_rng(self.cfg.seed, point_idx, 1 + chunk_idx)
             sym0 = rng.integers(0, 16, size)
             sym1 = sym0 if identical else rng.integers(0, 16, size)
-            rx0, rx1 = self.detect_chunk(sym0, sym1, rng, noise_powers[point_idx], ws[point_idx])
-            return _error_counts(rx0, rx1, sym0, sym1)
+            code = self._pair_codes(sym0, sym1)
+            return _confusions(code, *self.detect_chunk(sym0, sym1, rng, noise_powers[point_idx], ws[point_idx]))
 
-        bit_errors = [0] * len(ws)
-        symbol_errors = [0] * len(ws)
-        for k, (bits, symbols) in enumerate(_map_chunks(job, len(ws) * n_chunks, threads)):
-            bit_errors[k // n_chunks] += bits
-            symbol_errors[k // n_chunks] += symbols
-        return tuple(
-            _ber_record(ebn0, STREAMS * BITS_PER_SYMBOL * n_symbols, bits, symbols)
-            for ebn0, bits, symbols in zip(ebn0_grid_db, bit_errors, symbol_errors)
-        )
+        counts = np.zeros((len(ws), STREAMS, 256, 16), dtype=np.int64)
+        for k, chunk_counts in enumerate(_map_chunks(job, len(ws) * n_chunks, threads)):
+            counts[k // n_chunks] += chunk_counts
+        return tuple(_ber_record(ebn0, point_counts) for ebn0, point_counts in zip(ebn0_grid_db, counts))
 
 
 def run_ber_sweep(config: CampaignConfig, threads: int = 1) -> CampaignResult:
@@ -896,22 +899,18 @@ def run_file_loopback(
         n1 = 2 * (block.size // 2)
         sym1[:n1] = bytes_to_symbol_indices(block[1::2])
         rng = _point_rng(config.seed, 0, 1 + chunk_idx)
+        code = engine._pair_codes(sym0, sym1)
         rx0, rx1 = engine.detect_chunk(sym0, sym1, rng, noise_power, w)
         received = out[part]
         received[0::2] = symbol_indices_to_bytes(rx0)
         received[1::2] = symbol_indices_to_bytes(rx1[:n1])
-        return (*_error_counts(rx0, rx1[:n1], sym0, sym1[:n1]), sym0.size + n1)
+        return _confusions(code, rx0, rx1[:n1])
 
-    totals = (0, 0, 0)
-    for counts in _map_chunks(job, -(-data.size // CHUNK_SYMBOLS), threads):
-        totals = tuple(map(sum, zip(totals, counts)))
-    bit_errors, symbol_errors, symbols = totals
+    counts = sum(_map_chunks(job, -(-data.size // CHUNK_SYMBOLS), threads))
     with _open_output(output_path, force, binary=True) as fh:
         fh.write(out)
 
-    record = _ber_record(
-        config.loopback_ebn0_db, BITS_PER_SYMBOL * symbols, bit_errors, symbol_errors
-    )
+    record = _ber_record(config.loopback_ebn0_db, counts)
     return LoopbackResult(bytes_in=len(payload), bytes_out=out.size, record=record)
 
 

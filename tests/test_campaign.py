@@ -62,6 +62,7 @@ from dpris.modulation import (
     CONSTELLATION16,
     TWO_PI,
     TmSymbolParams,
+    bytes_to_symbol_indices,
     closed_form_value,
     exact_coefficients,
     harmonic_closed_form,
@@ -435,10 +436,26 @@ def test_identical_stream_engine_answers_racing_threads_with_the_full_table():
     assert all(same_bits(r, want[k % 2]) for k, r in enumerate(results))
 
 
-def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_not_hold(monkeypatch):
-    # One held-pair rule: both raise the same ValueError and build nothing;
-    # only table_b0/table_b1 rebuild the full table, and never store it.
-    engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical"))
+@pytest.mark.parametrize(
+    "relation, pair, refusal",
+    [
+        pytest.param("identical", (0, 1), "holds only the pairs", id="held-pair-unheld"),
+        *(
+            pytest.param(relation, pair, "lie in 0..15", id=f"{name}-{pair[0]},{pair[1]}")
+            for relation, name in (("independent", "256-pair"), ("identical", "held-pair"))
+            for pair in ((16, 0), (-1, 3), (1, -1))
+        ),
+    ],
+)
+def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_not_hold(
+    monkeypatch, relation, pair, refusal
+):
+    # One route from symbol indices to pair codes: an index outside 0..15,
+    # and on a held-pair engine a pair it does not hold, raise the same
+    # ValueError in the kernel and tx_symbols at either fidelity, and build
+    # nothing; only table_b0/table_b1 rebuild the full table, and never
+    # store it.  A bad index is refused, not clipped: (1, -1) is not code 15.
+    engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation=relation))
     tables = (engine._tx, engine._rx, engine._sent)
     built = [t.copy() for t in tables]
     builds = []
@@ -449,21 +466,43 @@ def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_no
         return real(params0, *args)
 
     monkeypatch.setattr(campaign, "distort_reflection", spy)
-    s = np.arange(16)
+    sym0, sym1 = np.arange(16), np.arange(16)
+    sym0[3], sym1[3] = pair
     noise_power = engine.noise_power(10.0)
     w = engine.zf_for_point(0, 10.0, noise_power)
     refusals = []
     for ask in (
-        lambda: engine.detect_chunk(s, (s + 1) % 16, np.random.default_rng(0), noise_power, w),
-        lambda: engine.tx_symbols(s, (s + 1) % 16, "B"),
+        lambda: engine.detect_chunk(sym0, sym1, np.random.default_rng(0), noise_power, w),
+        lambda: engine.tx_symbols(sym0, sym1, "B"),
+        lambda: engine.tx_symbols(sym0, sym1, "A"),
     ):
-        with pytest.raises(ValueError, match="holds only the pairs") as refusal:
+        with pytest.raises(ValueError, match=refusal) as caught:
             ask()
-        refusals.append(str(refusal.value))
-    assert refusals[0] == refusals[1] and builds == []
-    assert engine.table_b0 is not None and builds == [256]
+        refusals.append(str(caught.value))
+    assert len(set(refusals)) == 1 and builds == []
+    assert engine.table_b0 is not None and builds == ([256] if relation == "identical" else [])
     assert all(now is was for now, was in zip((engine._tx, engine._rx, engine._sent), tables))
     assert all(same_bits(t, b) for t, b in zip(tables, built))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"fidelity": "B"},
+        {"fidelity": "B", "coupling": True},
+        {"fidelity": "B", "coupling": True, "stream_relation": "identical"},
+        {"pilot_length": 64},
+    ],
+    ids=["fidelity-a", "uncoupled", "coupled", "coupled-identical", "pilot-64"],
+)
+def test_pilot_block_is_read_from_the_pair_table(overrides):
+    # The pilot's noiseless block is the entries of G·T the data reads, so
+    # calibrated and pilot CSI estimate G from the values every chunk sees.
+    engine = LinkEngine(small_config(**overrides))
+    pilot0, pilot1 = slicer_demap_indices(engine.pilot.symbols).reshape(2, -1)
+    assert same_bits(engine._pilot_rx, engine._rx[:, 16 * pilot0 + pilot1])
+    assert same_bits(engine._pilot_rx, mix2(engine.g, engine.tx_symbols(pilot0, pilot1, engine.cfg.fidelity)))
 
 
 @pytest.mark.parametrize(
@@ -663,6 +702,45 @@ def test_sweep_error_counts_are_frozen(overrides, counts):
     result = run_ber_sweep(small_config(bits_per_point=150_000, **overrides), threads=2)
     assert [(r.bit_errors, r.symbol_errors) for r in result.records] == counts
     assert [r.bits_sent for r in result.records] == [150_000, 150_000]
+
+
+def _bit_and_symbol_errors(sent, detected):
+    """XOR and popcount of 4-bit symbols, and the count of symbols that differ."""
+    diff = np.bitwise_xor(sent, detected).astype(np.uint8)
+    return int(np.unpackbits(diff).sum()), int(np.count_nonzero(diff))
+
+
+@pytest.mark.parametrize("run", ["sweep", "loopback"])
+def test_error_counts_fold_from_confusions_as_xor_and_popcount(monkeypatch, tmp_path, run):
+    # Every chunk returns per-stream (pair code, detected symbol) counts; the
+    # record folds them.  The sweep's second chunk is short; the loopback's
+    # last block is odd, so stream 1 is one byte short there and its padding
+    # must count for nothing.
+    chunks = []
+    real = LinkEngine.detect_chunk
+
+    def spy(self, sym0, sym1, *args):
+        rx = real(self, sym0, sym1, *args)
+        chunks.append((np.concatenate((sym0, sym1)), np.concatenate(rx)))
+        return rx
+
+    monkeypatch.setattr(LinkEngine, "detect_chunk", spy)
+    cfg = small_config(fidelity="B", coupling=True, bits_per_point=150_000, ebn0_grid_db=(4.0,), loopback_ebn0_db=4.0)
+    if run == "sweep":
+        (record,) = run_ber_sweep(cfg, threads=2).records
+        sent, detected = (np.concatenate(side) for side in zip(*chunks))
+    else:
+        payload = np.random.default_rng(3).bytes(CHUNK_SYMBOLS + 1001)
+        (tmp_path / "in.bin").write_bytes(payload)
+        record = run_file_loopback(tmp_path / "in.bin", tmp_path / "out.bin", cfg, threads=2).record
+        assert len(chunks) == 2
+        sent, detected = (
+            bytes_to_symbol_indices(np.frombuffer(data, np.uint8))
+            for data in (payload, (tmp_path / "out.bin").read_bytes())
+        )
+    assert record.bits_sent == 4 * sent.size
+    assert (record.bit_errors, record.symbol_errors) == _bit_and_symbol_errors(sent, detected)
+    assert record.symbol_errors > 1000
 
 
 def test_map_chunks_keeps_order_and_runs_one_chunk_inline():

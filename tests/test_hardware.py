@@ -30,7 +30,7 @@ from dpris.modulation import (
     ramp_phase,
     waveform,
 )
-from dpris.receiver import demap_indices, estimate_channel, extract_harmonic
+from dpris.receiver import demap_indices, estimate_channel, extract_harmonic, mix2
 
 TS = 4e-7
 P0 = Polarization.POL0
@@ -510,7 +510,7 @@ def test_identical_stream_engine_builds_its_rows_bit_identical_to_the_full_table
     s = np.arange(16)
     assert np.array_equal(engine.tx_symbols(s, s, "B"), reference[:, 17 * s])
     pilot0, pilot1 = (demap_indices(row) for row in engine.pilot.symbols)
-    pilot_rx = engine.g @ reference[:, 16 * pilot0 + pilot1]
+    pilot_rx = mix2(engine.g, reference)[:, 16 * pilot0 + pilot1]
     assert np.array_equal(engine.ghat_for_point(0, 0.0), estimate_channel(engine.pilot, pilot_rx))
     assert builds == [rows]
     # The full tables, computed on request and not stored.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dpris
-from dpris.campaign import _ber_record, _error_counts, _fmt
+from dpris.campaign import _ber_record, _confusions, _fmt
 from dpris.modulation import (
     CONSTELLATION16,
     TWO_PI,
@@ -339,19 +339,24 @@ def _random_streams():
     return rng.integers(0, 16, 1000), rng.integers(0, 16, 1000)
 
 
+def _record(rx0, rx1, sym0, sym1):
+    return _ber_record(8.0, _confusions(16 * sym0 + sym1, rx0, rx1))
+
+
 def test_ber_count_identical_streams():
     sym0, sym1 = _random_streams()
-    assert _error_counts(sym0.copy(), sym1.copy(), sym0, sym1) == (0, 0)
-    record = _ber_record(8.0, 8000, 0, 0)
+    record = _record(sym0.copy(), sym1.copy(), sym0, sym1)
     assert record.ebn0_db == 8.0 and record.bits_sent == 8000
+    assert (record.bit_errors, record.symbol_errors) == (0, 0)
     assert record.ber == 0.0 and record.wilson_interval_halfwidth > 0.0
 
 
 def test_ber_count_complemented_stream():
     # every bit and every symbol wrong
     sym0, sym1 = _random_streams()
-    assert _error_counts(sym0 ^ 15, sym1 ^ 15, sym0, sym1) == (8000, 2000)
-    assert _ber_record(8.0, 8000, 8000, 2000).ber == 1.0
+    record = _record(sym0 ^ 15, sym1 ^ 15, sym0, sym1)
+    assert (record.bit_errors, record.symbol_errors) == (8000, 2000)
+    assert record.ber == 1.0
 
 
 def test_ber_count_scripted_corruption():
@@ -362,9 +367,9 @@ def test_ber_count_scripted_corruption():
         rx0[pos] ^= mask
     for pos, mask in ((3, 0b1111), (250, 0b0110)):
         rx1[pos] ^= mask
-    assert _error_counts(rx0, rx1, sym0, sym1) == (13, 6)
-    record = _ber_record(8.0, 8000, 13, 6)
-    assert record.ber == 13 / 8000 and record.symbol_errors == 6
+    record = _record(rx0, rx1, sym0, sym1)
+    assert (record.bit_errors, record.symbol_errors) == (13, 6)
+    assert record.ber == 13 / 8000 and record.bits_sent == 8000
 
 
 def test_wilson_halfwidth_behaves():
