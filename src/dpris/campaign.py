@@ -22,9 +22,10 @@ alone, so the engine runs the 16 pairs (s, s) and fills T from each
 polarization's 16 symbols.  A coupled engine runs the pairs a campaign
 sends: all 256 for independent streams; for identical streams the 16
 pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2) once it has four
-or more symbols, so it builds 18 pairs.  The chunk kernel and
-``tx_symbols`` refuse an index outside 0..15 or a pair the engine does not
-hold (a ValueError); only ``table_b0``/``table_b1`` rebuild it.  The
+or more symbols, so it builds 18 pairs.  Chunk jobs, the pilot and
+``tx_symbols`` take one route to pair codes, ``LinkEngine._pair_codes``; it
+refuses a non-integer index, one outside 0..15 or a pair the engine does not
+hold (a ValueError), and the chunk kernel reads the codes it returns.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
 distinct symbol, 16 rows x M samples per polarization; the voltage
 coupling and rail clip run once per pair, and the stages after them once
@@ -167,7 +168,8 @@ def _map_chunks(job, n_chunks: int, threads: int):
 
 
 def _confusions(code: np.ndarray, rx0: np.ndarray, rx1: np.ndarray) -> np.ndarray:
-    """Per-stream counts of (sent pair code, detected symbol), (2, 256, 16), over the first ``rxq.size`` codes."""
+    """Per-stream counts of (sent pair code, detected symbol), (2, 256, 16), over the first ``rx.size``
+    codes of each stream, so the padding byte loopback gives stream 1 on an odd last block never counts."""
     base = 16 * code
     counts = [np.bincount(base[: rx.size] + rx, minlength=4096) for rx in (rx0, rx1)]
     return np.stack(counts).reshape(STREAMS, 256, 16)
@@ -219,9 +221,9 @@ class PilotEstimateError(ValueError):
 class _ChunkBuffers:
     """One thread's reusable arrays for chunks of up to :data:`CHUNK_SYMBOLS` symbols.
 
-    ``work`` is reused down the chunk: normal draws with the pair codes past
-    them, then the ZF mixing scratch, then slicer scratch; ``s_hat`` holds
-    the noiseless received block read from the pair table, then s_hat.
+    ``work`` is reused down the chunk: normal draws, then the ZF mixing
+    scratch, then slicer scratch; ``s_hat`` holds the noiseless received
+    block read from the pair table, then s_hat.
 
     Kept per thread, because allocating them per chunk is slow: the freed
     blocks go back to the system between chunks, so every chunk faults its
@@ -375,12 +377,14 @@ class LinkEngine:
         """The whole table T; computed afresh, not stored, where the engine holds only the pairs it sends."""
         return self._tx if self._sent.all() else self.waveform_tx_symbols(*_PAIR_SYMBOLS)
 
-    def _pair_codes(self, sym0, sym1, out: np.ndarray | None = None) -> np.ndarray:
-        """The int64 codes 16 * sym0 + sym1; a ValueError for an index outside 0..15 or a pair not held."""
-        either = np.bitwise_or(sym0, sym1, out=out, dtype=np.int64)  # outside 0..15 iff an index is
-        if either.min(initial=0) < 0 or either.max(initial=0) > 15:
+    def _pair_codes(self, sym0, sym1) -> np.ndarray:
+        """The int64 codes 16 * sym0 + sym1; a ValueError for a non-integer or out-of-range index or an unheld pair."""
+        if not all(np.asarray(s).dtype.kind in "iu" for s in (sym0, sym1)):
             raise ValueError("symbol indices must lie in 0..15")
-        code = np.multiply(sym0, 16, out=out, dtype=np.int64)
+        code = np.asarray(np.bitwise_or(sym0, sym1, dtype=np.int64))  # outside 0..15 iff an index is; 0-d for scalars
+        if code.min(initial=0) < 0 or code.max(initial=0) > 15:
+            raise ValueError("symbol indices must lie in 0..15")
+        np.multiply(sym0, 16, out=code, dtype=np.int64)
         code += sym1
         if not self._sent.all() and not self._sent[code].all():
             raise ValueError("a coupled identical-stream engine holds only the pairs (s, s) and the pilot's")
@@ -389,11 +393,11 @@ class LinkEngine:
     def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
         """Equivalent baseband symbols entering the channel, shape (2, n).
 
-        Symbol indices are 4-bit values, 0..15; any other is a ValueError.
         Fidelity A reads the closed-form symbols; fidelity B reads the
-        engine's pair table by the code 16 * sym0 + sym1, the table whose
-        G-product the chunk kernel reads.  Like the kernel, it refuses a pair
-        the engine does not hold; only ``table_b0``/``table_b1`` rebuild it.
+        engine's pair table, whose G-product the chunk kernel reads.  Both
+        read by the codes of :meth:`_pair_codes`, which refuses a non-integer
+        index, one outside 0..15 or a pair the engine does not hold (a
+        ValueError); only ``table_b0``/``table_b1`` rebuild the full table.
         """
         if fidelity == "A":
             return self.table_a[_PAIR_SYMBOLS[:, self._pair_codes(sym0, sym1)]]
@@ -465,32 +469,27 @@ class LinkEngine:
         return noise_power
 
     def detect_chunk(
-        self,
-        sym0: np.ndarray,
-        sym1: np.ndarray,
-        rng: np.random.Generator,
-        noise_power: float,
-        w: np.ndarray,
+        self, code: np.ndarray, rng: np.random.Generator, noise_power: float, w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The chunk kernel: look up both streams' received block, add noise, equalize, slice.
 
-        ``w`` is the point's zero-forcing matrix (:meth:`zf_for_point`); a
-        chunk holds at most :data:`CHUNK_SYMBOLS` symbols.  Returns the
-        detected symbol indices of each stream, in a fresh array.
-        ``rng`` is the chunk's substream; only the AWGN draw consumes it here.
-        The noiseless received block is one lookup of the engine's pair
-        table G·T by the code 16 * sym0 + sym1, whatever the fidelity,
-        coupling or stream relation; an index outside 0..15, or a pair the
-        engine does not hold, is a ValueError.  The ZF product runs through
-        :func:`~dpris.receiver.mix2`, so the worker pool is the only source
-        of threads.  The detected indices equal those of ``tx_symbols``,
-        ``awgn``, ``g @ tx + noise``, ``zf_equalize`` and
-        ``slicer_demap_indices`` of each stream called one after another.
+        ``code`` holds the chunk's pair codes 16 * sym0 + sym1, at most
+        :data:`CHUNK_SYMBOLS`, as :meth:`_pair_codes` returns them: checked,
+        so ``mode="clip"`` never moves one.  ``w`` is the point's
+        zero-forcing matrix (:meth:`zf_for_point`).  Returns the detected
+        symbol indices of each stream, in a fresh array.  ``rng`` is the
+        chunk's substream; only the AWGN draw consumes it here.  The
+        noiseless received block is one lookup of the engine's pair table
+        G·T by ``code``, whatever the fidelity, coupling or stream relation.
+        The ZF product runs through :func:`~dpris.receiver.mix2`, so the
+        worker pool is the only source of threads.  The detected indices
+        equal those of ``tx_symbols``, ``awgn``, ``g @ tx + noise``,
+        ``zf_equalize`` and ``slicer_demap_indices`` of each stream called
+        one after another.
         """
-        n = sym0.size
+        n = code.size
         m = STREAMS * n
         buf = self._buffers()
-        code = self._pair_codes(sym0, sym1, out=buf.work[2 * m : 2 * m + n].view(np.int64))
         y = awgn(m, noise_power, rng, out=buf.y[:m], scratch=buf.work).reshape(STREAMS, n)
         s_hat = buf.s_hat[:m].reshape(STREAMS, n)
         # mode="clip" writes straight into out; "raise" would buffer a copy.
@@ -522,7 +521,7 @@ class LinkEngine:
             sym0 = rng.integers(0, 16, size)
             sym1 = sym0 if identical else rng.integers(0, 16, size)
             code = self._pair_codes(sym0, sym1)
-            return _confusions(code, *self.detect_chunk(sym0, sym1, rng, noise_powers[point_idx], ws[point_idx]))
+            return _confusions(code, *self.detect_chunk(code, rng, noise_powers[point_idx], ws[point_idx]))
 
         counts = np.zeros((len(ws), STREAMS, 256, 16), dtype=np.int64)
         for k, chunk_counts in enumerate(_map_chunks(job, len(ws) * n_chunks, threads)):
@@ -900,7 +899,7 @@ def run_file_loopback(
         sym1[:n1] = bytes_to_symbol_indices(block[1::2])
         rng = _point_rng(config.seed, 0, 1 + chunk_idx)
         code = engine._pair_codes(sym0, sym1)
-        rx0, rx1 = engine.detect_chunk(sym0, sym1, rng, noise_power, w)
+        rx0, rx1 = engine.detect_chunk(code, rng, noise_power, w)
         received = out[part]
         received[0::2] = symbol_indices_to_bytes(rx0)
         received[1::2] = symbol_indices_to_bytes(rx1[:n1])

@@ -52,9 +52,10 @@ MAX_ORACLE_CASES = 1_000_000
 # table at 87 MiB at 4,096 samples per symbol and 230 MiB at 16,384 (0.8-1.0 s
 # with an ideal DAC, 0.5 s with 6 bits); with identical streams (18 pairs)
 # or uncoupled (the 16 pairs (s, s)), it peaks at 41 MiB at 4,096 and 52 MiB
-# at 16,384.  The chunk kernel and tx_symbols refuse a pair an engine does
-# not hold; only table_b0/table_b1 rebuild a coupled identical-stream
-# engine's full table, afresh, and that build peaks as the independent one.
+# at 16,384.  LinkEngine._pair_codes, whose codes the chunk kernel reads,
+# refuses a pair an engine does not hold; only table_b0/table_b1 rebuild a
+# coupled identical-stream engine's full table, afresh, and that build peaks
+# as the independent one.
 MAX_SAMPLES_PER_SYMBOL = 16_384
 # An engine with 100,000 pilot symbols peaks at 77 MiB, with 1,000,000 at 448 MiB.
 MAX_PILOT_LENGTH = 100_000

@@ -445,16 +445,18 @@ def test_identical_stream_engine_answers_racing_threads_with_the_full_table():
             for relation, name in (("independent", "256-pair"), ("identical", "held-pair"))
             for pair in ((16, 0), (-1, 3), (1, -1))
         ),
+        pytest.param("independent", (3.0, 3), "lie in 0..15", id="256-pair-float-index"),
     ],
 )
 def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_not_hold(
     monkeypatch, relation, pair, refusal
 ):
-    # One route from symbol indices to pair codes: an index outside 0..15,
-    # and on a held-pair engine a pair it does not hold, raise the same
-    # ValueError in the kernel and tx_symbols at either fidelity, and build
-    # nothing; only table_b0/table_b1 rebuild the full table, and never
-    # store it.  A bad index is refused, not clipped: (1, -1) is not code 15.
+    # One route from symbol indices to pair codes, the one whose codes the
+    # kernel reads: a non-integer index, an index outside 0..15, and on a
+    # held-pair engine a pair it does not hold, raise the same ValueError in
+    # the route and tx_symbols at either fidelity, and build nothing; only
+    # table_b0/table_b1 rebuild the full table, and never store it.  A bad
+    # index is refused, not clipped: (1, -1) is not code 15.
     engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation=relation))
     tables = (engine._tx, engine._rx, engine._sent)
     built = [t.copy() for t in tables]
@@ -466,13 +468,11 @@ def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_no
         return real(params0, *args)
 
     monkeypatch.setattr(campaign, "distort_reflection", spy)
-    sym0, sym1 = np.arange(16), np.arange(16)
-    sym0[3], sym1[3] = pair
-    noise_power = engine.noise_power(10.0)
-    w = engine.zf_for_point(0, 10.0, noise_power)
+    # A float in either position makes that whole array float.
+    sym0, sym1 = (np.array([pair[q] if i == 3 else i for i in range(16)]) for q in (0, 1))
     refusals = []
     for ask in (
-        lambda: engine.detect_chunk(sym0, sym1, np.random.default_rng(0), noise_power, w),
+        lambda: engine._pair_codes(sym0, sym1),
         lambda: engine.tx_symbols(sym0, sym1, "B"),
         lambda: engine.tx_symbols(sym0, sym1, "A"),
     ):
@@ -577,15 +577,16 @@ def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_d
         sym0 = draw.integers(0, 16, n)
         sym1 = sym0 if relation == "identical" else draw.integers(0, 16, n)
         rng, ref_rng = np.random.default_rng([9, chunk]), np.random.default_rng([9, chunk])
-        got = engine.detect_chunk(sym0, sym1, rng, noise_power, w)
+        code = engine._pair_codes(sym0, sym1)
+        got = engine.detect_chunk(code, rng, noise_power, w)
         want = _public_stages(engine, sym0, sym1, ref_rng, noise_power, ghat)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[0].dtype == want[0].dtype == np.int64
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # Loopback feeds payload nibbles as uint8.
-        payload = engine.detect_chunk(
-            sym0.astype(np.uint8), sym1.astype(np.uint8), np.random.default_rng([9, chunk]), noise_power, w
-        )
+        # Loopback feeds payload nibbles as uint8: the same int64 codes, so the same detections.
+        payload_code = engine._pair_codes(sym0.astype(np.uint8), sym1.astype(np.uint8))
+        assert payload_code.dtype == code.dtype == np.int64 and np.array_equal(payload_code, code)
+        payload = engine.detect_chunk(payload_code, np.random.default_rng([9, chunk]), noise_power, w)
         assert np.array_equal(payload[0], want[0]) and np.array_equal(payload[1], want[1])
         buffers = engine._buffers()
         for rx in got:
@@ -608,10 +609,10 @@ def test_detect_chunk_allocates_only_its_result_after_a_threads_first_chunk(fide
         peaks = []
         for chunk, n in enumerate((CHUNK_SYMBOLS, CHUNK_SYMBOLS, 1001)):
             draw = np.random.default_rng([5, chunk])
-            sym0, sym1 = draw.integers(0, 16, n), draw.integers(0, 16, n)
+            code = engine._pair_codes(draw.integers(0, 16, n), draw.integers(0, 16, n))
             tracemalloc.start()
             try:
-                engine.detect_chunk(sym0, sym1, draw, noise_power, w)
+                engine.detect_chunk(code, draw, noise_power, w)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -719,9 +720,9 @@ def test_error_counts_fold_from_confusions_as_xor_and_popcount(monkeypatch, tmp_
     chunks = []
     real = LinkEngine.detect_chunk
 
-    def spy(self, sym0, sym1, *args):
-        rx = real(self, sym0, sym1, *args)
-        chunks.append((np.concatenate((sym0, sym1)), np.concatenate(rx)))
+    def spy(self, code, *args):
+        rx = real(self, code, *args)
+        chunks.append((np.concatenate(np.divmod(code, 16)), np.concatenate(rx)))
         return rx
 
     monkeypatch.setattr(LinkEngine, "detect_chunk", spy)
@@ -741,6 +742,32 @@ def test_error_counts_fold_from_confusions_as_xor_and_popcount(monkeypatch, tmp_
     assert record.bits_sent == 4 * sent.size
     assert (record.bit_errors, record.symbol_errors) == _bit_and_symbol_errors(sent, detected)
     assert record.symbol_errors > 1000
+
+
+@pytest.mark.parametrize("run", ["sweep", "loopback"])
+def test_each_chunk_takes_the_pair_code_route_once(monkeypatch, tmp_path, run):
+    # The job's codes feed both the kernel and the counts.  The engine's own
+    # call, for the pilot's codes, comes first; then one call per chunk, of
+    # its length: two points of two chunks, or a loopback whose last block
+    # is odd.
+    calls = []
+    real = LinkEngine._pair_codes
+
+    def spy(self, sym0, *args, **kwargs):
+        calls.append(np.size(sym0))
+        return real(self, sym0, *args, **kwargs)
+
+    monkeypatch.setattr(LinkEngine, "_pair_codes", spy)
+    cfg = small_config(fidelity="B", coupling=True, bits_per_point=150_000, ebn0_grid_db=(4.0, 8.0))
+    if run == "sweep":
+        run_ber_sweep(cfg, threads=2)
+        chunk_sizes = [CHUNK_SYMBOLS, 150_000 // 8 - CHUNK_SYMBOLS] * 2
+    else:
+        (tmp_path / "in.bin").write_bytes(np.random.default_rng(3).bytes(CHUNK_SYMBOLS + 1001))
+        run_file_loopback(tmp_path / "in.bin", tmp_path / "out.bin", cfg, threads=2)
+        chunk_sizes = [CHUNK_SYMBOLS, 1002]  # stream 0 of the odd block: 501 bytes, 2 symbols each
+    assert calls[0] == cfg.pilot_length
+    assert sorted(calls[1:]) == sorted(chunk_sizes)
 
 
 def test_map_chunks_keeps_order_and_runs_one_chunk_inline():
