@@ -82,7 +82,7 @@ from .hardware import (
 from .model import ChannelSet, Polarization, ReflectionVector, attenuation_from, received_full, received_reduced
 from .modulation import (
     CONSTELLATION16,
-    QAM16_SYMBOL_ENERGY,
+    HARMONIC_AMPLITUDE_BOUND,
     TWO_PI,
     TmSymbolParams,
     bytes_to_symbol_indices,
@@ -109,6 +109,7 @@ from .receiver import (
 )
 
 CHUNK_SYMBOLS = 16384
+TARGET_BER = 1e-4  # where coupling-penalty reads each curve's Eb/N0
 # Chunks per worker that _map_chunks submits ahead of the caller: enough to
 # keep every worker busy, few enough that memory does not grow with the run.
 _CHUNKS_PER_WORKER = 4
@@ -420,7 +421,7 @@ class LinkEngine:
             "the control path leaves the float range with these transfer curves and hardware settings",
         ):
             result = distort_reflection(params0, params1, self.lut, self.hw_active, self.cfg.samples_per_symbol)
-            return _finite(np.stack([extract_harmonic(w, order=-1) for w in (result.wave0, result.wave1)]))
+            return _finite(np.stack([extract_harmonic(w) for w in (result.wave0, result.wave1)]))
 
     # -- receiver state -----------------------------------------------------
 
@@ -435,15 +436,15 @@ class LinkEngine:
             rx = rx + awgn(2 * self.pilot.length, noise_power, rng).reshape(2, -1)
         return estimate_channel(self.pilot, rx)
 
-    def zf_for_point(self, point_idx: int, ebn0_db: float, noise_power: float) -> np.ndarray:
-        """The zero-forcing matrix every chunk of a grid point equalizes with.
+    def zf_for_point(self, point_idx: int, ebn0_db: float) -> np.ndarray:
+        """The zero-forcing matrix every chunk of a grid point at ``ebn0_db`` equalizes with.
 
         Raises :class:`PilotEstimateError` when only the point's noisy pilot
         estimate, not the configured channel, is too ill-conditioned.
         """
         limit = self.cfg.zf_condition_limit
         try:
-            return zf_matrix(self.ghat_for_point(point_idx, noise_power), limit)
+            return zf_matrix(self.ghat_for_point(point_idx, self.noise_power(ebn0_db)), limit)
         except SingularChannelError as exc:
             channel_condition = float(np.linalg.cond(self.g))
             if self.cfg.csi != "pilot" or not channel_condition <= limit:
@@ -453,7 +454,7 @@ class LinkEngine:
     # -- Monte Carlo --------------------------------------------------------
 
     def noise_power(self, ebn0_db: float) -> float:
-        return noise_power_for_ebn0(self.g, ebn0_db, QAM16_SYMBOL_ENERGY, BITS_PER_SYMBOL)
+        return noise_power_for_ebn0(self.g, ebn0_db)
 
     def _checked_noise_power(self, ebn0_db: float, path: str) -> float:
         """:meth:`noise_power`, or a :class:`ConfigError` on the config key
@@ -511,7 +512,7 @@ class LinkEngine:
         noise_powers = [
             self._checked_noise_power(ebn0, f"ebn0_grid_db[{p}]") for p, ebn0 in enumerate(ebn0_grid_db)
         ]
-        ws = [self.zf_for_point(p, ebn0, noise_powers[p]) for p, ebn0 in enumerate(ebn0_grid_db)]
+        ws = [self.zf_for_point(p, ebn0) for p, ebn0 in enumerate(ebn0_grid_db)]
         identical = self.cfg.stream_relation == "identical"
 
         def job(k):
@@ -651,8 +652,8 @@ def write_ber_csv(result: CampaignResult, config: CampaignConfig, path, force: b
             )
 
 
-def ebn0_at_ber(grid_db, bers, bits_per_point: int, target: float = 1e-4) -> float:
-    """Log-linear interpolation of the Eb/N0 where a BER curve crosses target.
+def ebn0_at_ber(grid_db, bers, bits_per_point: int) -> float:
+    """Log-linear interpolation of the Eb/N0 where a BER curve crosses :data:`TARGET_BER`.
 
     Scans for the first bracketing pair; a zero-error point is floored at
     half an error for the interpolation.  Returns +inf when the curve never
@@ -663,23 +664,23 @@ def ebn0_at_ber(grid_db, bers, bits_per_point: int, target: float = 1e-4) -> flo
     floor = 0.5 / bits_per_point
     for i in range(len(grid) - 1):
         hi, lo = vals[i], vals[i + 1]
-        if hi >= target > lo:
+        if hi >= TARGET_BER > lo:
             lo = max(lo, floor)
             span = np.log10(hi) - np.log10(lo)
             if span <= 0:
                 return float(grid[i + 1])
-            frac = (np.log10(hi) - np.log10(target)) / span
+            frac = (np.log10(hi) - np.log10(TARGET_BER)) / span
             return float(grid[i] + frac * (grid[i + 1] - grid[i]))
-    if vals.min() <= target:
-        return float(grid[np.argmax(vals <= target)])
+    if vals.min() <= TARGET_BER:
+        return float(grid[np.argmax(vals <= TARGET_BER)])
     return float("inf")
 
 
-def theory_crossing(target: float = 1e-4) -> float:
-    """Eb/N0 where the exact Gray 16-QAM AWGN curve reaches the target BER."""
+def theory_crossing() -> float:
+    """Eb/N0 where the exact Gray 16-QAM AWGN curve reaches :data:`TARGET_BER`, on a 0.01 dB grid."""
     grid = np.linspace(0.0, 20.0, 2001)
     vals = theoretical_ber_16qam(grid)
-    return float(np.interp(np.log10(target), np.log10(vals[::-1]), grid[::-1]))
+    return float(np.interp(np.log10(TARGET_BER), np.log10(vals[::-1]), grid[::-1]))
 
 
 # -- oracle self-checks ------------------------------------------------------
@@ -727,7 +728,7 @@ def _suite_harmonic(cfg: CampaignConfig, rng, closed_form_fn) -> SuiteResult:
         sh = shifts[start : start + ORACLE_BLOCK]
         cf = closed_form_fn(dp, sh, ts)
         cf_amp = _amplitudes(cf)
-        too_large = cf_amp[cf_amp > 1.0 + 1e-9]  # the HarmonicCoefficient bound
+        too_large = cf_amp[cf_amp > HARMONIC_AMPLITUDE_BOUND]
         if too_large.size:
             raise ValueError(f"harmonic amplitude {too_large[0]} exceeds 1")
         ex = exact_coefficient_table(dp, sh, ts, [-1.0])[:, 0]
@@ -860,7 +861,6 @@ def run_oracle_check(
 @dataclass(frozen=True)
 class LoopbackResult:
     bytes_in: int
-    bytes_out: int
     record: BerRecord | None
 
 
@@ -881,9 +881,9 @@ def run_file_loopback(
     if len(payload) == 0:
         with _open_output(output_path, force, binary=True):
             pass
-        return LoopbackResult(bytes_in=0, bytes_out=0, record=None)
+        return LoopbackResult(bytes_in=0, record=None)
 
-    w = engine.zf_for_point(0, config.loopback_ebn0_db, noise_power)
+    w = engine.zf_for_point(0, config.loopback_ebn0_db)
     data = np.frombuffer(payload, dtype=np.uint8)
     out = np.empty(data.size, dtype=np.uint8)
 
@@ -910,7 +910,7 @@ def run_file_loopback(
         fh.write(out)
 
     record = _ber_record(config.loopback_ebn0_db, counts)
-    return LoopbackResult(bytes_in=len(payload), bytes_out=out.size, record=record)
+    return LoopbackResult(bytes_in=len(payload), record=record)
 
 
 # -- waveform export -----------------------------------------------------------

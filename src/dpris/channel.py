@@ -20,7 +20,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .model import ChannelSet, AttenuationDiagonal
-from .modulation import TWO_PI
+from .modulation import QAM16_BITS_PER_SYMBOL, QAM16_SYMBOL_ENERGY, TWO_PI
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -259,14 +259,12 @@ def mean_row_energy(g: np.ndarray) -> float:
     return float(np.mean(np.sum(np.abs(np.asarray(g)) ** 2, axis=1)))
 
 
-def noise_power_for_ebn0(
-    g: np.ndarray, ebn0_db: float, symbol_energy: float, bits_per_symbol: int
-) -> float:
+def noise_power_for_ebn0(g: np.ndarray, ebn0_db: float) -> float:
     """Receive-port noise power realizing a requested Eb/N0.
 
     The frozen SNR reference: per-port signal power is the mean row energy
-    of G times the constellation symbol energy; Eb/N0 divides that by the
-    bits per symbol.  At the symmetric default geometry both rows carry the
+    of G times the 16-QAM symbol energy; Eb/N0 divides that by the 4 bits
+    per symbol.  At the symmetric default geometry both rows carry the
     same energy, making the reference exact per port.  Where 10^(Eb/N0 / 10)
     leaves the float range the power is what it rounds to: 0 at +inf dB or
     an overflow, inf at -inf dB or an underflow to 0.
@@ -277,4 +275,4 @@ def noise_power_for_ebn0(
         gamma = math.inf
     if gamma == 0.0:
         return math.inf
-    return mean_row_energy(g) * symbol_energy / (bits_per_symbol * gamma)
+    return mean_row_energy(g) * QAM16_SYMBOL_ENERGY / (QAM16_BITS_PER_SYMBOL * gamma)

@@ -176,7 +176,7 @@ def _cmd_oracle_check(args, config) -> int:
 
 def _cmd_file_loopback(args, config) -> int:
     result = run_file_loopback(args.input, args.out, config, threads=args.threads, force=args.force)
-    print(f"file-loopback: {result.bytes_in} bytes in, {result.bytes_out} bytes out")
+    print(f"file-loopback: {result.bytes_in} bytes in, {result.bytes_in} bytes out")
     if result.record is None:
         print("empty input, nothing transmitted")
     else:

@@ -55,6 +55,7 @@ CONSTELLATION16 = np.array(
 CONSTELLATION16.setflags(write=False)
 
 QAM16_SYMBOL_ENERGY = float(np.mean(np.abs(CONSTELLATION16) ** 2))  # = 5/9
+HARMONIC_AMPLITUDE_BOUND = 1.0 + 1e-9  # a unimodular waveform's largest |harmonic|, plus rounding slack
 
 
 def wrap_phase(phase):
@@ -101,17 +102,14 @@ class TmSymbolParams:
 
 @dataclass(frozen=True)
 class HarmonicCoefficient:
-    """Complex Fourier coefficient of the ramp waveform at a given order.
-
-    A unimodular waveform cannot place more than unit amplitude on any
-    single harmonic, so |value| <= 1 is enforced.
-    """
+    """Complex Fourier coefficient of the ramp waveform at a given order,
+    with |value| at most :data:`HARMONIC_AMPLITUDE_BOUND`."""
 
     order: int
     value: complex
 
     def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-9:
+        if abs(self.value) > HARMONIC_AMPLITUDE_BOUND:
             raise ValueError(f"harmonic amplitude {abs(self.value)} exceeds 1")
 
     @property

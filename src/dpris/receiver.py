@@ -62,8 +62,8 @@ class PilotBlock:
         return self.symbols.shape[1]
 
 
-def default_pilot_block(length: int = 16) -> PilotBlock:
-    """Corner-cycling Walsh pilots; see module notes on orthogonality."""
+def default_pilot_block(length: int) -> PilotBlock:
+    """Corner-cycling Walsh pilots of ``length`` symbols; see module notes on orthogonality."""
     if length < 2 or length % 2 != 0:
         raise ValueError("pilot length must be an even number >= 2")
     idx0 = np.array([_PILOT_CORNER_INDICES[k % 4] for k in range(length)])
@@ -94,11 +94,11 @@ def wilson_interval_halfwidth(errors: int, trials: int) -> float:
     return (z / denom) * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
 
-def extract_harmonic(rx_waveform, order: int = -1) -> complex | np.ndarray:
-    """Single-bin correlator over one symbol period of M samples.
+def extract_harmonic(rx_waveform) -> complex | np.ndarray:
+    """Single-bin correlator at the data-bearing order -1, over one symbol period of M samples.
 
-    For the data-bearing order -1 this is (1/M) * sum rx[m] * e^{+j2*pi*m/M};
-    the estimate converges to the exact Fourier coefficient as O(1/M).
+    That is (1/M) * sum rx[m] * e^{+j2*pi*m/M}; the estimate converges to
+    the exact Fourier coefficient as O(1/M).
     ``rx_waveform`` may be one period or a (n, M) block of periods.  The
     probe carries the 1/M, the rounding order the fidelity-B pair tables
     are pinned to.
@@ -107,7 +107,7 @@ def extract_harmonic(rx_waveform, order: int = -1) -> complex | np.ndarray:
     m = rx.shape[-1]
     if m < 2:
         raise ValueError("waveform must span at least 2 samples")
-    probe = np.exp(-1j * TWO_PI * order * np.arange(m) / m) / m
+    probe = np.exp(1j * TWO_PI * np.arange(m) / m) / m
     return rx @ probe
 
 
@@ -123,11 +123,11 @@ def estimate_channel(pilot: PilotBlock, observations) -> np.ndarray:
     return y @ s.conj().T @ np.linalg.inv(gram)
 
 
-def zf_matrix(g_hat, condition_limit: float = 1e8) -> np.ndarray:
+def zf_matrix(g_hat, condition_limit: float) -> np.ndarray:
     """Zero-forcing matrix G_hat^{-1}.
 
-    Raises :class:`SingularChannelError` when the estimate is too close to
-    singular to resolve the streams.
+    Raises :class:`SingularChannelError` when the estimate's condition number
+    exceeds ``condition_limit``: too close to singular to resolve the streams.
     """
     g = np.asarray(g_hat, dtype=np.complex128)
     if g.shape != (2, 2):
@@ -167,7 +167,7 @@ def mix2(m, x, out=None, scratch=None) -> np.ndarray:
     return out
 
 
-def zf_equalize(g_hat, y, condition_limit: float = 1e8) -> np.ndarray:
+def zf_equalize(g_hat, y, condition_limit: float) -> np.ndarray:
     """Zero-forcing stream separation: s_hat = G_hat^{-1} y, through :func:`mix2`.
 
     ``y`` may be a 2-vector or a (2, n) block of symbols.  Raises

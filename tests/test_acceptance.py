@@ -233,7 +233,7 @@ def test_c7_cross_fidelity_agreement():
     est = {}
     for fidelity in ("A", "B"):
         y = engine.g @ engine.tx_symbols(sym0, sym1, fidelity)
-        est[fidelity] = zf_equalize(engine.g, y)
+        est[fidelity] = zf_equalize(engine.g, y, cfg.zf_condition_limit)
     worst = float(np.max(np.abs(est["B"] - est["A"])))
     elapsed = time.perf_counter() - started
     ok = worst <= 3e-4

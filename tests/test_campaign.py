@@ -412,7 +412,7 @@ def test_identical_stream_engine_checks_its_full_table_at_first_use(monkeypatch)
     # leaves the float range is the same config error when first asked for,
     # raised by the one control-path route every table goes through.
     engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical"))
-    monkeypatch.setattr(campaign, "extract_harmonic", lambda rows, order: np.full(len(rows), np.inf + 0j))
+    monkeypatch.setattr(campaign, "extract_harmonic", lambda rows: np.full(len(rows), np.inf + 0j))
     s = np.arange(16)
     assert np.isfinite(engine.tx_symbols(s, s, "B")).all()
     for ask in (lambda: engine.table_b0, lambda: engine.table_b1, lambda: engine.waveform_tx_symbols(s, s)):
@@ -570,7 +570,7 @@ def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_d
     noise_power = engine.noise_power(ebn0_db)
     assert (noise_power == 0.0) == (ebn0_db == float("inf"))
     ghat = engine.ghat_for_point(0, noise_power)
-    w = engine.zf_for_point(0, ebn0_db, noise_power)
+    w = engine.zf_for_point(0, ebn0_db)
     # Full, short, full on one engine, so stale buffer contents would show.
     for chunk, n in enumerate((CHUNK_SYMBOLS, 1001, CHUNK_SYMBOLS)):
         draw = np.random.default_rng([5, chunk])
@@ -603,7 +603,7 @@ _CHUNK_SLACK_BYTES = 96 * 1024
 def test_detect_chunk_allocates_only_its_result_after_a_threads_first_chunk(fidelity):
     engine = LinkEngine(small_config(fidelity=fidelity, coupling=fidelity == "B"))
     noise_power = engine.noise_power(4.0)
-    w = engine.zf_for_point(0, 4.0, noise_power)
+    w = engine.zf_for_point(0, 4.0)
 
     def traced_peaks():
         peaks = []
@@ -1735,6 +1735,15 @@ def test_ebn0_crossing_interpolation():
     assert 12.1 < theory_crossing() < 12.3
 
 
+def test_mc_and_theory_crossings_share_one_interpolation_rule():
+    # A coupling penalty is an MC crossing (ebn0_at_ber) minus theory_crossing(),
+    # so both must read one crossing off the theory's own 0.01 dB grid: the same
+    # log-linear rule, apart from rounding.
+    grid = np.linspace(0.0, 20.0, 2001)
+    crossing = ebn0_at_ber(grid, theoretical_ber_16qam(grid), 10**6)
+    assert abs(crossing - theory_crossing()) < 1e-9
+
+
 # -- file loopback -----------------------------------------------------------------
 
 
@@ -1768,7 +1777,7 @@ def test_file_loopback_odd_length(tmp_path):
     src.write_bytes(payload)
     result = run_file_loopback(src, dst, small_config(loopback_ebn0_db=30.0))
     assert dst.read_bytes() == payload
-    assert result.bytes_out == 251
+    assert result.bytes_in == 251
 
 
 def test_file_loopback_coupled_low_snr_corrupts(tmp_path):

@@ -230,17 +230,16 @@ def test_awgn_rejects_negative_power():
 
 def test_noise_power_for_ebn0_matches_hand_computation():
     g = np.array([[2.0 + 0j, 0.0], [0.0, 2.0]])
-    # row energy 4, Es, 4 bits/symbol, 10 dB
-    es = 5.0 / 9.0
-    expected = 4.0 * es / (4.0 * 10.0)
-    assert abs(noise_power_for_ebn0(g, 10.0, es, 4) - expected) < 1e-15
-    assert noise_power_for_ebn0(g, float("inf"), es, 4) == 0.0
+    # row energy 4, Es = 5/9, 4 bits/symbol, 10 dB
+    expected = 4.0 * (5.0 / 9.0) / (4.0 * 10.0)
+    assert abs(noise_power_for_ebn0(g, 10.0) - expected) < 1e-15
+    assert noise_power_for_ebn0(g, float("inf")) == 0.0
 
 
 def test_noise_power_at_minus_infinite_ebn0_is_infinite():
     # No signal energy per bit needs infinite noise, not a noiseless link.
     g = np.array([[2.0 + 0j, 0.0], [0.0, 2.0]])
-    assert noise_power_for_ebn0(g, float("-inf"), 5.0 / 9.0, 4) == float("inf")
+    assert noise_power_for_ebn0(g, float("-inf")) == float("inf")
 
 
 def test_channel_set_from_assembles_consistent_shapes():

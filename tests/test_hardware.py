@@ -326,8 +326,8 @@ def test_distortion_coupling_creates_constellation_error():
         isolation_db=float("inf"), amplitude_ripple_db=0.0, base_reflection_amplitude=1.0
     )
     clean = distort_reflection(params0, params1, lut, clean_hw, 64)
-    sym_coupled = extract_harmonic(coupled.wave0, order=-1)
-    sym_clean = extract_harmonic(clean.wave0, order=-1)
+    sym_coupled = extract_harmonic(coupled.wave0)
+    sym_clean = extract_harmonic(clean.wave0)
     evm = np.sqrt(np.mean(np.abs(sym_coupled - sym_clean) ** 2))
     assert evm > 1e-3
 

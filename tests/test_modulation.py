@@ -335,21 +335,12 @@ def reference_qam_to_tm(target, ts):
     return float(delta_phi), float(t_shift)
 
 
-def test_qam_to_tm_bit_identical_to_fixed_step_bisection():
-    rng = np.random.default_rng(2021)
-    randoms = rng.uniform(0.0, 1.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
-    targets = [*CONSTELLATION16, 1e-9, 1.0, 1.0 + 1e-13, *randoms]
-    for ts in (TS, 1e-6):
-        for target in targets:
-            params = qam_to_tm(target, ts)
-            assert (params.delta_phi, params.t_shift_s) == reference_qam_to_tm(target, ts), target
-
-
 def test_qam_to_tm_table_lanes_bit_identical_to_fixed_step_bisection():
     # One call bisects each distinct amplitude below 1 once; repeated
     # amplitudes at other phases, the rings of 16-QAM and the targets at or
     # past amplitude 1 must all come out as the one-target reference, and so
-    # must the adjacent doubles on both sides of the two inner rings.
+    # must the adjacent doubles on both sides of the two inner rings.  Each
+    # target's one-target qam_to_tm call must match the same reference.
     rng = np.random.default_rng(2021)
     randoms = rng.uniform(0.0, 1.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
     repeated = 0.4 * np.exp(1j * np.array([-3.0, -1.0, 0.0, 2.0, 3.0]))
@@ -362,7 +353,10 @@ def test_qam_to_tm_table_lanes_bit_identical_to_fixed_step_bisection():
     for ts in (TS, 1e-6):
         table = qam_to_tm_table(targets, ts)
         for target, params in zip(targets, table, strict=True):
-            assert (params.delta_phi, params.t_shift_s) == reference_qam_to_tm(target, ts), target
+            want = reference_qam_to_tm(target, ts)
+            assert (params.delta_phi, params.t_shift_s) == want, target
+            single = qam_to_tm(target, ts)
+            assert (single.delta_phi, single.t_shift_s) == want, target
 
 
 def test_qam_to_tm_table_matches_pointwise_calls():

@@ -10,6 +10,7 @@ import pytest
 
 import dpris
 from dpris.campaign import _ber_record, _confusions, _fmt
+from dpris.config import CampaignConfig
 from dpris.modulation import (
     CONSTELLATION16,
     TWO_PI,
@@ -36,6 +37,7 @@ from dpris.receiver import (
 from dpris.modulation import QAM16_SCALE
 
 TS = 4e-7
+LIMIT = CampaignConfig.zf_condition_limit
 
 
 # -- harmonic extraction -----------------------------------------------------
@@ -44,11 +46,11 @@ TS = 4e-7
 def test_extract_matched_tone():
     m = 64
     rx = np.exp(-2j * np.pi * np.arange(m) / m)
-    assert abs(extract_harmonic(rx, order=-1) - 1.0) < 1e-12
+    assert abs(extract_harmonic(rx) - 1.0) < 1e-12
 
 
 def test_extract_constant_is_orthogonal():
-    assert abs(extract_harmonic(np.ones(16), order=-1)) < 1e-12
+    assert abs(extract_harmonic(np.ones(16))) < 1e-12
 
 
 def test_extract_convergence_to_exact_oracle():
@@ -66,7 +68,7 @@ def test_extract_convergence_to_exact_oracle():
     for m in bounds:
         err = 0.0
         for params in cases:
-            est = extract_harmonic(waveform(params, m), order=-1)
+            est = extract_harmonic(waveform(params, m))
             err = max(err, abs(est - exact_coefficients(params, [-1.0])[0]))
         worst[m] = err
         assert err <= bounds[m], f"M={m}: {err:.3e} > {bounds[m]:.0e}"
@@ -79,7 +81,7 @@ def test_extract_convergence_to_exact_oracle():
 
 
 def test_default_pilot_block_is_orthogonal_full_rank():
-    pilot = default_pilot_block(16)
+    pilot = default_pilot_block(CampaignConfig.pilot_length)
     s = pilot.symbols
     gram = s @ s.conj().T
     assert abs(gram[0, 1]) < 1e-14
@@ -92,7 +94,7 @@ def test_default_pilot_block_is_orthogonal_full_rank():
 
 def test_estimate_channel_noiseless_recovery():
     rng = np.random.default_rng(10)
-    pilot = default_pilot_block(16)
+    pilot = default_pilot_block(CampaignConfig.pilot_length)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     g_hat = estimate_channel(pilot, g @ pilot.symbols)
     assert np.max(np.abs(g_hat - g)) < 1e-10
@@ -165,8 +167,8 @@ def test_mix2_rejects_shapes_that_are_not_2x2_by_2():
 
 def test_zf_identity_and_scaling():
     y = np.array([1.0 + 1j, 2.0 - 1j])
-    assert np.array_equal(zf_equalize(np.eye(2), y), y)
-    assert np.max(np.abs(zf_equalize(2.0 * np.eye(2), y) - y / 2.0)) < 1e-15
+    assert np.array_equal(zf_equalize(np.eye(2), y, LIMIT), y)
+    assert np.max(np.abs(zf_equalize(2.0 * np.eye(2), y, LIMIT) - y / 2.0)) < 1e-15
 
 
 def test_zf_recovers_streams():
@@ -176,12 +178,12 @@ def test_zf_recovers_streams():
         if np.linalg.cond(g) > 1e6:
             continue
         s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.max(np.abs(zf_equalize(g, g @ s) - s)) < 1e-10
+        assert np.max(np.abs(zf_equalize(g, g @ s, LIMIT) - s)) < 1e-10
 
 
 def test_zf_rejects_near_singular():
     g = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
-    for call in (lambda: zf_equalize(g, np.ones(2)), lambda: zf_matrix(g)):
+    for call in (lambda: zf_equalize(g, np.ones(2), LIMIT), lambda: zf_matrix(g, LIMIT)):
         with pytest.raises(SingularChannelError) as err:
             call()
         assert err.value.condition > 1e8
@@ -199,7 +201,7 @@ def test_zf_equalize_matches_solve_within_conditioning_bound():
             g = u @ np.diag([1.0, 1.0 / target]) @ vh * rng.uniform(0.1, 10.0)
             y = rng.standard_normal((2, 300)) + 1j * rng.standard_normal((2, 300))
             ref = np.linalg.solve(g, y)
-            err = np.linalg.norm(zf_equalize(g, y) - ref, axis=0)
+            err = np.linalg.norm(zf_equalize(g, y, LIMIT) - ref, axis=0)
             assert np.all(err <= 16.0 * eps * np.linalg.cond(g) * np.linalg.norm(ref, axis=0))
 
 

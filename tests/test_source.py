@@ -1,0 +1,65 @@
+"""Source hygiene of src/dpris, read with the stdlib ``ast``: every import is
+used, and every module-level private name has a reader somewhere in src/."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dpris"
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+PRIVATE = re.compile(r"_(?!_)")  # _x, but not a dunder
+
+
+def _read_names(tree) -> set[str]:
+    """The names a module reads: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imports(tree):
+    """(bound name, line) of every import but ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _module_level_names(tree):
+    """(name, line) of every function, class and assigned name at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    read = _read_names(tree)
+    unused = [f"{module}:{line} {name}" for name, line in _imports(tree) if name not in read]
+    assert not unused, f"unused imports: {unused}"
+
+
+def test_every_private_module_name_is_read_in_src():
+    read = set().union(*(_read_names(tree) for tree in TREES.values()))
+    unread = [
+        f"{module}:{line} {name}"
+        for module, tree in TREES.items()
+        for name, line in _module_level_names(tree)
+        if PRIVATE.match(name) and name not in read
+    ]
+    assert not unread, f"private names nothing in src/ reads: {unread}"
