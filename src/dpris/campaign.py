@@ -46,6 +46,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import errno
+import itertools
 import math
 import os
 import threading
@@ -505,7 +506,8 @@ class LinkEngine:
 
         Every point's noise power and zero-forcing matrix are resolved first,
         in grid order, so a :class:`PilotEstimateError` comes before any
-        chunk runs.  Then the chunks of all points share one worker pool.
+        chunk runs.  Then the chunks of all points share one worker pool, and
+        each point folds its chunks' counts as they arrive, so no count table spans the grid.
         """
         n_symbols = -(-n_bits // (STREAMS * BITS_PER_SYMBOL))
         n_chunks = -(-n_symbols // CHUNK_SYMBOLS)
@@ -524,10 +526,8 @@ class LinkEngine:
             code = self._pair_codes(sym0, sym1)
             return _confusions(code, *self.detect_chunk(code, rng, noise_powers[point_idx], ws[point_idx]))
 
-        counts = np.zeros((len(ws), STREAMS, 256, 16), dtype=np.int64)
-        for k, chunk_counts in enumerate(_map_chunks(job, len(ws) * n_chunks, threads)):
-            counts[k // n_chunks] += chunk_counts
-        return tuple(_ber_record(ebn0, point_counts) for ebn0, point_counts in zip(ebn0_grid_db, counts))
+        with contextlib.closing(_map_chunks(job, len(ws) * n_chunks, threads)) as chunks:
+            return tuple(_ber_record(ebn0, sum(itertools.islice(chunks, n_chunks))) for ebn0 in ebn0_grid_db)
 
 
 def run_ber_sweep(config: CampaignConfig, threads: int = 1) -> CampaignResult:

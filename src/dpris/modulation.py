@@ -102,10 +102,9 @@ class TmSymbolParams:
 
 @dataclass(frozen=True)
 class HarmonicCoefficient:
-    """Complex Fourier coefficient of the ramp waveform at a given order,
-    with |value| at most :data:`HARMONIC_AMPLITUDE_BOUND`."""
+    """Complex -1st harmonic coefficient of the ramp waveform, with |value|
+    at most :data:`HARMONIC_AMPLITUDE_BOUND`."""
 
-    order: int
     value: complex
 
     def __post_init__(self):
@@ -178,7 +177,7 @@ def closed_form_value(delta_phi, t_shift_s, symbol_period_s):
 def harmonic_closed_form(params: TmSymbolParams) -> HarmonicCoefficient:
     """Closed-form amplitude and phase of the -1st order harmonic."""
     value = complex(closed_form_value(params.delta_phi, params.t_shift_s, params.symbol_period_s))
-    return HarmonicCoefficient(order=-1, value=value)
+    return HarmonicCoefficient(value=value)
 
 
 def exact_coefficient_table(delta_phi, t_shift_s, symbol_period_s, orders) -> np.ndarray:

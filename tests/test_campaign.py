@@ -818,6 +818,28 @@ def test_map_chunks_failure_cancels_the_chunks_not_yet_started():
     assert len(ran) <= 2 * _CHUNKS_PER_WORKER
 
 
+def test_run_points_shuts_its_pool_down_when_a_fold_fails(monkeypatch):
+    # ``failure`` holds the error's traceback, which keeps run_points' frame,
+    # and with it the chunk generator, alive: the pool must still be shut
+    # down before the error leaves run_points.
+    shutdowns = []
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            shutdowns.append(self)
+
+    def failing_fold(ebn0_db, counts):
+        raise RuntimeError("fold failed")
+
+    engine = LinkEngine(small_config())
+    monkeypatch.setattr(campaign, "futures", SimpleNamespace(ThreadPoolExecutor=RecordingPool))
+    monkeypatch.setattr(campaign, "_ber_record", failing_fold)
+    with pytest.raises(RuntimeError, match="fold failed") as failure:
+        engine.run_points((4.0, 6.0, 8.0), 10_000, threads=2)
+    assert len(shutdowns) == 1
+
+
 def test_fidelity_a_small_sweep_tracks_theory():
     cfg = small_config(ebn0_grid_db=(8.0,), bits_per_point=200_000)
     result = run_ber_sweep(cfg)
@@ -1879,6 +1901,27 @@ def test_file_loopback_memory_grows_about_two_bytes_per_payload_byte(tmp_path, t
             tracemalloc.stop()
     per_byte = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
     assert per_byte < 3.0, f"traced peak grows {per_byte:.2f} B per payload byte"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_memory_grows_under_4_kib_per_grid_point(threads):
+    # Each point folds its chunks' counts as they arrive, so an extra grid
+    # point adds its record and its ZF matrix, far less than one (2, 256, 16)
+    # int64 count table (64 KiB).  The bound was fixed before the first run.
+    engine = LinkEngine(small_config())
+    engine.run_points((6.0,), 10_000, threads)  # first-call allocations
+    sizes = (20, 400)
+    peaks = []
+    for size in sizes:
+        grid = np.linspace(0.0, 20.0, size).tolist()
+        tracemalloc.start()
+        try:
+            engine.run_points(grid, 10_000, threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_point = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert per_point < 4096, f"traced peak grows {per_point:.0f} B per grid point"
 
 
 def test_file_loopback_overwrite_refused(tmp_path):

@@ -260,6 +260,7 @@ def test_slicer_scratch_matches_reference_on_thresholds():
 def test_theory_limits():
     assert theoretical_ber_16qam(60.0) < 1e-30
     assert abs(theoretical_ber_16qam(-60.0) - 0.5) < 1e-3
+    assert theoretical_ber_16qam(4000.0) == 0.0  # 10 ** 400 leaves the float range
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Source hygiene of src/dpris, read with the stdlib ``ast``: every import is
-used, and every module-level private name has a reader somewhere in src/."""
+used, every module-level private name has a reader somewhere in src/, and
+every dataclass field has a reader somewhere in src/, tests/ or benchmark/."""
 
 import ast
 import re
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dpris"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dpris"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 PRIVATE = re.compile(r"_(?!_)")  # _x, but not a dunder
 
@@ -63,3 +65,38 @@ def test_every_private_module_name_is_read_in_src():
         if PRIVATE.match(name) and name not in read
     ]
     assert not unread, f"private names nothing in src/ reads: {unread}"
+
+
+def _dataclass_fields(tree):
+    """(class, field, line) of every annotated field of a ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(getattr(d, "func", d)).endswith("dataclass") for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def _field_reads(tree) -> set[str]:
+    """Attribute names a module loads, and its string constants: config's
+    loops read fields by name through ``getattr``."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def test_every_dataclass_field_is_read():
+    readers = [path for top in ("src", "tests", "benchmark") for path in sorted((ROOT / top).rglob("*.py"))]
+    read = set().union(*(_field_reads(ast.parse(path.read_text(), str(path))) for path in readers))
+    unread = [
+        f"{module}:{line} {cls}.{name}"
+        for module, tree in TREES.items()
+        for cls, name, line in _dataclass_fields(tree)
+        if name not in read
+    ]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
