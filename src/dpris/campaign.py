@@ -437,15 +437,25 @@ class LinkEngine:
             rx = rx + awgn(2 * self.pilot.length, noise_power, rng).reshape(2, -1)
         return estimate_channel(self.pilot, rx)
 
-    def zf_for_point(self, point_idx: int, ebn0_db: float) -> np.ndarray:
-        """The zero-forcing matrix every chunk of a grid point at ``ebn0_db`` equalizes with.
+    def receiver_for_point(self, point_idx: int, ebn0_db: float, path: str) -> tuple[float, np.ndarray]:
+        """The noise power and zero-forcing matrix every chunk of a grid point at ``ebn0_db`` runs with.
 
-        Raises :class:`PilotEstimateError` when only the point's noisy pilot
+        A noise power that is not a finite positive float is a
+        :class:`ConfigError` on the config key ``path``; an Eb/N0 of +inf,
+        which only the Python API can pass, keeps its noiseless link.  Raises
+        :class:`PilotEstimateError` when only the point's noisy pilot
         estimate, not the configured channel, is too ill-conditioned.
         """
+        noise_power = self.noise_power(ebn0_db)
+        if not (0.0 < noise_power < math.inf or ebn0_db == math.inf):
+            raise ConfigError(
+                path,
+                f"Eb/N0 {ebn0_db!r} dB needs a noise power of {noise_power!r} W, "
+                f"which is not a finite positive float",
+            )
         limit = self.cfg.zf_condition_limit
         try:
-            return zf_matrix(self.ghat_for_point(point_idx, self.noise_power(ebn0_db)), limit)
+            return noise_power, zf_matrix(self.ghat_for_point(point_idx, noise_power), limit)
         except SingularChannelError as exc:
             channel_condition = float(np.linalg.cond(self.g))
             if self.cfg.csi != "pilot" or not channel_condition <= limit:
@@ -457,19 +467,6 @@ class LinkEngine:
     def noise_power(self, ebn0_db: float) -> float:
         return noise_power_for_ebn0(self.g, ebn0_db)
 
-    def _checked_noise_power(self, ebn0_db: float, path: str) -> float:
-        """:meth:`noise_power`, or a :class:`ConfigError` on the config key
-        ``path`` unless it is finite and positive.  An Eb/N0 of +inf, which
-        only the Python API can pass, keeps its noiseless link."""
-        noise_power = self.noise_power(ebn0_db)
-        if not (0.0 < noise_power < math.inf or ebn0_db == math.inf):
-            raise ConfigError(
-                path,
-                f"Eb/N0 {ebn0_db!r} dB needs a noise power of {noise_power!r} W, "
-                f"which is not a finite positive float",
-            )
-        return noise_power
-
     def detect_chunk(
         self, code: np.ndarray, rng: np.random.Generator, noise_power: float, w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -478,7 +475,7 @@ class LinkEngine:
         ``code`` holds the chunk's pair codes 16 * sym0 + sym1, at most
         :data:`CHUNK_SYMBOLS`, as :meth:`_pair_codes` returns them: checked,
         so ``mode="clip"`` never moves one.  ``w`` is the point's
-        zero-forcing matrix (:meth:`zf_for_point`).  Returns the detected
+        zero-forcing matrix (:meth:`receiver_for_point`).  Returns the detected
         symbol indices of each stream, in a fresh array.  ``rng`` is the
         chunk's substream; only the AWGN draw consumes it here.  The
         noiseless received block is one lookup of the engine's pair table
@@ -504,17 +501,16 @@ class LinkEngine:
     def run_points(self, ebn0_grid_db, n_bits: int, threads: int = 1) -> tuple[BerRecord, ...]:
         """One record per grid point, each from at least ``n_bits`` Monte Carlo bits.
 
-        Every point's noise power and zero-forcing matrix are resolved first,
-        in grid order, so a :class:`PilotEstimateError` comes before any
-        chunk runs.  Then the chunks of all points share one worker pool, and
+        Each point is resolved once by :meth:`receiver_for_point`, in grid
+        order, before any chunk runs, so the first failing point is reported
+        at once.  Then the chunks of all points share one worker pool, and
         each point folds its chunks' counts as they arrive, so no count table spans the grid.
         """
         n_symbols = -(-n_bits // (STREAMS * BITS_PER_SYMBOL))
         n_chunks = -(-n_symbols // CHUNK_SYMBOLS)
-        noise_powers = [
-            self._checked_noise_power(ebn0, f"ebn0_grid_db[{p}]") for p, ebn0 in enumerate(ebn0_grid_db)
+        receivers = [
+            self.receiver_for_point(p, ebn0, f"ebn0_grid_db[{p}]") for p, ebn0 in enumerate(ebn0_grid_db)
         ]
-        ws = [self.zf_for_point(p, ebn0) for p, ebn0 in enumerate(ebn0_grid_db)]
         identical = self.cfg.stream_relation == "identical"
 
         def job(k):
@@ -524,9 +520,9 @@ class LinkEngine:
             sym0 = rng.integers(0, 16, size)
             sym1 = sym0 if identical else rng.integers(0, 16, size)
             code = self._pair_codes(sym0, sym1)
-            return _confusions(code, *self.detect_chunk(code, rng, noise_powers[point_idx], ws[point_idx]))
+            return _confusions(code, *self.detect_chunk(code, rng, *receivers[point_idx]))
 
-        with contextlib.closing(_map_chunks(job, len(ws) * n_chunks, threads)) as chunks:
+        with contextlib.closing(_map_chunks(job, len(receivers) * n_chunks, threads)) as chunks:
             return tuple(_ber_record(ebn0, sum(itertools.islice(chunks, n_chunks))) for ebn0 in ebn0_grid_db)
 
 
@@ -877,13 +873,12 @@ def run_file_loopback(
 
     # The two payload streams differ, so the engine builds all 256 pairs up front.
     engine = LinkEngine(replace(config, fidelity="B", stream_relation="independent"))
-    noise_power = engine._checked_noise_power(config.loopback_ebn0_db, "loopback_ebn0_db")
+    noise_power, w = engine.receiver_for_point(0, config.loopback_ebn0_db, "loopback_ebn0_db")
     if len(payload) == 0:
         with _open_output(output_path, force, binary=True):
             pass
         return LoopbackResult(bytes_in=0, record=None)
 
-    w = engine.zf_for_point(0, config.loopback_ebn0_db)
     data = np.frombuffer(payload, dtype=np.uint8)
     out = np.empty(data.size, dtype=np.uint8)
 

@@ -207,10 +207,11 @@ def _cmd_coupling_penalty(args, config) -> int:
     sweeps and their SNR penalty at BER 1e-4; exits 3 unless independent
     streams pay more than identical ones and both pay something.
 
-    That ordering holds at the default 16 dB isolation and flips between 18
-    and 20 dB: the penalties read 2.82/3.12 dB (independent/identical) at
-    20 dB and 1.85/2.11 dB at 25 dB.  Exit 3 at those isolations reports the
-    link, not a simulator fault.
+    Under calibrated CSI that ordering holds at the default 16 dB isolation
+    and flips between 18 and 19 dB (2.88/3.16 dB independent/identical at
+    20 dB): the calibrated pilot misjudges the data's gain.  Under perfect
+    CSI it holds (7.92/4.38 dB at 20 dB, 4.83/4.21 dB at 25 dB).  Exit 3
+    there reports the link, not a simulator fault.
     """
     coupled = replace(config, fidelity="B", coupling=True, ebn0_grid_db=PENALTY_GRID_DB)
     configs = [

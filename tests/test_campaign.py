@@ -567,10 +567,9 @@ def _public_stages(engine, sym0, sym1, rng, noise_power, ghat):
 def test_detect_chunk_equals_public_stage_composition(fidelity, relation, ebn0_db):
     cfg = small_config(fidelity=fidelity, coupling=fidelity == "B", stream_relation=relation)
     engine = LinkEngine(cfg)
-    noise_power = engine.noise_power(ebn0_db)
+    noise_power, w = engine.receiver_for_point(0, ebn0_db, "ebn0_grid_db[0]")
     assert (noise_power == 0.0) == (ebn0_db == float("inf"))
     ghat = engine.ghat_for_point(0, noise_power)
-    w = engine.zf_for_point(0, ebn0_db)
     # Full, short, full on one engine, so stale buffer contents would show.
     for chunk, n in enumerate((CHUNK_SYMBOLS, 1001, CHUNK_SYMBOLS)):
         draw = np.random.default_rng([5, chunk])
@@ -602,8 +601,7 @@ _CHUNK_SLACK_BYTES = 96 * 1024
 @pytest.mark.parametrize("fidelity", ["A", "B"])
 def test_detect_chunk_allocates_only_its_result_after_a_threads_first_chunk(fidelity):
     engine = LinkEngine(small_config(fidelity=fidelity, coupling=fidelity == "B"))
-    noise_power = engine.noise_power(4.0)
-    w = engine.zf_for_point(0, 4.0)
+    noise_power, w = engine.receiver_for_point(0, 4.0, "ebn0_grid_db[0]")
 
     def traced_peaks():
         peaks = []
@@ -664,6 +662,26 @@ def test_pilot_estimate_error_comes_before_any_chunk(monkeypatch):
     cfg = small_config(csi="pilot", ebn0_grid_db=(20.0, -10.0), zf_condition_limit=1.5)
     with pytest.raises(campaign.PilotEstimateError, match="Eb/N0 -10 dB"):
         run_ber_sweep(cfg, threads=2)
+    # Points resolve in grid order, so the first failing one is reported:
+    # a pilot estimate before a noise power that overflows, and the reverse.
+    with pytest.raises(campaign.PilotEstimateError, match="Eb/N0 -10 dB"):
+        run_ber_sweep(replace(cfg, ebn0_grid_db=(20.0, -10.0, -1e308)))
+    with pytest.raises(ConfigError, match=r"ebn0_grid_db\[1\]"):
+        run_ber_sweep(replace(cfg, ebn0_grid_db=(20.0, -1e308, -10.0)))
+
+
+@pytest.mark.parametrize("csi", ["perfect", "calibrated", "pilot"])
+def test_run_points_computes_each_point_noise_power_once(monkeypatch, csi):
+    calls = []
+    noise_power = LinkEngine.noise_power
+
+    def counted_noise_power(self, ebn0_db):
+        calls.append(ebn0_db)
+        return noise_power(self, ebn0_db)
+
+    monkeypatch.setattr(LinkEngine, "noise_power", counted_noise_power)
+    LinkEngine(small_config(csi=csi)).run_points((4.0, 8.0, 12.0), 10_000)
+    assert calls == [4.0, 8.0, 12.0]
 
 
 @pytest.mark.parametrize(
@@ -1790,6 +1808,19 @@ def test_file_loopback_empty_file(tmp_path):
     result = run_file_loopback(src, dst, small_config())
     assert result.record is None
     assert dst.read_bytes() == b""
+
+
+@pytest.mark.parametrize("payload", [b"", b"abc"], ids=["empty", "3-bytes"])
+def test_file_loopback_refuses_an_unequalizable_link_whatever_the_payload_length(tmp_path, capsys, payload):
+    src = tmp_path / "in.bin"
+    src.write_bytes(payload)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"zf_condition_limit": 1.0}))
+    dst = tmp_path / "out.bin"
+    assert main(["file-loopback", str(src), "--config", str(cfgfile), "--out", str(dst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: configured channel cannot be equalized")
+    assert captured.out == "" and not dst.exists()
 
 
 def test_file_loopback_odd_length(tmp_path):

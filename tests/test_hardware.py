@@ -281,6 +281,20 @@ def test_dac_quantizer():
     assert abs(q - 7.3) <= step / 2 + 1e-12
 
 
+@pytest.mark.parametrize("bits", [4, 5, 6])
+def test_dac_quantizer_picks_the_nearest_level(bits):
+    v_min, v_max = DEFAULT_VOLTAGE_RANGE
+    tol = 2 * np.spacing(v_max)
+    levels = v_min + np.arange(2**bits) * (v_max - v_min) / (2**bits - 1)
+    v = np.concatenate([[v_min, v_max], np.random.default_rng(bits).uniform(v_min, v_max, 10_000)])
+    q = quantize_dac(v, bits, v_min, v_max)
+    # Brute force: the level nearest each input.
+    assert np.max(np.abs(q - levels[np.argmin(np.abs(v[:, None] - levels), axis=1)])) <= tol
+    assert np.max(np.min(np.abs(q[:, None] - levels), axis=1)) <= tol
+    assert np.max(np.abs(q[:2] - v[:2])) <= tol
+    assert np.max(np.abs(q - v)) <= (v_max - v_min) / (2**bits - 1) / 2 + tol
+
+
 # -- distortion pipeline ---------------------------------------------------------
 
 
@@ -601,6 +615,56 @@ def test_ideal_hardware_is_transparent():
         flat = HardwareConfig(isolation_db=16.0, amplitude_ripple_db=0.0, base_reflection_amplitude=base)
         for pol in Polarization:
             assert np.array_equal(reflection_amplitude(v, pol, lut, flat), np.full(v.shape, base))
+
+
+def _geometric_sum(theta, start, stop):
+    """The sum of e^{j theta n} over start <= n < stop, as a Dirichlet kernel,
+    so no large power rounds; its term count where theta = 0."""
+    count = np.asarray(stop - start, dtype=float)
+    half = np.sin(theta / 2)
+    ratio = np.divide(np.sin(count * theta / 2), half, out=count.copy(), where=half != 0)
+    return np.exp(0.5j * theta * (start + stop - 1)) * ratio
+
+
+def ideal_correlator(params_seq, m):
+    """The single-bin correlator of each ramp sampled at M = ``m`` points, exactly.
+
+    The ramp falls linearly and wraps up by delta_phi once, at the first
+    sample k past Ts - t_shift, so the correlator is two geometric series in
+    r = e^{j(2 pi - delta_phi)/M}:
+    e^{j delta_phi (Ts - t_shift)/Ts} / M * [sum_{n<k} r^n + e^{j delta_phi} sum_{n>=k} r^n].
+    """
+    delta_phi, t_shift, period = np.array([(p.delta_phi, p.t_shift_s, p.symbol_period_s) for p in params_seq]).T
+    t = np.arange(m) * (period[:, None] / m)  # the sample times distort_reflection takes
+    k = np.count_nonzero(t <= (period - t_shift)[:, None], axis=1)
+    theta = (TWO_PI - delta_phi) / m
+    lead = np.exp(1j * delta_phi * (period - t_shift) / period) / m
+    return lead * (_geometric_sum(theta, 0, k) + np.exp(1j * delta_phi) * _geometric_sum(theta, k, m))
+
+
+def _power_law_curves(path):
+    """Transfer curves unlike the defaults: 360 (i/32)^p degrees at 20 i/32 V, p = 1.3 and 0.8."""
+    rows = ["polarization,voltage_volts,phase_degrees"]
+    for pol, power in ((0, 1.3), (1, 0.8)):
+        rows += [f"{pol},{20.0 * i / 32!r},{360.0 * (i / 32) ** power!r}" for i in range(33)]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("curves", ["default", "csv"])
+@pytest.mark.parametrize("m", [2, 3, 16, 64, 257, 4096, 16384])
+def test_ideal_fidelity_b_table_is_the_sampled_ramp_in_closed_form(tmp_path, m, curves):
+    # At ideal hardware the control path returns each sampled ramp, through
+    # the inverse curve, the DAC, the clip and the forward curve; the table
+    # is its correlator at every M, not only in C7's M -> inf limit.
+    lut_csv = _power_law_curves(tmp_path / "curves.csv") if curves == "csv" else None
+    # coupling=False runs the control path at infinite isolation.
+    hw = HardwareConfig(dac_bits=None, amplitude_ripple_db=0.0, base_reflection_amplitude=1.0)
+    cfg = CampaignConfig(fidelity="B", coupling=False, samples_per_symbol=m, hardware=hw, lut_csv=lut_csv)
+    engine = LinkEngine(cfg)
+    symbols = np.arange(16)
+    table = engine.tx_symbols(symbols, symbols, "B")
+    assert np.max(np.abs(table - ideal_correlator(engine.params16, m))) <= 1e-12  # both polarizations
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Source hygiene of src/dpris, read with the stdlib ``ast``: every import is
-used, every module-level private name has a reader somewhere in src/, and
-every dataclass field has a reader somewhere in src/, tests/ or benchmark/."""
+used, every module-level private name has a reader somewhere in src/, every
+dataclass field has a reader somewhere in src/, tests/ or benchmark/, and
+every name benchmark/ imports from dpris exists."""
 
 import ast
 import re
@@ -100,3 +101,27 @@ def test_every_dataclass_field_is_read():
         if name not in read
     ]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def _bound_names(tree) -> set[str]:
+    """The names a module binds at module level: definitions, assignments and imports."""
+    names = {name for name, _ in _module_level_names(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def test_every_name_benchmark_imports_from_dpris_exists():
+    # The benchmark imports its replay unconditionally, so a src/ deletion
+    # that breaks one of these imports breaks every workload.
+    bound = {module: _bound_names(tree) for module, tree in TREES.items()}
+    missing = []
+    for path in sorted((ROOT / "benchmark").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dpris":
+                names = bound.get(f"{node.module.partition('.')[2] or '__init__'}.py", set())
+                missing += [
+                    f"{path.name}:{node.lineno} {node.module}.{a.name}" for a in node.names if a.name not in names
+                ]
+    assert not missing, f"benchmark imports names dpris does not define: {missing}"
