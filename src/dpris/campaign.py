@@ -103,6 +103,7 @@ from .receiver import (
     estimate_channel,
     extract_harmonic,
     mix2,
+    pilot_indices,
     slicer_demap_indices,
     theoretical_ber_16qam,
     wilson_interval_halfwidth,
@@ -324,7 +325,7 @@ class LinkEngine:
         self.lut = _named_lut(config)
         self.hw_active: HardwareConfig | None = None
         self._sent = _ALL_PAIRS
-        pilot_codes = self._pair_codes(*slicer_demap_indices(self.pilot.symbols).reshape(STREAMS, -1))
+        pilot_codes = self._pair_codes(*pilot_indices(config.pilot_length))
         if config.fidelity == "B":
             self.hw_active = (
                 config.hardware

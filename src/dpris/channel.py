@@ -19,7 +19,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .model import ChannelSet, AttenuationDiagonal
+from .model import ChannelSet
 from .modulation import QAM16_BITS_PER_SYMBOL, QAM16_SYMBOL_ENERGY, TWO_PI
 
 SPEED_OF_LIGHT = 299792458.0
@@ -204,22 +204,18 @@ def channel_set_from(geometry: Geometry, spec: ChannelModelSpec) -> ChannelSet:
     )
 
 
-def effective_stream_channel(
-    h2: np.ndarray, e: AttenuationDiagonal, carrier_power_watts: float = 1.0
-) -> np.ndarray:
-    """Aggregate per-stream channel G, shape (2K, 2).
+def effective_stream_channel(h2: np.ndarray, e: np.ndarray, carrier_power_watts: float = 1.0) -> np.ndarray:
+    """Aggregate per-stream channel G, shape (2K, 2), from H2 and E's diagonal ``e``.
 
     With every cell of polarization q carrying one common stream symbol, the
     2N-dimensional reduced model collapses to y = G @ [s0, s1]^T + w where
     column q of G sums sqrt(P) * H2 * E over the polarization-q cell block.
     """
     h2 = np.asarray(h2, dtype=np.complex128)
-    if h2.ndim != 2 or h2.shape[1] != e.entries.size or h2.shape[1] % 2 != 0:
-        raise ValueError(
-            f"h2 columns ({h2.shape}) must match attenuation length {e.entries.size}"
-        )
-    n = e.entries.size // 2
-    weighted = h2 * e.entries[None, :]
+    if h2.ndim != 2 or e.shape != (h2.shape[1],) or h2.shape[1] % 2 != 0:
+        raise ValueError(f"h2 columns ({h2.shape}) must match attenuation shape {e.shape}")
+    n = e.size // 2
+    weighted = h2 * e[None, :]
     g = np.stack([weighted[:, :n].sum(axis=1), weighted[:, n:].sum(axis=1)], axis=1)
     return np.sqrt(carrier_power_watts) * g
 

@@ -13,6 +13,7 @@ error.  Every output of every command is checked before the run
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -117,6 +118,7 @@ def main(argv=None) -> int:
         print(f"config error: {args.command} needs --out PATH", file=sys.stderr)
         return EXIT_CONFIG
     overrides = {"seed": args.seed} if args.seed is not None else {}
+    created = []  # the directories this run made, deepest first
     try:
         threads = vars(args).get("threads", 1)
         if threads < 1:
@@ -125,6 +127,10 @@ def main(argv=None) -> int:
             raise ConfigError("--threads", f"must be at most {MAX_THREADS}, got {threads}")
         config = load_config(args.config, overrides)
         if args.command == "coupling-penalty":
+            head = args.out_dir  # not normalized: makedirs also makes "a" of "a/../b"
+            while head and not os.path.lexists(head):
+                created.append(head)
+                head = os.path.dirname(head)
             os.makedirs(args.out_dir, exist_ok=True)
         for path in outputs:
             check_output(path, args.force)
@@ -141,6 +147,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        # A run that wrote no CSV leaves none of them; rmdir keeps a non-empty one.
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
 
 
 def _write_sweep(args, config, result, path) -> None:

@@ -176,6 +176,8 @@ class CampaignConfig:
                 "pilot_length",
                 f"must be an even number in [2, {MAX_PILOT_LENGTH}], got {self.pilot_length}",
             )
+        if not self.zf_condition_limit >= 1.0:  # no condition number is below 1: it would refuse every channel
+            raise ConfigError("zf_condition_limit", f"must be at least 1, got {self.zf_condition_limit!r}")
         if self.coupling and self.fidelity != "B":
             raise ConfigError(
                 "coupling", "voltage coupling is a waveform-level impairment; requires fidelity B"

@@ -112,16 +112,6 @@ class ChannelSet:
 
 
 @dataclass(frozen=True)
-class AttenuationDiagonal:
-    """Diagonal of E: the deterministic per-entry attenuation H1 @ c."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_complex_vector(self.entries, "entries"))
-
-
-@dataclass(frozen=True)
 class ReceivedVector:
     """Length-2K received baseband vector, pol-0 antennas first."""
 
@@ -142,8 +132,8 @@ def build_phi(x: ReflectionVector) -> np.ndarray:
     return phi
 
 
-def attenuation_from(channels: ChannelSet) -> AttenuationDiagonal:
-    """Compute E's diagonal, entry i = (H1 @ c)_i.
+def attenuation_from(channels: ChannelSet) -> np.ndarray:
+    """Compute E's diagonal, entry i = (H1 @ c)_i, as a read-only complex vector of length 2N.
 
     Rejects a malformed carrier decomposition (norm off unity by more than
     1e-9); depends only on H1 and c, never on the reflection state.
@@ -151,7 +141,7 @@ def attenuation_from(channels: ChannelSet) -> AttenuationDiagonal:
     norm = _norm(channels.c)
     if not abs(norm - 1.0) <= _CARRIER_NORM_TOL:
         raise ValueError(f"carrier decomposition norm {norm} deviates from 1")
-    return AttenuationDiagonal(channels.h1.dot(channels.c))
+    return _frozen_complex_vector(channels.h1.dot(channels.c), "attenuation")
 
 
 def _check_noise(channels: ChannelSet, noise) -> np.ndarray:
@@ -174,19 +164,15 @@ def received_full(channels: ChannelSet, x: ReflectionVector, noise) -> ReceivedV
     return ReceivedVector(y)
 
 
-def received_reduced(
-    channels: ChannelSet, e: AttenuationDiagonal, x: ReflectionVector, noise
-) -> ReceivedVector:
-    """Reduced-form received vector: sqrt(P) * H2 * E * x + w."""
+def received_reduced(channels: ChannelSet, e: np.ndarray, x: ReflectionVector, noise) -> ReceivedVector:
+    """Reduced-form received vector: sqrt(P) * H2 * E * x + w, with ``e`` E's diagonal."""
     if x.entries.size != 2 * channels.n_cells:
         raise ValueError(
             f"reflection vector length {x.entries.size} does not match 2N = {2 * channels.n_cells}"
         )
-    if e.entries.size != 2 * channels.n_cells:
-        raise ValueError(
-            f"attenuation length {e.entries.size} does not match 2N = {2 * channels.n_cells}"
-        )
+    if e.shape != (2 * channels.n_cells,):
+        raise ValueError(f"attenuation shape {e.shape} does not match (2N,) = ({2 * channels.n_cells},)")
     w = _check_noise(channels, noise)
     amp = math.sqrt(channels.carrier_power_watts)
-    y = amp * (channels.h2.dot(e.entries * x.entries)) + w
+    y = amp * (channels.h2.dot(e * x.entries)) + w
     return ReceivedVector(y)

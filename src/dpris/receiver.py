@@ -21,11 +21,11 @@ from .modulation import CONSTELLATION16, QAM16_SCALE, TWO_PI
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
-# Orthogonal pilot construction: stream 0 cycles the four unit-amplitude
-# corner points, stream 1 is the same sequence with alternating sign (a sign
-# flip maps a corner onto the opposite corner, so pilots stay valid
-# constellation points).  Equal magnitudes + balanced signs => orthogonal rows.
-_PILOT_CORNER_INDICES = (10, 2, 0, 8)
+# Orthogonal pilots, one cycle of corner indices per stream: stream 0 cycles the
+# four unit-amplitude corners; stream 1 takes the same corner on even symbols and
+# the opposite one, the negated point, on odd ones.  Equal magnitudes + balanced
+# signs => orthogonal rows.
+_PILOT_CORNER_INDICES = np.array([(10, 2, 0, 8), (10, 8, 0, 2)])
 
 
 class SingularChannelError(ValueError):
@@ -60,14 +60,16 @@ class PilotBlock:
         return self.symbols.shape[1]
 
 
-def default_pilot_block(length: int) -> PilotBlock:
-    """Corner-cycling Walsh pilots of ``length`` symbols; see module notes on orthogonality."""
+def pilot_indices(length: int) -> np.ndarray:
+    """The (2, ``length``) constellation indices of the corner-cycling pilots; see module notes."""
     if length < 2 or length % 2 != 0:
         raise ValueError("pilot length must be an even number >= 2")
-    idx0 = np.array([_PILOT_CORNER_INDICES[k % 4] for k in range(length)])
-    signs = np.where(np.arange(length) % 2 == 0, 1.0, -1.0)
-    s0 = CONSTELLATION16[idx0]
-    return PilotBlock(symbols=np.stack([s0, s0 * signs]))
+    return _PILOT_CORNER_INDICES[:, np.arange(length) % 4]
+
+
+def default_pilot_block(length: int) -> PilotBlock:
+    """Corner-cycling Walsh pilots of ``length`` symbols, the points of :func:`pilot_indices`."""
+    return PilotBlock(symbols=CONSTELLATION16[pilot_indices(length)])
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,17 @@ from dpris.config import (
     config_hash,
     load_config,
 )
-from dpris.channel import MAX_CELLS, ChannelModelSpec, H2Kind, awgn
+from dpris.channel import (
+    MAX_CELLS,
+    ChannelModelSpec,
+    Geometry,
+    H2Kind,
+    awgn,
+    build_h1_los,
+    build_h2,
+    carrier_decomposition,
+    effective_stream_channel,
+)
 from dpris.model import (
     ChannelSet,
     ReceivedVector,
@@ -69,7 +79,14 @@ from dpris.modulation import (
     qam_to_tm,
     wrap_phase,
 )
-from dpris.receiver import mix2, slicer_demap_indices, theoretical_ber_16qam, zf_equalize
+from dpris.receiver import (
+    default_pilot_block,
+    mix2,
+    pilot_indices,
+    slicer_demap_indices,
+    theoretical_ber_16qam,
+    zf_equalize,
+)
 
 
 def small_config(**overrides):
@@ -154,6 +171,8 @@ def test_config_type_and_range_errors_carry_paths():
         # The annotation checks: type and finiteness, as on the JSON path.
         pytest.param({"ebn0_grid_db": (float("nan"),)}, id="ebn0_grid_db-nan"),
         pytest.param({"zf_condition_limit": float("inf")}, id="zf_condition_limit-inf"),
+        # No condition number is below 1, so a lower limit refuses every channel.
+        pytest.param({"zf_condition_limit": 0.5}, id="zf_condition_limit-below-1"),
         pytest.param({"loopback_ebn0_db": "x"}, id="loopback_ebn0_db-string"),
         pytest.param({"bits_per_point": 20_000.5}, id="bits_per_point-fraction"),
         pytest.param({"seed": "x"}, id="seed-string"),
@@ -543,6 +562,57 @@ def test_identical_stream_engine_reads_the_pairs_it_sent_without_building_the_re
     got = engine.tx_symbols(s, s.copy(), "B")
     assert builds == [18]
     assert same_bits(got, engine.waveform_tx_symbols(s, s))
+
+
+# sha256 of a coupled identical-stream engine's noiseless pilot block, by pilot length.
+PILOT_RX_PINS = {
+    2: "071fa7c3c2ad35fff8b980bde477a508a2e5a556ce4332e7ffd9e7445992c56b",
+    4: "97155266fdfebbe89c48c9dc60e341b23f76d62f47185e5ff78c27c44a06ded3",
+    16: "7ca3f764c1c2ae848509dfc59bd59472fad128161cc42e577988446b81cc0b78",
+    18: "5e109de12c37a142bc6f35ae5044d7f8b45dfc852a9c5f2347cde589dcd0c1d6",
+    1000: "6ac031a21b013825585626dbf70b4453612187e72435d9cf403486513c167091",
+}
+
+
+@pytest.mark.parametrize("length", sorted(PILOT_RX_PINS))
+def test_pilot_is_its_corner_indices(length):
+    # The construction the pilot was first defined by: stream 0 cycles the
+    # corners, stream 1 is stream 0 with alternating sign.
+    idx0 = np.array([(10, 2, 0, 8)[k % 4] for k in range(length)])
+    signs = np.where(np.arange(length) % 2 == 0, 1.0, -1.0)
+    s0 = CONSTELLATION16[idx0]
+    symbols = default_pilot_block(length).symbols
+    assert same_bits(symbols, np.stack([s0, s0 * signs]))
+    indices = pilot_indices(length)
+    assert np.array_equal(slicer_demap_indices(symbols).reshape(2, -1), indices)
+    # The engine reads its pilot pairs from these indices: beside the 16
+    # pairs (s, s), (2, 8), and (8, 2) once the pilot has four symbols.
+    engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical", pilot_length=length))
+    assert int(engine._sent.sum()) == (17 if length == 2 else 18)
+    assert hashlib.sha256(engine._pilot_rx.tobytes()).hexdigest() == PILOT_RX_PINS[length]
+
+
+@pytest.mark.parametrize(
+    "geometry, channel",
+    [
+        (Geometry(), ChannelModelSpec()),
+        (Geometry(), ChannelModelSpec(h2_kind="iid_rayleigh", cross_polarization_discrimination_db=12.0, rng_seed=3)),
+        (Geometry(rx_positions_m=((0.3, -0.2, 1.4),)), ChannelModelSpec()),
+    ],
+    ids=["los", "rayleigh-finite-xpd", "off-boresight"],
+)
+def test_engine_g_equals_g_from_the_public_channel_functions(geometry, channel):
+    # H1, H2 and c through the public constructors, E from them, then G: the
+    # engine's G bit for bit, as the benchmark replay requires.
+    engine = LinkEngine(small_config(geometry=geometry, channel=channel))
+    channels = ChannelSet(
+        h1=build_h1_los(geometry),
+        h2=build_h2(geometry, channel),
+        c=carrier_decomposition(geometry.feed_polarization_angle_deg),
+        k_rx=geometry.k_rx,
+    )
+    g = effective_stream_channel(channels.h2, attenuation_from(channels))
+    assert same_bits(g, engine.g)
 
 
 def test_engine_params16_match_pointwise_qam_to_tm():
@@ -1355,8 +1425,7 @@ def test_any_input_to_any_command_exits_with_a_documented_code(
     else:
         outputs = []
         refused = False
-    # Regular files and links only: coupling-penalty makes its directory before the checks.
-    before = {path: entry for path, entry in _tree(work).items() if entry[0] != "dir"}
+    before = _tree(work)
     chunks = []
     detect_chunk = LinkEngine.detect_chunk
 
@@ -1381,13 +1450,16 @@ def test_any_input_to_any_command_exits_with_a_documented_code(
         assert (code == 0) == (len(lines) == 3 and all(line.startswith("PASS ") for line in lines))
     elif command != "coupling-penalty":
         assert bool(stdout) == (code == 0)  # a report only once the output is written
-    after = {path: entry for path, entry in _tree(work).items() if entry[0] != "dir"}
+    after = _tree(work)
     if not (code == 0 or (code == 3 and command == "coupling-penalty")):
+        # Not even a directory coupling-penalty made for its CSVs is left.
         assert after == before
         return
     written = {os.path.realpath(path) for path in outputs}
     assert all(path.is_file() for path in outputs)
-    assert {path for path in after.keys() | before.keys() if after.get(path) != before.get(path)} <= written
+    changed = {path for path in after.keys() | before.keys() if after.get(path) != before.get(path)}
+    # Besides its outputs, a run may add only coupling-penalty's --out-dir and its parents.
+    assert {path for path in changed if after.get(path) != ("dir",)} <= written
     for path in outputs:
         if command == "file-loopback":
             assert len(path.read_bytes()) == len(payload)
@@ -2022,12 +2094,25 @@ def test_cli_pilot_estimate_error_names_the_point(tmp_path, capsys):
     assert err.startswith("estimation error: noisy pilot estimate at Eb/N0 -10 dB is ill-conditioned")
     assert "not a bad channel" in err
     # A limit the configured channel itself exceeds keeps the channel message,
-    # for pilot CSI and for the static estimates.
+    # for pilot CSI and for the static estimates: cond(G) is 1.0000000000000004.
     for csi in ("pilot", "calibrated", "perfect"):
-        path.write_text(json.dumps({**pilot, "csi": csi, "zf_condition_limit": 0.5}))
+        path.write_text(json.dumps({**pilot, "csi": csi, "zf_condition_limit": 1.0}))
         assert main(["ber-sweep", "--config", str(path), "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error: configured channel cannot be equalized")
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_cli_zf_condition_limit_below_one_is_refused_at_load(tmp_path, monkeypatch, capsys):
+    # No condition number is below 1: the limit is refused before an engine is built.
+    def must_not_build(*args):
+        raise AssertionError("an engine was built for a limit below 1")
+
+    monkeypatch.setattr(campaign.LinkEngine, "__init__", must_not_build)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"zf_condition_limit": 0}))
+    assert main(["ber-sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "config error: zf_condition_limit: must be at least 1, got 0.0\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(
@@ -2356,12 +2441,13 @@ def test_coupling_penalty_control_path_failure_leaves_no_csv(tmp_path, capsys):
     lut.write_text("\n".join(["polarization,voltage_volts,phase_degrees", *OVERFLOWING_SPAN_LUT]) + "\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bits_per_point": 10000, "lut_csv": str(lut)}))
-    out_dir = tmp_path / "res"
-    assert main(["coupling-penalty", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("config error: lut_csv: the control path leaves the float range")
-    assert captured.out == ""
-    assert list(out_dir.iterdir()) == []
+    # Nor does it leave the directories it made for them, however they are spelled.
+    for out_dir in ("new/res", "a/../new/res", "new/res/"):
+        assert main(["coupling-penalty", "--config", str(cfg), "--out-dir", os.path.join(tmp_path, out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: lut_csv: the control path leaves the float range")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "curves.csv"]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from dpris.channel import (
     effective_stream_channel,
     noise_power_for_ebn0,
 )
-from dpris.model import AttenuationDiagonal, ChannelSet, ReflectionVector, attenuation_from, received_reduced
+from dpris.model import ChannelSet, ReflectionVector, attenuation_from, received_reduced
 
 WAVELENGTH_27 = 299792458.0 / 2.7e9
 
@@ -140,7 +140,7 @@ def test_channel_model_spec_validation():
 
 def test_effective_channel_single_cell_passthrough():
     h2 = np.eye(2, dtype=complex)
-    e = AttenuationDiagonal([1.0, 1.0])
+    e = np.array([1.0, 1.0], dtype=complex)
     g = effective_stream_channel(h2, e, 1.0)
     assert np.allclose(g, np.eye(2), atol=1e-15)
 
@@ -166,11 +166,11 @@ def test_effective_channel_matches_replicated_reduced_model():
 
 
 def test_effective_channel_linear_in_cell_count():
-    e1 = AttenuationDiagonal([0.5 + 0.1j, 0.3 - 0.2j])
+    e1 = np.array([0.5 + 0.1j, 0.3 - 0.2j])
     h2_1 = np.array([[1.0 + 0j, 2.0], [3.0, 4.0]])
     g1 = effective_stream_channel(h2_1, e1, 1.0)
     # duplicate every cell with identical entries
-    e2 = AttenuationDiagonal([0.5 + 0.1j] * 2 + [0.3 - 0.2j] * 2)
+    e2 = np.array([0.5 + 0.1j] * 2 + [0.3 - 0.2j] * 2)
     h2_2 = np.array([[1.0 + 0j, 1.0, 2.0, 2.0], [3.0, 3.0, 4.0, 4.0]])
     g2 = effective_stream_channel(h2_2, e2, 1.0)
     assert np.max(np.abs(g2 - 2.0 * g1)) < 1e-14
@@ -178,7 +178,10 @@ def test_effective_channel_linear_in_cell_count():
 
 def test_effective_channel_dimension_mismatch():
     with pytest.raises(ValueError):
-        effective_stream_channel(np.eye(2), AttenuationDiagonal([1.0, 1.0, 1.0, 1.0]), 1.0)
+        effective_stream_channel(np.eye(2), np.ones(4, dtype=complex), 1.0)
+    # E is a diagonal: a 2-D array of the right size is refused too.
+    with pytest.raises(ValueError):
+        effective_stream_channel(np.eye(2), np.ones((1, 2), dtype=complex), 1.0)
 
 
 # -- AWGN -------------------------------------------------------------------------

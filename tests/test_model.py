@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpris.model import (
-    AttenuationDiagonal,
     ChannelSet,
     ReflectionVector,
     attenuation_from,
@@ -59,12 +58,12 @@ def test_reflection_vector_rejects_over_unit():
 def test_attenuation_identity_channel():
     channels = ChannelSet(h1=np.eye(2), h2=np.eye(2), c=[1.0, 0.0], k_rx=1)
     e = attenuation_from(channels)
-    assert np.allclose(e.entries, [1.0, 0.0], atol=0)
+    assert np.allclose(e, [1.0, 0.0], atol=0)
 
 
 def test_attenuation_permutation():
     channels = ChannelSet(h1=[[0, 1], [1, 0]], h2=np.eye(2), c=[1.0, 0.0], k_rx=1)
-    assert np.allclose(attenuation_from(channels).entries, [0.0, 1.0], atol=0)
+    assert np.allclose(attenuation_from(channels), [0.0, 1.0], atol=0)
 
 
 def test_attenuation_matches_loop_oracle():
@@ -78,7 +77,7 @@ def test_attenuation_matches_loop_oracle():
             for i in range(channels.h1.shape[0])
         ]
     )
-    assert np.max(np.abs(e.entries - expected)) < 1e-12
+    assert np.max(np.abs(e - expected)) < 1e-12
 
 
 def test_attenuation_rejects_bad_carrier_norm():
@@ -133,6 +132,13 @@ def test_received_dimension_mismatch_rejected():
         received_full(channels, ReflectionVector([1.0, 1.0]), np.zeros(4))
 
 
+@pytest.mark.parametrize("shape", [(4,), (1, 2)], ids=["too-long", "not-a-vector"])
+def test_received_reduced_rejects_an_attenuation_of_another_shape(shape):
+    channels = ChannelSet(h1=np.eye(2), h2=np.eye(2), c=[1.0, 0.0], k_rx=1)
+    with pytest.raises(ValueError, match="attenuation shape"):
+        received_reduced(channels, np.ones(shape, dtype=complex), ReflectionVector([1.0, 1.0]), np.zeros(2))
+
+
 def test_full_equals_reduced_on_random_instances():
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -179,7 +185,9 @@ def test_power_scaling_is_exact_for_binary_alpha(exponent):
 def test_attenuation_independent_of_reflection_state():
     rng = np.random.default_rng(9)
     channels, _, _ = random_instance(rng, n_cells=5, k_rx=1)
-    first = attenuation_from(channels).entries
-    second = attenuation_from(channels).entries
+    first = attenuation_from(channels)
+    second = attenuation_from(channels)
     assert np.array_equal(first, second)
-    assert isinstance(attenuation_from(channels), AttenuationDiagonal)
+    # E's diagonal is a plain read-only complex vector of length 2N.
+    assert first.dtype == np.complex128 and first.shape == (10,)
+    assert not first.flags.writeable
