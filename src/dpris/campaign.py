@@ -24,8 +24,8 @@ sends: all 256 for independent streams; for identical streams the 16
 pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2) once it has four
 or more symbols, so it builds 18 pairs.  Chunk jobs, the pilot and
 ``tx_symbols`` take one route to pair codes, ``LinkEngine._pair_codes``; it
-refuses a non-integer index, one outside 0..15 or a pair the engine does not
-hold (a ValueError), and the chunk kernel reads the codes it returns.  The
+refuses (a ValueError) a non-integer or out-of-range index, unequal shapes
+or a pair the engine does not hold, and the chunk kernel reads its codes.  The
 per-polarization stages (ramp phase, inverse curve, DAC) run once per
 distinct symbol, 16 rows x M samples per polarization; the voltage
 coupling and rail clip run once per pair, and the stages after them once
@@ -314,14 +314,7 @@ class LinkEngine:
                 )
         self.pilot = default_pilot_block(config.pilot_length)
 
-        # Per-constellation-point ramp parameters and closed-form symbols.
         self.params16 = qam_to_tm_table(CONSTELLATION16, config.symbol_period_s)
-        self.table_a = closed_form_value(
-            np.array([p.delta_phi for p in self.params16]),
-            np.array([p.t_shift_s for p in self.params16]),
-            config.symbol_period_s,
-        )
-
         self.lut = _named_lut(config)
         self.hw_active: HardwareConfig | None = None
         self._sent = _ALL_PAIRS
@@ -351,8 +344,12 @@ class LinkEngine:
                     self._sent[pilot_codes] = True
                 tx = np.zeros((STREAMS, 256), dtype=np.complex128)
                 tx[:, self._sent] = self.waveform_tx_symbols(*_PAIR_SYMBOLS[:, self._sent])
-        else:
-            tx = self.table_a[_PAIR_SYMBOLS]
+        else:  # each stream's closed-form symbol, per constellation point
+            tx = closed_form_value(
+                np.array([p.delta_phi for p in self.params16]),
+                np.array([p.t_shift_s for p in self.params16]),
+                config.symbol_period_s,
+            )[_PAIR_SYMBOLS]
         self._tx, self._rx = tx, mix2(self.g, tx)
         # The pilot block as it arrives without noise: the entries of G·T data reads.
         self._pilot_rx = self._rx[:, pilot_codes]
@@ -381,41 +378,41 @@ class LinkEngine:
         return self._tx if self._sent.all() else self.waveform_tx_symbols(*_PAIR_SYMBOLS)
 
     def _pair_codes(self, sym0, sym1) -> np.ndarray:
-        """The int64 codes 16 * sym0 + sym1; a ValueError for a non-integer or out-of-range index or an unheld pair."""
+        """The int64 codes 16 * sym0 + sym1 of indices of any integer dtype; a ValueError for a
+        non-integer or out-of-range index, streams of unequal shapes (never broadcast) or an unheld pair."""
         if not all(np.asarray(s).dtype.kind in "iu" for s in (sym0, sym1)):
             raise ValueError("symbol indices must lie in 0..15")
+        if np.shape(sym0) != np.shape(sym1):
+            raise ValueError(f"the streams' symbol indices differ in shape: {np.shape(sym0)} and {np.shape(sym1)}")
         code = np.asarray(np.bitwise_or(sym0, sym1, dtype=np.int64))  # outside 0..15 iff an index is; 0-d for scalars
         if code.min(initial=0) < 0 or code.max(initial=0) > 15:
             raise ValueError("symbol indices must lie in 0..15")
         np.multiply(sym0, 16, out=code, dtype=np.int64)
-        code += sym1
+        np.add(code, sym1, out=code, dtype=np.int64)  # code += a uint64 sym1 would promote to float
         if not self._sent.all() and not self._sent[code].all():
             raise ValueError("a coupled identical-stream engine holds only the pairs (s, s) and the pilot's")
         return code
 
-    def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
-        """Equivalent baseband symbols entering the channel, shape (2, n).
+    def _check_fidelity(self, fidelity: str) -> None:
+        if fidelity != self.cfg.fidelity:
+            raise ValueError(f"a fidelity-{self.cfg.fidelity} engine has no fidelity-{fidelity} symbols")
 
-        Fidelity A reads the closed-form symbols; fidelity B reads the
-        engine's pair table, whose G-product the chunk kernel reads.  Both
-        read by the codes of :meth:`_pair_codes`, which refuses a non-integer
-        index, one outside 0..15 or a pair the engine does not hold (a
-        ValueError); only ``table_b0``/``table_b1`` rebuild the full table.
-        """
-        if fidelity == "A":
-            return self.table_a[_PAIR_SYMBOLS[:, self._pair_codes(sym0, sym1)]]
-        if self.hw_active is None:
-            raise ValueError("a fidelity-A engine has no fidelity-B symbols")
+    def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
+        """Equivalent baseband symbols entering the channel, shape (2, n): the engine's table T,
+        whose G-product the chunk kernel reads, at the codes of :meth:`_pair_codes`.  Any
+        ``fidelity`` but the engine's own is a ValueError, as is every index that route refuses."""
+        self._check_fidelity(fidelity)
         return self._tx[:, self._pair_codes(sym0, sym1)]
 
     def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
         """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
         straight through the control path and the single-bin correlator.
 
-        Fidelity B's tables are this route over the pairs a run sends.  A
-        control path that leaves the float range is a :class:`ConfigError`
-        on ``lut_csv`` or ``hardware``.
+        Fidelity B's tables are this route over the pairs a run sends; a fidelity-A engine refuses
+        it as :meth:`tx_symbols` refuses "B".  A control path that leaves the float range is a
+        :class:`ConfigError` on ``lut_csv`` or ``hardware``.
         """
+        self._check_fidelity("B")
         params0 = [self.params16[i] for i in sym0]
         params1 = [self.params16[j] for j in sym1]
         with _float_range_guard(

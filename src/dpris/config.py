@@ -160,8 +160,8 @@ class CampaignConfig:
                 f"must lie in [2, {MAX_SAMPLES_PER_SYMBOL}], got {self.samples_per_symbol}",
             )
         # The CSV header carries the throughput.  The ramp samples a symbol at
-        # spacing Ts / samples_per_symbol; below the smallest normal float its
-        # phases lose precision, then turn NaN.
+        # spacing Ts / samples_per_symbol, export-waveform at Ts / samples; below
+        # the smallest normal float the phases lose precision, then turn NaN.
         if not (
             math.isfinite(self.throughput_bps)
             and self.symbol_period_s / self.samples_per_symbol >= sys.float_info.min
@@ -171,6 +171,8 @@ class CampaignConfig:
                 f"rate {self.symbol_rate_sps!r} is too large: the throughput or the sample "
                 f"spacing 1/(rate * samples_per_symbol) leaves the float range",
             )
+        if not self.symbol_period_s / self.waveform_export.samples >= sys.float_info.min:
+            raise ConfigError("waveform_export.samples", "the exported ramp's spacing 1/(rate * samples) is subnormal")
         if not 2 <= self.pilot_length <= MAX_PILOT_LENGTH or self.pilot_length % 2 != 0:
             raise ConfigError(
                 "pilot_length",

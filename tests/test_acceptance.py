@@ -225,15 +225,18 @@ def test_c7_cross_fidelity_agreement():
             base_reflection_amplitude=1.0,
         ),
     )
-    engine = LinkEngine(cfg)
+    # One engine per fidelity, each serving its own table T over one channel G.
+    engines = {fidelity: LinkEngine(replace(cfg, fidelity=fidelity)) for fidelity in ("A", "B")}
+    g = engines["B"].g
+    assert engines["A"].g.tobytes() == g.tobytes()
     rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(0xAC, 7)))
     sym0 = rng.integers(0, 16, 10_000)
     sym1 = rng.integers(0, 16, 10_000)
     # noiseless post-equalizer symbol estimates through both fidelities
     est = {}
-    for fidelity in ("A", "B"):
-        y = engine.g @ engine.tx_symbols(sym0, sym1, fidelity)
-        est[fidelity] = zf_equalize(engine.g, y, cfg.zf_condition_limit)
+    for fidelity, engine in engines.items():
+        y = g @ engine.tx_symbols(sym0, sym1, fidelity)
+        est[fidelity] = zf_equalize(g, y, cfg.zf_condition_limit)
     worst = float(np.max(np.abs(est["B"] - est["A"])))
     elapsed = time.perf_counter() - started
     ok = worst <= 3e-4

@@ -197,6 +197,23 @@ def test_root_rules_hold_however_the_config_is_built(bad):
     assert errors[1] == errors[0] and errors[2] == errors[0]
 
 
+def test_export_sample_spacing_must_be_a_normal_float(tmp_path, capsys):
+    # 7e305 sps keeps the spacing 1/(rate * samples_per_symbol) normal, but
+    # 1,000,000 export samples would lie 1.4e-312 s apart: a subnormal
+    # spacing, whose lost digits show in the exported CSV.
+    raw = {"symbol_rate_sps": 7e305, "waveform_export": {"samples": 1_000_000}}
+    for build in (config_from_dict, lambda r: CampaignConfig(**r), lambda r: replace(CampaignConfig(), **r)):
+        with pytest.raises(ConfigError, match="subnormal") as err:
+            build(raw)
+        assert err.value.path == "waveform_export.samples"
+    assert config_from_dict({**raw, "waveform_export": {"samples": 64}}).symbol_rate_sps == 7e305
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["export-waveform", "--config", str(path), "--out", str(tmp_path / "wave.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: waveform_export.samples: ")
+    assert not (tmp_path / "wave.csv").exists()
+
+
 @pytest.mark.parametrize(
     "bad, path, message",
     [
@@ -455,27 +472,41 @@ def test_identical_stream_engine_answers_racing_threads_with_the_full_table():
     assert all(same_bits(r, want[k % 2]) for k, r in enumerate(results))
 
 
+def _with_pair(pair, dtype=None):
+    """The index streams of the 16 pairs (i, i), but ``pair`` at index 3.
+
+    A float in either position makes that whole array float.
+    """
+    return tuple(np.array([pair[q] if i == 3 else i for i in range(16)], dtype=dtype) for q in (0, 1))
+
+
 @pytest.mark.parametrize(
-    "relation, pair, refusal",
+    "relation, streams, refusal",
     [
-        pytest.param("identical", (0, 1), "holds only the pairs", id="held-pair-unheld"),
+        pytest.param("identical", _with_pair((0, 1)), "holds only the pairs", id="held-pair-unheld"),
         *(
-            pytest.param(relation, pair, "lie in 0..15", id=f"{name}-{pair[0]},{pair[1]}")
+            pytest.param(relation, _with_pair(pair), "lie in 0..15", id=f"{name}-{pair[0]},{pair[1]}")
             for relation, name in (("independent", "256-pair"), ("identical", "held-pair"))
             for pair in ((16, 0), (-1, 3), (1, -1))
         ),
-        pytest.param("independent", (3.0, 3), "lie in 0..15", id="256-pair-float-index"),
+        pytest.param("independent", _with_pair((3.0, 3)), "lie in 0..15", id="256-pair-float-index"),
+        # uint64 is read like every other integer dtype, so its refusals are the same.
+        pytest.param("identical", _with_pair((0, 1), np.uint64), "holds only the pairs", id="held-pair-unheld-uint64"),
+        pytest.param("independent", _with_pair((2**64 - 1, 3), np.uint64), "lie in 0..15", id="256-pair-uint64-max"),
+        # Streams of unequal shapes are refused, never broadcast: [1, 2] and [1] are not the codes [17, 33].
+        pytest.param("independent", (np.array([1, 2]), np.array([1])), "differ in shape", id="256-pair-unequal-shapes"),
+        pytest.param("identical", (np.array(1), np.array([1, 1])), "differ in shape", id="held-pair-scalar-and-array"),
     ],
 )
 def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_not_hold(
-    monkeypatch, relation, pair, refusal
+    monkeypatch, relation, streams, refusal
 ):
     # One route from symbol indices to pair codes, the one whose codes the
-    # kernel reads: a non-integer index, an index outside 0..15, and on a
-    # held-pair engine a pair it does not hold, raise the same ValueError in
-    # the route and tx_symbols at either fidelity, and build nothing; only
-    # table_b0/table_b1 rebuild the full table, and never store it.  A bad
-    # index is refused, not clipped: (1, -1) is not code 15.
+    # kernel reads: a non-integer index, an index outside 0..15, streams of
+    # unequal shapes, and on a held-pair engine a pair it does not hold, raise
+    # the same ValueError in the route and in tx_symbols, and build nothing;
+    # only table_b0/table_b1 rebuild the full table, and never store it.  A
+    # bad index is refused, not clipped: (1, -1) is not code 15.
     engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation=relation))
     tables = (engine._tx, engine._rx, engine._sent)
     built = [t.copy() for t in tables]
@@ -487,14 +518,9 @@ def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_no
         return real(params0, *args)
 
     monkeypatch.setattr(campaign, "distort_reflection", spy)
-    # A float in either position makes that whole array float.
-    sym0, sym1 = (np.array([pair[q] if i == 3 else i for i in range(16)]) for q in (0, 1))
+    sym0, sym1 = streams
     refusals = []
-    for ask in (
-        lambda: engine._pair_codes(sym0, sym1),
-        lambda: engine.tx_symbols(sym0, sym1, "B"),
-        lambda: engine.tx_symbols(sym0, sym1, "A"),
-    ):
+    for ask in (lambda: engine._pair_codes(sym0, sym1), lambda: engine.tx_symbols(sym0, sym1, "B")):
         with pytest.raises(ValueError, match=refusal) as caught:
             ask()
         refusals.append(str(caught.value))
@@ -502,6 +528,15 @@ def test_identical_stream_kernel_and_tx_symbols_refuse_a_pair_the_engine_does_no
     assert engine.table_b0 is not None and builds == ([256] if relation == "identical" else [])
     assert all(now is was for now, was in zip((engine._tx, engine._rx, engine._sent), tables))
     assert all(same_bits(t, b) for t, b in zip(tables, built))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.uint64])
+def test_pair_codes_read_every_integer_dtype_as_int64(dtype):
+    engine = LinkEngine(small_config())
+    sym0, sym1 = np.divmod(np.arange(256), 16)
+    code = engine._pair_codes(sym0.astype(dtype), sym1.astype(dtype))
+    assert code.dtype == np.int64 and np.array_equal(code, np.arange(256))
+    assert engine._pair_codes(dtype(15), dtype(1)) == 241
 
 
 @pytest.mark.parametrize(
@@ -541,11 +576,37 @@ def test_pair_table_holds_g_times_each_pairs_symbols(fidelity, coupling, relatio
     assert same_bits(engine._rx[:, 16 * sym0 + sym1], want)
 
 
-def test_fidelity_a_engine_has_no_fidelity_b_symbols():
+@pytest.mark.parametrize("fidelity", ["A", "B"])
+def test_an_engine_serves_only_its_own_fidelity(fidelity):
+    # One table T per engine: every other fidelity, valid or not, is the same
+    # refusal naming both, from tx_symbols and, at fidelity A, the waveform route.
+    engine = LinkEngine(small_config(fidelity=fidelity))
+    s = np.arange(16)
+    assert same_bits(engine.tx_symbols(s, s, fidelity), engine._tx[:, 17 * s])
+    others = sorted({"A", "B", "C", "a", "b", ""} - {fidelity})
+    asks = [(other, lambda other=other: engine.tx_symbols(s, s, other)) for other in others]
+    if fidelity == "A":
+        asks.append(("B", lambda: engine.waveform_tx_symbols(s, s)))
+    for other, ask in asks:
+        with pytest.raises(ValueError, match=f"^a fidelity-{fidelity} engine has no fidelity-{other} symbols$"):
+            ask()
+    assert (engine.table_b0 is None and engine.table_b1 is None) == (fidelity == "A")
+
+
+@pytest.mark.parametrize(
+    "streams, refusal",
+    [
+        (_with_pair((16, 0)), "lie in 0..15"),
+        (_with_pair((3.0, 3)), "lie in 0..15"),
+        ((np.array([1, 2]), np.array([1])), "differ in shape"),
+    ],
+    ids=["out-of-range", "float-index", "unequal-shapes"],
+)
+def test_fidelity_a_engine_refuses_the_indices_its_route_refuses(streams, refusal):
     engine = LinkEngine(small_config())
-    assert engine.table_b0 is None and engine.table_b1 is None
-    with pytest.raises(ValueError, match="fidelity-A engine"):
-        engine.tx_symbols(np.arange(16), np.arange(16), "B")
+    for ask in (lambda: engine._pair_codes(*streams), lambda: engine.tx_symbols(*streams, "A")):
+        with pytest.raises(ValueError, match=refusal):
+            ask()
 
 
 def test_identical_stream_engine_reads_the_pairs_it_sent_without_building_the_rest(monkeypatch):

@@ -1,17 +1,26 @@
 """Source hygiene of src/dpris, read with the stdlib ``ast``: every import is
 used, every module-level private name has a reader somewhere in src/, every
 dataclass field has a reader somewhere in src/, tests/ or benchmark/, and
-every name benchmark/ imports from dpris exists."""
+the API benchmark/ replays exists: every name it imports from dpris, every
+``engine.<attr>`` it reads, and every keyword it passes to a dpris record."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
+from dpris.campaign import CampaignResult, LinkEngine
+from dpris.config import CampaignConfig
+from dpris.model import ChannelSet
+from dpris.modulation import TmSymbolParams
+from dpris.receiver import BerRecord
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dpris"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+BENCHMARK = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "benchmark").glob("*.py"))}
 PRIVATE = re.compile(r"_(?!_)")  # _x, but not a dunder
 
 
@@ -117,11 +126,52 @@ def test_every_name_benchmark_imports_from_dpris_exists():
     # that breaks one of these imports breaks every workload.
     bound = {module: _bound_names(tree) for module, tree in TREES.items()}
     missing = []
-    for path in sorted((ROOT / "benchmark").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, tree in BENCHMARK.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dpris":
                 names = bound.get(f"{node.module.partition('.')[2] or '__init__'}.py", set())
-                missing += [
-                    f"{path.name}:{node.lineno} {node.module}.{a.name}" for a in node.names if a.name not in names
-                ]
+                missing += [f"{name}:{node.lineno} {node.module}.{a.name}" for a in node.names if a.name not in names]
     assert not missing, f"benchmark imports names dpris does not define: {missing}"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CampaignConfig(), CampaignConfig(fidelity="B", coupling=True, stream_relation="identical")],
+    ids=["fidelity-a", "coupled-identical-b"],
+)
+def test_every_engine_attribute_benchmark_reads_exists(config):
+    # The replay reads LinkEngine by attribute, so a src/ deletion that breaks
+    # one fails here and not only in the traced benchmark run.
+    reads = {
+        (f"{name}:{node.lineno}", node.attr)
+        for name, tree in BENCHMARK.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "engine"
+    }
+    assert reads
+    engine = LinkEngine(config)
+    missing = sorted(f"{where} engine.{attr}" for where, attr in reads if not hasattr(engine, attr))
+    assert not missing, f"benchmark reads engine attributes LinkEngine lacks: {missing}"
+
+
+def _callee(call: ast.Call):
+    """The name a call's function goes by: ``f`` of ``f(...)`` and of ``module.f(...)``."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_every_keyword_benchmark_passes_to_a_dpris_record_names_a_field():
+    records = {cls.__name__: cls for cls in (CampaignResult, BerRecord, ChannelSet, TmSymbolParams)}
+    calls = [
+        (f"{name}:{node.lineno}", records[_callee(node)], node)
+        for name, tree in BENCHMARK.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) in records
+    ]
+    assert {cls for _, cls, _ in calls} == set(records.values())
+    unknown = [
+        f"{where} {cls.__name__}({kw.arg}=...)"
+        for where, cls, node in calls
+        for kw in node.keywords
+        if kw.arg not in {field.name for field in dataclasses.fields(cls)}
+    ]
+    assert not unknown, f"benchmark passes keywords that name no field: {unknown}"
