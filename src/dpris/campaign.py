@@ -22,16 +22,17 @@ alone, so the engine runs the 16 pairs (s, s) and fills T from each
 polarization's 16 symbols.  A coupled engine runs the pairs a campaign
 sends: all 256 for independent streams; for identical streams the 16
 pairs (s, s) and the pilot's, which adds (2, 8) and (8, 2) once it has four
-or more symbols, so it builds 18 pairs.  Chunk jobs, the pilot and
-``tx_symbols`` take one route to pair codes, ``LinkEngine._pair_codes``; it
-refuses (a ValueError) a non-integer or out-of-range index, unequal shapes
-or a pair the engine does not hold, and the chunk kernel reads its codes.  The
-per-polarization stages (ramp phase, inverse curve, DAC) run once per
-distinct symbol, 16 rows x M samples per polarization; the voltage
-coupling and rail clip run once per pair, and the stages after them once
-per distinct coupled voltage.  The table shortcut is exact
-because the channel and the correlator are linear; tests pin it against
-the direct per-symbol waveform path.
+or more symbols, so it builds 18 pairs.  Inside the engine every index is a
+pair code: the control path takes the codes of the pairs it builds, and the
+chunk kernel reads codes.  Symbol indices get in by one route,
+``LinkEngine._pair_codes``, which chunk jobs, the pilot and ``tx_symbols``
+take; it refuses (a ValueError) a non-integer or out-of-range index, unequal
+shapes or a pair the engine does not hold.  The per-polarization stages
+(ramp phase, inverse curve, DAC) run once per distinct symbol, 16 rows x M
+samples per polarization; the voltage coupling and rail clip run once per
+pair, and the stages after them once per distinct coupled voltage.  The
+table shortcut is exact because the channel and the correlator are linear;
+tests pin it against the direct per-symbol waveform path.
 Receiver noise enters after the correlator with the correlator-output
 variance, which is distributionally identical to per-sample noise at M
 times that power.
@@ -335,7 +336,7 @@ class LinkEngine:
             # independent streams; for identical ones the 16 pairs (s, s)
             # and the pilot's.
             if coupling_factor(self.hw_active.isolation_db) == 0.0:
-                rows = self.waveform_tx_symbols(np.arange(16), np.arange(16))
+                rows = self._control_path(_SAME_PAIRS)
                 tx = np.take_along_axis(rows, _PAIR_SYMBOLS, axis=1)
             else:
                 if config.stream_relation == "identical":
@@ -343,7 +344,7 @@ class LinkEngine:
                     self._sent[_SAME_PAIRS] = True
                     self._sent[pilot_codes] = True
                 tx = np.zeros((STREAMS, 256), dtype=np.complex128)
-                tx[:, self._sent] = self.waveform_tx_symbols(*_PAIR_SYMBOLS[:, self._sent])
+                tx[:, self._sent] = self._control_path(np.flatnonzero(self._sent))
         else:  # each stream's closed-form symbol, per constellation point
             tx = closed_form_value(
                 np.array([p.delta_phi for p in self.params16]),
@@ -375,7 +376,7 @@ class LinkEngine:
 
     def _full_tx(self) -> np.ndarray:
         """The whole table T; computed afresh, not stored, where the engine holds only the pairs it sends."""
-        return self._tx if self._sent.all() else self.waveform_tx_symbols(*_PAIR_SYMBOLS)
+        return self._tx if self._sent.all() else self._control_path(np.arange(256))
 
     def _pair_codes(self, sym0, sym1) -> np.ndarray:
         """The int64 codes 16 * sym0 + sym1 of indices of any integer dtype; a ValueError for a
@@ -393,28 +394,24 @@ class LinkEngine:
             raise ValueError("a coupled identical-stream engine holds only the pairs (s, s) and the pilot's")
         return code
 
-    def _check_fidelity(self, fidelity: str) -> None:
-        if fidelity != self.cfg.fidelity:
-            raise ValueError(f"a fidelity-{self.cfg.fidelity} engine has no fidelity-{fidelity} symbols")
-
     def tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray, fidelity: str) -> np.ndarray:
         """Equivalent baseband symbols entering the channel, shape (2, n): the engine's table T,
         whose G-product the chunk kernel reads, at the codes of :meth:`_pair_codes`.  Any
         ``fidelity`` but the engine's own is a ValueError, as is every index that route refuses."""
-        self._check_fidelity(fidelity)
+        if fidelity != self.cfg.fidelity:
+            raise ValueError(f"a fidelity-{self.cfg.fidelity} engine has no fidelity-{fidelity} symbols")
         return self._tx[:, self._pair_codes(sym0, sym1)]
 
-    def waveform_tx_symbols(self, sym0: np.ndarray, sym1: np.ndarray) -> np.ndarray:
-        """Received-equivalent symbols of each (sym0[i], sym1[i]) pair, shape (2, n),
+    def _control_path(self, codes: np.ndarray) -> np.ndarray:
+        """Received-equivalent symbols of the pairs whose int64 codes are ``codes``, shape (2, n),
         straight through the control path and the single-bin correlator.
 
-        Fidelity B's tables are this route over the pairs a run sends; a fidelity-A engine refuses
-        it as :meth:`tx_symbols` refuses "B".  A control path that leaves the float range is a
-        :class:`ConfigError` on ``lut_csv`` or ``hardware``.
+        Every fidelity-B row of T comes from here, and every caller passes its codes in ascending
+        order: a block of other pairs can round a row differently.  A control path that leaves
+        the float range is a :class:`ConfigError` on ``lut_csv`` or ``hardware``.
         """
-        self._check_fidelity("B")
-        params0 = [self.params16[i] for i in sym0]
-        params1 = [self.params16[j] for j in sym1]
+        params0 = [self.params16[i] for i in codes >> 4]
+        params1 = [self.params16[j] for j in codes & 15]
         with _float_range_guard(
             "lut_csv" if self.cfg.lut_csv else "hardware",
             "the control path leaves the float range with these transfer curves and hardware settings",
@@ -872,10 +869,6 @@ def run_file_loopback(
     # The two payload streams differ, so the engine builds all 256 pairs up front.
     engine = LinkEngine(replace(config, fidelity="B", stream_relation="independent"))
     noise_power, w = engine.receiver_for_point(0, config.loopback_ebn0_db, "loopback_ebn0_db")
-    if len(payload) == 0:
-        with _open_output(output_path, force, binary=True):
-            pass
-        return LoopbackResult(bytes_in=0, record=None)
 
     data = np.frombuffer(payload, dtype=np.uint8)
     out = np.empty(data.size, dtype=np.uint8)
@@ -902,7 +895,8 @@ def run_file_loopback(
     with _open_output(output_path, force, binary=True) as fh:
         fh.write(out)
 
-    record = _ber_record(config.loopback_ebn0_db, counts)
+    # An empty payload runs no chunk and writes an empty file; it has no BER.
+    record = _ber_record(config.loopback_ebn0_db, counts) if data.size else None
     return LoopbackResult(bytes_in=len(payload), record=record)
 
 

@@ -64,6 +64,9 @@ MAX_PILOT_LENGTH = 100_000
 # a span of 100,000 (51 MiB, 1.4 s) and 2,000,001 at 1,000,000 (159 MiB, 12 s).
 MAX_EXPORT_SAMPLES = 1_000_000
 MAX_HARMONIC_SPAN = 100_000
+# A sweep point runs at about 8e7 bits/s on one thread (fidelity A, 2 vCPUs),
+# so 10**12 bits take about 3.5 h per point.  Memory does not grow with it.
+MAX_BITS_PER_POINT = 10**12
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,8 @@ class CampaignConfig:
                 "bits_per_point",
                 f"must be at least {MIN_BITS_PER_POINT}, got {self.bits_per_point}",
             )
+        if self.bits_per_point > MAX_BITS_PER_POINT:
+            raise ConfigError("bits_per_point", f"must be at most {MAX_BITS_PER_POINT}, got {self.bits_per_point}")
         if self.symbol_rate_sps <= 0:
             raise ConfigError("symbol_rate_sps", "must be positive")
         if not math.isfinite(self.symbol_period_s):

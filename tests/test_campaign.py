@@ -38,6 +38,7 @@ from dpris.campaign import (
 )
 from dpris.cli import MAX_THREADS, PENALTY_CSVS, main
 from dpris.config import (
+    MAX_BITS_PER_POINT,
     MAX_EXPORT_SAMPLES,
     MAX_HARMONIC_SPAN,
     MAX_ORACLE_CASES,
@@ -439,7 +440,7 @@ def test_pair_table_matches_direct_waveform_route():
         sym0 = rng.integers(0, 16, 200)
         sym1 = rng.integers(0, 16, 200)
         table = engine.tx_symbols(sym0, sym1, "B")
-        direct = engine.waveform_tx_symbols(sym0, sym1)
+        direct = engine._control_path(16 * sym0 + sym1)
         assert np.array_equal(table, direct)
 
 
@@ -451,7 +452,7 @@ def test_identical_stream_engine_checks_its_full_table_at_first_use(monkeypatch)
     monkeypatch.setattr(campaign, "extract_harmonic", lambda rows: np.full(len(rows), np.inf + 0j))
     s = np.arange(16)
     assert np.isfinite(engine.tx_symbols(s, s, "B")).all()
-    for ask in (lambda: engine.table_b0, lambda: engine.table_b1, lambda: engine.waveform_tx_symbols(s, s)):
+    for ask in (lambda: engine.table_b0, lambda: engine.table_b1, lambda: engine._control_path(17 * s)):
         with pytest.raises(ConfigError, match="hardware: the control path leaves the float range"):
             ask()
 
@@ -579,17 +580,13 @@ def test_pair_table_holds_g_times_each_pairs_symbols(fidelity, coupling, relatio
 @pytest.mark.parametrize("fidelity", ["A", "B"])
 def test_an_engine_serves_only_its_own_fidelity(fidelity):
     # One table T per engine: every other fidelity, valid or not, is the same
-    # refusal naming both, from tx_symbols and, at fidelity A, the waveform route.
+    # refusal from tx_symbols, naming both.
     engine = LinkEngine(small_config(fidelity=fidelity))
     s = np.arange(16)
     assert same_bits(engine.tx_symbols(s, s, fidelity), engine._tx[:, 17 * s])
-    others = sorted({"A", "B", "C", "a", "b", ""} - {fidelity})
-    asks = [(other, lambda other=other: engine.tx_symbols(s, s, other)) for other in others]
-    if fidelity == "A":
-        asks.append(("B", lambda: engine.waveform_tx_symbols(s, s)))
-    for other, ask in asks:
+    for other in sorted({"A", "B", "C", "a", "b", ""} - {fidelity}):
         with pytest.raises(ValueError, match=f"^a fidelity-{fidelity} engine has no fidelity-{other} symbols$"):
-            ask()
+            engine.tx_symbols(s, s, other)
     assert (engine.table_b0 is None and engine.table_b1 is None) == (fidelity == "A")
 
 
@@ -622,7 +619,7 @@ def test_identical_stream_engine_reads_the_pairs_it_sent_without_building_the_re
     s = np.random.default_rng(4).integers(0, 16, 1000)
     got = engine.tx_symbols(s, s.copy(), "B")
     assert builds == [18]
-    assert same_bits(got, engine.waveform_tx_symbols(s, s))
+    assert same_bits(got, engine._control_path(17 * s))
 
 
 # sha256 of a coupled identical-stream engine's noiseless pilot block, by pilot length.
@@ -651,6 +648,45 @@ def test_pilot_is_its_corner_indices(length):
     engine = LinkEngine(small_config(fidelity="B", coupling=True, stream_relation="identical", pilot_length=length))
     assert int(engine._sent.sum()) == (17 if length == 2 else 18)
     assert hashlib.sha256(engine._pilot_rx.tobytes()).hexdigest() == PILOT_RX_PINS[length]
+
+
+# sha256 of each engine kind's tables at the default config: T, G·T and, for
+# the coupled identical-stream engine, the full table it rebuilds on demand.
+TABLE_PINS = {
+    "fidelity-a": {
+        "_tx": "ec7e59068e1dab12f3486b70e53b87393f928d878fad73fd61e3287394d014ba",
+        "_rx": "5ff3d1c1ce7ddd7b227ce07ed0c0fe921397388182e5cd2633c9b8fe03765a82",
+    },
+    "uncoupled": {
+        "_tx": "57cee3d00e799d6741c1111d9cd7241e5ef5c1dd95d9fa070dfada0db39f10cc",
+        "_rx": "891658fa22df6a539bf911255c0737531beb5c466ae53706b064814fe658bade",
+    },
+    "coupled": {
+        "_tx": "9bd28b4eab78bba6cb9ceaf43abcb70b10d4780e5834e568b99d71274c0a87b4",
+        "_rx": "d3b8f51bd0a10806fcfe98cee9b9269963b4955fe0b8ae89e537e045d3e375fb",
+    },
+    "coupled-identical": {
+        "_tx": "86b96777f2f9427eab6757f2ac6d802389e89155b9eebc8e38c3b07d340fe7e0",
+        "_rx": "1c87d9eb89c42ec0cbc6a95f011c4ebc2f1448539fdeb347cec78f0371600840",
+        "table_b0": "f67d94f5e7ee8dd932f72df664a17fab0a327f4fdbc00b9c19d4370eaa9c4446",
+        "table_b1": "c4e1b03846432c41852ffbc31e6adc3226d7a98dc5dbcc6abf18f64e0248eabb",
+    },
+}
+ENGINE_KINDS = {
+    "fidelity-a": {},
+    "uncoupled": {"fidelity": "B"},
+    "coupled": {"fidelity": "B", "coupling": True},
+    "coupled-identical": {"fidelity": "B", "coupling": True, "stream_relation": "identical"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_PINS))
+def test_engine_tables_are_frozen(kind):
+    # A table row that moves by one ulp can flip a decision no other pin
+    # happens to sample, so every bit of each table is pinned.
+    engine = LinkEngine(CampaignConfig(**ENGINE_KINDS[kind]))
+    digests = {name: hashlib.sha256(getattr(engine, name).tobytes()).hexdigest() for name in TABLE_PINS[kind]}
+    assert digests == TABLE_PINS[kind]
 
 
 @pytest.mark.parametrize(
@@ -2230,8 +2266,15 @@ def test_cell_grid_is_bounded():
         ("export-waveform", "waveform_export", "samples", MAX_EXPORT_SAMPLES, 10**15),
         ("export-waveform", "waveform_export", "harmonic_span", MAX_HARMONIC_SPAN, 10**15),
         ("ber-sweep", None, "pilot_length", MAX_PILOT_LENGTH, 10**10),
+        ("ber-sweep", None, "bits_per_point", MAX_BITS_PER_POINT, 10**30),
     ],
-    ids=["samples_per_symbol", "waveform_export.samples", "waveform_export.harmonic_span", "pilot_length"],
+    ids=[
+        "samples_per_symbol",
+        "waveform_export.samples",
+        "waveform_export.harmonic_span",
+        "pilot_length",
+        "bits_per_point",
+    ],
 )
 def test_cli_size_inputs_are_bounded(tmp_path, capsys, command, section, key, cap, huge):
     def setting(value):
@@ -2241,7 +2284,8 @@ def test_cli_size_inputs_are_bounded(tmp_path, capsys, command, section, key, ca
     assert config_from_dict(setting(cap))
     with pytest.raises(ConfigError, match=f"^{path}"):
         config_from_dict(setting(cap + 2))
-    # Uncapped, each value ends in a numpy or Python MemoryError.
+    # Uncapped, each value ends in a numpy or Python MemoryError, but
+    # bits_per_point, whose chunk count overflows itertools.islice.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fidelity": "B", **setting(huge)}))
     out = tmp_path / "o.csv"

@@ -1,8 +1,10 @@
 """Source hygiene of src/dpris, read with the stdlib ``ast``: every import is
 used, every module-level private name has a reader somewhere in src/, every
-dataclass field has a reader somewhere in src/, tests/ or benchmark/, and
-the API benchmark/ replays exists: every name it imports from dpris, every
-``engine.<attr>`` it reads, and every keyword it passes to a dpris record."""
+dataclass field has a reader somewhere in src/, tests/ or benchmark/, every
+public method or property of a src/ class has a reader outside its class in
+src/ or in benchmark/, and the API benchmark/ replays exists: every name it
+imports from dpris, every ``engine.<attr>`` it reads, and every keyword it
+passes to a dpris record."""
 
 import ast
 import dataclasses
@@ -75,6 +77,39 @@ def test_every_private_module_name_is_read_in_src():
         if PRIVATE.match(name) and name not in read
     ]
     assert not unread, f"private names nothing in src/ reads: {unread}"
+
+
+def _attribute_loads(node, skip=None) -> set[str]:
+    """The attribute names loaded anywhere under ``node``, but not under ``skip``."""
+    loads, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return loads
+
+
+def test_every_public_class_member_is_read_outside_its_class():
+    # A public method only tests call is API that nothing runs: it either
+    # goes, or becomes a private helper of what does use it.
+    benchmark_reads = set().union(*(_attribute_loads(tree) for tree in BENCHMARK.values()))
+    unread = []
+    for module, tree in TREES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            read = benchmark_reads.union(*(_attribute_loads(other, skip=cls) for other in TREES.values()))
+            unread += [
+                f"{module}:{node.lineno} {cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                and node.name not in read
+            ]
+    assert not unread, f"public class members nothing outside their class in src/ or benchmark/ reads: {unread}"
 
 
 def _dataclass_fields(tree):
